@@ -6,7 +6,9 @@ architecture: one learnable linear projection per input source into the
 controller width, mean-pooling per source (order-invariant over memory
 keys), then a small tanh MLP head.  Forward and backward passes are
 hand-written numpy so gradients can be checked against finite
-differences.
+differences.  The forward pass has a single-row form for decisions and
+a batched form over row matrices for training replay, equal bit for bit;
+one batched backward pass serves both.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ YES = "YES"
 NO = "NO"
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Row a is the one-hot vector of action index a (0 = YES, 1 = NO).
+_ONE_HOT = np.eye(2)
 
 # Stable parameter order, used by the optimizer and finite-difference tests.
 PARAM_KEYS = (
@@ -64,6 +69,20 @@ class ControllerContext:
         return 1 + int(self.memory_key_embeddings.shape[0]) + 3
 
 
+@dataclass
+class DecisionRows:
+    """N decisions as row matrices, the input of the batched forward pass.
+
+    A row's memory mean is zero where ``memory_empty`` holds; the policy
+    ignores it there.
+    """
+
+    queries: np.ndarray        # (N, d_e)
+    memory_means: np.ndarray   # (N, d_e), mean of the keys visible at decision time
+    memory_empty: np.ndarray   # (N,) bool
+    step_means: np.ndarray     # (N, d_e), mean of the step triplet's embeddings
+
+
 @dataclass(frozen=True)
 class Decision:
     """Outcome of one admission decision.
@@ -81,11 +100,26 @@ class Decision:
     fail_closed: bool = False
 
 
-def _softmax2(logits: np.ndarray, temperature: float) -> np.ndarray:
+def _rowwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row n is ``w @ x[n]``, computed as its own matrix-vector product.
+
+    ``x @ w.T`` would be one matrix product whose sums can round
+    differently from the single-row path.
+    """
+    return (w @ x[:, :, None])[:, :, 0]
+
+
+def _outer_sum(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n outer(d[n], x[n]), accumulated over n in row order."""
+    return np.einsum("ni,nj->ij", d, x)
+
+
+def softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """Softmax over the last axis: (2,) logits or (N, 2) rows of them."""
     scaled = logits / temperature
-    scaled = scaled - scaled.max()
+    scaled = scaled - np.maximum(scaled[..., :1], scaled[..., 1:])
     e = np.exp(scaled)
-    return e / e.sum()
+    return e / (e[..., :1] + e[..., 1:])
 
 
 def sample_binary_decision(
@@ -115,7 +149,7 @@ def sample_binary_decision(
             fail_closed=True,
         )
     if mode == "greedy":
-        probs = _softmax2(logits, 1.0)
+        probs = softmax(logits, 1.0)
         action = YES if logits[0] >= logits[1] else NO
         p_action = probs[0] if action == YES else probs[1]
         return Decision(
@@ -128,7 +162,7 @@ def sample_binary_decision(
     if mode == "sampled":
         if rng is None:
             raise ValidationError("sampled mode requires a random generator")
-        probs = _softmax2(logits, temperature)
+        probs = softmax(logits, temperature)
         action = YES if rng.random() < probs[0] else NO
         p_action = probs[0] if action == YES else probs[1]
         return Decision(
@@ -183,63 +217,101 @@ class AdmissionPolicy:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _check_context(self, context: ControllerContext) -> None:
+    def _pooled_inputs(
+        self, context: ControllerContext
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Validated (query, memory-key mean or None when empty, step mean)."""
         if context.dimension != self.embed_dim:
             raise ConfigurationError(
                 f"context dimension {context.dimension} != policy embed_dim {self.embed_dim}"
             )
-
-    def forward(self, context: ControllerContext) -> tuple[np.ndarray, dict]:
-        """Compute the 2 logits (YES, NO); returns (logits, cache)."""
-        self._check_context(context)
-        p = self.params
         q = np.asarray(context.query_embedding, dtype=np.float64)
         mem = np.asarray(context.memory_key_embeddings, dtype=np.float64)
         steps = np.asarray(context.step_embeddings, dtype=np.float64)
         if steps.shape != (3, self.embed_dim):
             raise ValidationError("step_embeddings must have shape (3, d_e)")
-        mem_mean = mem.mean(axis=0) if mem.shape[0] > 0 else None
-        step_mean = steps.mean(axis=0)
+        # np.add.reduce(x, axis=0) / n is what x.mean(axis=0) computes, minus its overhead
+        mem_mean = np.add.reduce(mem, axis=0) / mem.shape[0] if mem.shape[0] > 0 else None
+        return q, mem_mean, np.add.reduce(steps, axis=0) / 3
 
+    def _forward_row(
+        self, q: np.ndarray, mem_mean: np.ndarray | None, step_mean: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(logits, h0, h1) of one decision."""
+        p = self.params
         pooled_q = p["w_query"] @ q + p["b_query"]
         if mem_mean is not None:
             pooled_m = p["w_memory"] @ mem_mean + p["b_memory"]
         else:
             pooled_m = np.zeros(self.controller_dim)
         pooled_s = p["w_step"] @ step_mean + p["b_step"]
-
         h0 = np.concatenate([pooled_q, pooled_m, pooled_s])
-        a1 = p["w_hidden"] @ h0 + p["b_hidden"]
-        h1 = np.tanh(a1)
-        logits = p["w_out"] @ h1 + p["b_out"]
-        cache = {"q": q, "mem_mean": mem_mean, "step_mean": step_mean, "h0": h0, "h1": h1}
-        return logits, cache
+        h1 = np.tanh(p["w_hidden"] @ h0 + p["b_hidden"])
+        return p["w_out"] @ h1 + p["b_out"], h0, h1
 
-    def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of (dlogits . logits) with respect to every parameter."""
+    def forward(self, context: ControllerContext) -> np.ndarray:
+        """The 2 logits (YES, NO) of one decision.
+
+        Equals the matching :meth:`forward_batch` row bit for bit, without
+        the cost of the batch path's stacked arrays.
+        """
+        return self._forward_row(*self._pooled_inputs(context))[0]
+
+    def forward_cached(self, context: ControllerContext) -> tuple[np.ndarray, dict]:
+        """:meth:`forward` as a one-row batch: logits (1, 2) and the cache
+        :meth:`backward_batch` takes."""
+        q, mem_mean, step_mean = self._pooled_inputs(context)
+        logits, h0, h1 = self._forward_row(q, mem_mean, step_mean)
+        empty = mem_mean is None
+        rows = DecisionRows(
+            queries=q[None],
+            memory_means=np.zeros((1, self.embed_dim)) if empty else mem_mean[None],
+            memory_empty=np.array([empty]),
+            step_means=step_mean[None],
+        )
+        return logits[None], {"rows": rows, "h0": h0[None], "h1": h1[None]}
+
+    def forward_batch(self, rows: DecisionRows) -> tuple[np.ndarray, dict]:
+        """Logits (N, 2) of N decisions; returns (logits, cache).
+
+        Each matrix-vector product runs row by row as its own gemv, so row
+        n equals :meth:`forward` on the same context bit for bit.
+        """
+        p = self.params
+        pooled_q = _rowwise(p["w_query"], rows.queries) + p["b_query"]
+        pooled_m = _rowwise(p["w_memory"], rows.memory_means) + p["b_memory"]
+        pooled_m[rows.memory_empty] = 0.0
+        pooled_s = _rowwise(p["w_step"], rows.step_means) + p["b_step"]
+        h0 = np.concatenate([pooled_q, pooled_m, pooled_s], axis=1)
+        h1 = np.tanh(_rowwise(p["w_hidden"], h0) + p["b_hidden"])
+        logits = _rowwise(p["w_out"], h1) + p["b_out"]
+        return logits, {"rows": rows, "h0": h0, "h1": h1}
+
+    def backward_batch(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of sum_n dlogits[n] . logits[n], keyed in PARAM_KEYS order.
+
+        Every sum over rows runs in row order, so the result equals adding
+        up the rows' single-row gradients one by one.
+        """
         p = self.params
         d_c = self.controller_dim
-        h1, h0 = cache["h1"], cache["h0"]
-        grads = {}
-        grads["w_out"] = np.outer(dlogits, h1)
-        grads["b_out"] = dlogits.copy()
-        dh1 = p["w_out"].T @ dlogits
-        da1 = dh1 * (1.0 - h1 * h1)
-        grads["w_hidden"] = np.outer(da1, h0)
-        grads["b_hidden"] = da1
-        dh0 = p["w_hidden"].T @ da1
-        dq, dm, ds = dh0[:d_c], dh0[d_c : 2 * d_c], dh0[2 * d_c :]
-        grads["w_query"] = np.outer(dq, cache["q"])
-        grads["b_query"] = dq
-        if cache["mem_mean"] is not None:
-            grads["w_memory"] = np.outer(dm, cache["mem_mean"])
-            grads["b_memory"] = dm
-        else:
-            grads["w_memory"] = np.zeros_like(p["w_memory"])
-            grads["b_memory"] = np.zeros_like(p["b_memory"])
-        grads["w_step"] = np.outer(ds, cache["step_mean"])
-        grads["b_step"] = ds
-        return grads
+        rows, h0, h1 = cache["rows"], cache["h0"], cache["h1"]
+        da1 = _rowwise(p["w_out"].T, dlogits) * (1.0 - h1 * h1)
+        dh0 = _rowwise(p["w_hidden"].T, da1)
+        dh0[rows.memory_empty, d_c : 2 * d_c] = 0.0  # empty memory pools to a constant
+        db0 = np.add.reduce(dh0, axis=0)
+        return {
+            "w_query": _outer_sum(dh0[:, :d_c], rows.queries),
+            "b_query": db0[:d_c],
+            "w_memory": _outer_sum(dh0[:, d_c : 2 * d_c], rows.memory_means),
+            "b_memory": db0[d_c : 2 * d_c],
+            "w_step": _outer_sum(dh0[:, 2 * d_c :], rows.step_means),
+            "b_step": db0[2 * d_c :],
+            "w_hidden": _outer_sum(da1, h0),
+            "b_hidden": np.add.reduce(da1, axis=0),
+            "w_out": _outer_sum(dlogits, h1),
+            "b_out": np.add.reduce(dlogits, axis=0),
+        }
 
     # -- serialization -------------------------------------------------------
 
@@ -329,43 +401,48 @@ def decide(
     temperature: float = 1.0,
 ) -> Decision:
     """Evaluate the policy on a context and emit a YES/NO decision."""
-    logits, _ = policy.forward(context)
-    return sample_binary_decision(logits, mode, rng=rng, temperature=temperature)
+    return sample_binary_decision(policy.forward(context), mode, rng=rng, temperature=temperature)
 
 
-def log_prob(
-    policy: AdmissionPolicy,
-    context: ControllerContext,
-    action: str,
-    temperature: float = 1.0,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """log pi(action | context) and its gradient w.r.t. all parameters."""
+def action_index(action: str) -> int:
+    """Column of ``action`` in the (YES, NO) logits."""
     if action not in (YES, NO):
         raise ValidationError(f"action must be YES or NO, got {action!r}")
+    return 0 if action == YES else 1
+
+
+def batch_loss_grads(
+    policy: AdmissionPolicy,
+    forward: tuple[np.ndarray, dict],
+    actions: np.ndarray,
+    advantages: np.ndarray,
+    lambda_sparse: float,
+    temperature: float,
+    loss_weights: np.ndarray,
+    logp_collect: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Per-decision loss pieces of N decisions and their summed gradient.
+
+    ``forward`` is a (logits, cache) pair from ``forward_batch`` or
+    ``forward_cached``; ``actions`` are action indices.  Returns
+    (policy_terms, sparsity_terms, weights, grads): -advantages * log
+    pi(action), pi(YES), the loss weights, and the gradient of
+    sum_n weights[n] * (policy_terms[n] + lambda_sparse * sparsity_terms[n]).
+    With ``logp_collect`` each weight is multiplied by the importance ratio
+    exp(log pi(action) - logp_collect), held constant in the gradient.
+    """
     if temperature <= 0:
         raise ValidationError("temperature must be > 0")
-    logits, cache = policy.forward(context)
-    probs = _softmax2(logits, temperature)
-    idx = 0 if action == YES else 1
-    logp = float(np.log(probs[idx]))
-    onehot = np.zeros(2)
-    onehot[idx] = 1.0
-    dlogits = (onehot - probs) / temperature
-    return logp, policy.backward(cache, dlogits)
-
-
-def prob_yes_with_grad(
-    policy: AdmissionPolicy,
-    context: ControllerContext,
-    temperature: float = 1.0,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """pi(YES | context) and its gradient; the sparsity penalty term."""
-    logits, cache = policy.forward(context)
-    probs = _softmax2(logits, temperature)
-    p_yes = float(probs[0])
-    e0 = np.array([1.0, 0.0])
-    dlogits = p_yes * (e0 - probs) / temperature
-    return p_yes, policy.backward(cache, dlogits)
+    logits, cache = forward
+    probs = softmax(logits, temperature)
+    logp = np.log(probs[np.arange(len(actions)), actions])
+    weights = loss_weights
+    if logp_collect is not None:
+        weights = loss_weights * np.exp(logp - logp_collect)
+    dlogp = (_ONE_HOT[actions] - probs) / temperature
+    dpyes = probs[:, :1] * (_ONE_HOT[0] - probs) / temperature
+    dlogits = weights[:, None] * (-advantages[:, None] * dlogp + lambda_sparse * dpyes)
+    return -advantages * logp, probs[:, 0], weights, policy.backward_batch(cache, dlogits)
 
 
 def step_loss_grads(
@@ -384,19 +461,47 @@ def step_loss_grads(
     and grads is the gradient of
     loss_weight * (policy_term + lambda_sparse * sparsity_term).
     """
-    if action not in (YES, NO):
-        raise ValidationError(f"action must be YES or NO, got {action!r}")
-    logits, cache = policy.forward(context)
-    probs = _softmax2(logits, temperature)
-    idx = 0 if action == YES else 1
-    logp = float(np.log(probs[idx]))
-    policy_term = -advantage * logp
-    sparsity_term = float(probs[0])
+    p_terms, s_terms, _, grads = batch_loss_grads(
+        policy,
+        policy.forward_cached(context),
+        np.array([action_index(action)]),
+        np.array([float(advantage)]),
+        lambda_sparse,
+        temperature,
+        np.array([float(loss_weight)]),
+    )
+    return float(p_terms[0]), float(s_terms[0]), grads
 
-    onehot = np.zeros(2)
-    onehot[idx] = 1.0
-    dlogp = (onehot - probs) / temperature
-    e0 = np.array([1.0, 0.0])
-    dpyes = probs[0] * (e0 - probs) / temperature
-    dlogits = loss_weight * (-advantage * dlogp + lambda_sparse * dpyes)
-    return policy_term, sparsity_term, policy.backward(cache, dlogits)
+
+def _context_probs(
+    policy: AdmissionPolicy, context: ControllerContext, temperature: float
+) -> tuple[np.ndarray, dict]:
+    """pi(YES), pi(NO) for one context, and the cache of its batch pass."""
+    if temperature <= 0:
+        raise ValidationError("temperature must be > 0")
+    logits, cache = policy.forward_cached(context)
+    return softmax(logits[0], temperature), cache
+
+
+def log_prob(
+    policy: AdmissionPolicy,
+    context: ControllerContext,
+    action: str,
+    temperature: float = 1.0,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """log pi(action | context) and its gradient w.r.t. all parameters."""
+    idx = action_index(action)
+    probs, cache = _context_probs(policy, context, temperature)
+    dlogits = (_ONE_HOT[idx] - probs) / temperature
+    return float(np.log(probs[idx])), policy.backward_batch(cache, dlogits[None])
+
+
+def prob_yes_with_grad(
+    policy: AdmissionPolicy,
+    context: ControllerContext,
+    temperature: float = 1.0,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """pi(YES | context) and its gradient; the sparsity penalty term."""
+    probs, cache = _context_probs(policy, context, temperature)
+    dlogits = probs[0] * (_ONE_HOT[0] - probs) / temperature
+    return float(probs[0]), policy.backward_batch(cache, dlogits[None])

@@ -176,7 +176,7 @@ class LearnedAdmission:
 
     def decide_step(self, query, bank, triplet, provider, rng):
         context = build_context(query, bank, triplet, provider)
-        logits, _ = self.policy.forward(context)
+        logits = self.policy.forward(context)
         decision = sample_binary_decision(
             logits, self.mode, rng=rng, temperature=self.temperature
         )

@@ -8,7 +8,9 @@ in a rewarded trace, and the policy minimizes the advantage-weighted
 negative log-likelihood plus a sparsity penalty on the admit
 probability.  Rollout trajectories are replayed several times per epoch
 with log-probabilities recomputed against the current parameters;
-actions and advantages stay fixed.
+actions and advantages stay fixed.  Each trace's decisions are packed
+into row matrices once per epoch, so a replay update is one batched
+forward and backward pass over its group.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ from .bank import UsageFlags
 from .controller import (
     YES,
     AdmissionPolicy,
-    ControllerContext,
-    StepTriplet,
+    DecisionRows,
+    action_index,
+    batch_loss_grads,
     embed,
-    log_prob,
-    step_loss_grads,
+    softmax,
 )
+# Not called here any more, but hivebench/tracing.py patches them under
+# these names.
+from .controller import log_prob, step_loss_grads  # noqa: F401
 from .embeddings import EmbeddingProvider
 from .errors import TrainingDiverged, ValidationError
 from .runtime import EpisodeTrace, MajorityAggregator, run_episode
@@ -164,7 +169,8 @@ class AdamW:
         self._v = {k: np.zeros_like(v) for k, v in policy.params.items()}
 
     def grad_norm(self, grads: dict[str, np.ndarray]) -> float:
-        return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        """Global L2 norm, summed in parameter order whatever the dict's order."""
+        return math.sqrt(sum(float((grads[k] * grads[k]).sum()) for k in self.policy.params))
 
     def step(self, grads: dict[str, np.ndarray]) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""
@@ -212,6 +218,8 @@ class TrainConfig:
             raise ValidationError("group_size must be >= 2 for a defined std")
         if self.epochs < 1 or self.replay_factor < 1:
             raise ValidationError("epochs and replay_factor must be >= 1")
+        if self.sample_temperature <= 0 or self.loss_temperature <= 0:
+            raise ValidationError("sample_temperature and loss_temperature must be > 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -222,20 +230,20 @@ class TrainConfig:
 
 
 @dataclass
-class _StoredStep:
-    triplet: StepTriplet
-    action: str
-    mem_size: int
-    advantage: float
-    logp_collect: float  # at loss temperature, under collection-time params
+class _TracePack:
+    """One trace's trainable decisions, packed once per epoch for replay.
 
+    Fail-closed decisions are left out.  The query row is shared by every
+    decision of the trace.
+    """
 
-@dataclass
-class _StoredTrace:
-    query: str
-    key_matrix: np.ndarray
-    steps: list[_StoredStep]
-    reward: RewardBreakdown
+    query: np.ndarray          # (d_e,)
+    memory_means: np.ndarray   # (n, d_e), zero where memory was empty
+    memory_empty: np.ndarray   # (n,) bool
+    step_means: np.ndarray     # (n, d_e)
+    actions: np.ndarray        # (n,) action index, 0 = YES
+    advantages: np.ndarray     # (n,)
+    logp_collect: np.ndarray   # (n,) at loss temperature, under collection-time params
 
 
 @dataclass
@@ -251,19 +259,15 @@ class TrainReport:
                 fh.write(json.dumps({"kind": "epoch", **row}, sort_keys=True) + "\n")
 
 
-def _rebuild_context(
-    stored: _StoredTrace, step: _StoredStep, provider: EmbeddingProvider
-) -> ControllerContext:
-    return ControllerContext(
-        query_embedding=embed(provider, stored.query),
-        memory_key_embeddings=stored.key_matrix[: step.mem_size],
-        step_embeddings=np.stack(
-            [
-                embed(provider, step.triplet.agent_input),
-                embed(provider, step.triplet.step_summary),
-                embed(provider, step.triplet.agent_output),
-            ]
+def _rows(packs: list[_TracePack]) -> DecisionRows:
+    """Every decision of ``packs`` as one set of row matrices, in pack order."""
+    return DecisionRows(
+        queries=np.repeat(
+            np.stack([p.query for p in packs]), [len(p.actions) for p in packs], axis=0
         ),
+        memory_means=np.concatenate([p.memory_means for p in packs]),
+        memory_empty=np.concatenate([p.memory_empty for p in packs]),
+        step_means=np.concatenate([p.step_means for p in packs]),
     )
 
 
@@ -275,24 +279,41 @@ def _store_trace(
     policy: AdmissionPolicy,
     provider: EmbeddingProvider,
     loss_temperature: float,
-) -> _StoredTrace:
+) -> _TracePack:
     advantages = shaped_advantages(trace, a_base, beta, reward.r_total)
+    kept = [
+        (record, adv)
+        for record, adv in zip(trace.decisions(), advantages)
+        if not record.decision.fail_closed  # no meaningful log-prob to train on
+    ]
+    n, d_e = len(kept), provider.dimension
+    sizes = np.array([r.mem_size_at_decision for r, _ in kept], dtype=np.intp)
+    memory_empty = sizes == 0
+    present = ~memory_empty
     _, key_matrix = trace.bank.context_snapshot()
-    stored = _StoredTrace(query=trace.query, key_matrix=key_matrix, steps=[], reward=reward)
-    for record, adv in zip(trace.decisions(), advantages):
-        if record.decision.fail_closed:
-            continue  # no meaningful log-prob to train on
-        step = _StoredStep(
-            triplet=record.triplet,
-            action=record.decision.action,
-            mem_size=record.mem_size_at_decision,
-            advantage=adv,
-            logp_collect=0.0,
-        )
-        context = _rebuild_context(stored, step, provider)
-        step.logp_collect, _ = log_prob(policy, context, step.action, loss_temperature)
-        stored.steps.append(step)
-    return stored
+    memory_means = np.zeros((n, d_e))
+    # cumsum[k - 1] / k is bit for bit the mean of the first k keys
+    memory_means[present] = np.cumsum(key_matrix, axis=0)[sizes[present] - 1] / sizes[present, None]
+    step_means = np.zeros((n, d_e))
+    for i, (record, _) in enumerate(kept):
+        t = record.triplet
+        step_means[i] = np.stack(
+            [embed(provider, text) for text in (t.agent_input, t.step_summary, t.agent_output)]
+        ).mean(axis=0)
+    query = embed(provider, trace.query)
+    actions = np.array([action_index(r.decision.action) for r, _ in kept], dtype=np.intp)
+    logits, _ = policy.forward_batch(
+        DecisionRows(np.repeat(query[None], n, axis=0), memory_means, memory_empty, step_means)
+    )
+    return _TracePack(
+        query=query,
+        memory_means=memory_means,
+        memory_empty=memory_empty,
+        step_means=step_means,
+        actions=actions,
+        advantages=np.array([adv for _, adv in kept], dtype=np.float64),
+        logp_collect=np.log(softmax(logits, loss_temperature)[np.arange(n), actions]),
+    )
 
 
 def _rollout_group(
@@ -328,35 +349,30 @@ def _rollout_group(
 
 def _group_loss_and_grads(
     policy: AdmissionPolicy,
-    group: list[_StoredTrace],
+    group: list[_TracePack],
     provider: EmbeddingProvider,
     config: TrainConfig,
 ) -> tuple[LossTerms, dict[str, np.ndarray]]:
-    """Average of per-trace summed losses over one group, with gradients."""
-    grads = policy.zero_grads()
-    per_policy: list[float] = []
-    per_sparse: list[float] = []
-    scale = 1.0 / max(1, len(group))
-    for stored in group:
-        for step in stored.steps:
-            context = _rebuild_context(stored, step, provider)
-            weight = scale
-            if config.importance_weighting:
-                logp_now, _ = log_prob(policy, context, step.action, config.loss_temperature)
-                weight *= math.exp(logp_now - step.logp_collect)
-            p_term, s_term, g = step_loss_grads(
-                policy,
-                context,
-                step.action,
-                step.advantage,
-                config.lambda_sparse,
-                temperature=config.loss_temperature,
-                loss_weight=weight,
-            )
-            per_policy.append(weight * p_term)
-            per_sparse.append(weight * s_term)
-            for key in grads:
-                grads[key] += g[key]
+    """Average of per-trace summed losses over one group, with gradients.
+
+    One batched forward and backward pass over every decision of the
+    group; the packs already hold the embeddings, so ``provider`` is unused.
+    """
+    actions = np.concatenate([pack.actions for pack in group])
+    p_terms, s_terms, weights, grads = batch_loss_grads(
+        policy,
+        policy.forward_batch(_rows(group)),
+        actions,
+        np.concatenate([pack.advantages for pack in group]),
+        config.lambda_sparse,
+        config.loss_temperature,
+        np.full(len(actions), 1.0 / max(1, len(group))),
+        np.concatenate([pack.logp_collect for pack in group])
+        if config.importance_weighting
+        else None,
+    )
+    per_policy = (weights * p_terms).tolist()
+    per_sparse = (weights * s_terms).tolist()
     terms = total_loss(
         sum(per_policy), sum(per_sparse), config.lambda_sparse, per_policy, per_sparse
     )
@@ -397,7 +413,7 @@ def train(
             policy.save(str(ckpt_dir / f"{name}.npz"), provider_name=provider.name)
 
     for epoch in range(config.epochs):
-        groups: list[list[_StoredTrace]] = []
+        groups: list[list[_TracePack]] = []
         reward_values: list[float] = []
         admit_flags: list[bool] = []
         for task_index, task in enumerate(tasks):

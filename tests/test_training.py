@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,10 @@ from hivemem.sim import ScriptedBackend, generate_task
 from hivemem.training import (
     AdamW,
     TrainConfig,
+    _group_loss_and_grads,
+    _rollout_group,
+    _rows,
+    _store_trace,
     episode_reward,
     group_advantage,
     policy_loss,
@@ -399,6 +404,21 @@ def test_group_size_validation():
         TrainConfig(group_size=1)
 
 
+def test_adamw_grad_norm_ignores_dict_order():
+    rng = np.random.default_rng(4)
+    policy = AdmissionPolicy(6, 3, seed=0)
+    grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-3, 4), v.shape)
+             for k, v in policy.params.items()}
+    reordered = dict(reversed(list(grads.items())))
+    squares = [float((g * g).sum()) for g in grads.values()]
+    assert sum(squares) != sum(reversed(squares))  # dict order would show
+    twin = AdmissionPolicy(6, 3, seed=0)
+    first, second = AdamW(policy, lr=0.1), AdamW(twin, lr=0.1)
+    assert first.step(grads) == second.step(reordered)
+    for key in policy.params:
+        assert np.array_equal(policy.params[key], twin.params[key])
+
+
 def test_adamw_weight_decay_decoupled():
     policy = AdmissionPolicy(4, 2, seed=0)
     policy.params["w_query"][:] = 1.0
@@ -415,3 +435,112 @@ def test_adamw_clips_gradient_norm():
     optimizer = AdamW(policy, lr=0.1, weight_decay=0.0, clip_norm=1.0)
     norm = optimizer.step(grads)
     assert norm > 1.0  # reported pre-clip norm
+
+
+# -- packed replay ---------------------------------------------------------------
+
+HEAVY = dict(
+    depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14,
+    p_fail=0.08, pollution_fail_boost=0.25, pollution_recovery_steps=2,
+    pollution_corrupt_rate=0.65,
+)
+HEAVY_PROVIDER = HashingEmbedder(64)
+
+
+def _heavy_group(importance_weighting):
+    """Packs of one sampled HEAVY group (k=3, G=5) and the per-step reference.
+
+    One decision is marked fail-closed, and the parameters move after the
+    packs are taken, as they do between replay passes.  Returns the policy,
+    config, packs, and per kept decision (context, action, advantage,
+    log-prob at collection time).
+    """
+    rng = np.random.default_rng(8)
+    policy = AdmissionPolicy(64, 32, seed=0)
+    for key in policy.params:
+        policy.params[key] = rng.normal(0.0, 0.3, policy.params[key].shape)
+    config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2,
+                         importance_weighting=importance_weighting)
+    task = generate_task(seed=1005, **HEAVY)
+    traces, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
+    record = traces[1].decisions()[2]
+    record.decision = dataclasses.replace(record.decision, fail_closed=True)
+    base = group_advantage([r.r_total for r in rewards])
+    packs, reference = [], []
+    for trace, reward, a in zip(traces, rewards, base):
+        packs.append(_store_trace(trace, reward, float(a), config.beta, policy,
+                                  HEAVY_PROVIDER, config.loss_temperature))
+        _, keys = trace.bank.context_snapshot()
+        advantages = shaped_advantages(trace, float(a), config.beta, reward.r_total)
+        for record, adv in zip(trace.decisions(), advantages):
+            if record.decision.fail_closed:
+                continue
+            t = record.triplet
+            context = ControllerContext(
+                query_embedding=HEAVY_PROVIDER.embed(trace.query),
+                memory_key_embeddings=keys[: record.mem_size_at_decision],
+                step_embeddings=np.stack([HEAVY_PROVIDER.embed(x) for x in
+                                          (t.agent_input, t.step_summary, t.agent_output)]),
+            )
+            action = record.decision.action
+            reference.append((context, action, adv, log_prob(policy, context, action)[0]))
+    assert len(reference) == sum(len(t.decisions()) for t in traces) - 1
+    for key in policy.params:
+        policy.params[key] += rng.normal(0.0, 0.05, policy.params[key].shape)
+    return policy, config, packs, reference
+
+
+def _reference_loss_and_grads(policy, config, reference):
+    """The per-step replay loop: one step_loss_grads call per decision, in order."""
+    grads = policy.zero_grads()
+    per_policy, per_sparse = [], []
+    for context, action, adv, logp_collect in reference:
+        weight = 1.0 / config.group_size
+        if config.importance_weighting:
+            logp_now, _ = log_prob(policy, context, action)
+            weight *= math.exp(logp_now - logp_collect)
+        p_term, s_term, g = step_loss_grads(policy, context, action, adv,
+                                            config.lambda_sparse, loss_weight=weight)
+        per_policy.append(weight * p_term)
+        per_sparse.append(weight * s_term)
+        for key in grads:
+            grads[key] += g[key]
+    return per_policy, per_sparse, grads
+
+
+def test_packed_group_covers_empty_memory_and_fail_closed_steps():
+    policy, _, packs, reference = _heavy_group(False)
+    assert sum(len(p.actions) for p in packs) == len(reference)
+    empty = np.concatenate([p.memory_empty for p in packs])
+    assert empty.any() and not empty.all()
+    # rows of forward_batch equal the single-row forward, bit for bit
+    logits, _ = policy.forward_batch(_rows(packs))
+    for row, (context, *_) in zip(logits, reference):
+        assert np.array_equal(row, policy.forward(context))
+
+
+def test_packed_replay_equals_per_step_loop_bit_for_bit():
+    policy, config, packs, reference = _heavy_group(False)
+    terms, grads = _group_loss_and_grads(policy, packs, HEAVY_PROVIDER, config)
+    per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
+    assert terms.per_step_policy == per_policy
+    assert terms.per_step_sparsity == per_sparse
+    assert terms.total == total_loss(sum(per_policy), sum(per_sparse),
+                                     config.lambda_sparse).total
+    assert list(grads) == list(policy.params)
+    for key in policy.params:
+        assert np.array_equal(grads[key], ref_grads[key]), key
+
+
+def test_packed_replay_with_importance_weights_matches_loop():
+    policy, config, packs, reference = _heavy_group(True)
+    terms, grads = _group_loss_and_grads(policy, packs, HEAVY_PROVIDER, config)
+    per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
+    # the ratios are not all 1: the parameters moved after collection
+    plain = _reference_loss_and_grads(
+        policy, dataclasses.replace(config, importance_weighting=False), reference)
+    assert not np.allclose(plain[0], per_policy, rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(terms.per_step_policy, per_policy, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(terms.per_step_sparsity, per_sparse, rtol=0.0, atol=1e-12)
+    for key in policy.params:
+        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0.0, atol=1e-12)
