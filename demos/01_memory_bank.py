@@ -1,4 +1,4 @@
-"""Shared memory bank basics: admit, list keys, retrieve, usage accounting.
+"""Shared memory bank basics: admit, list keys, retrieve, the event log.
 
 The bank is the only channel between parallel teams.  Teams see summary
 keys; full outputs come back only on explicit retrieval, and every event
@@ -31,10 +31,13 @@ for entry_id, summary in bank.list_keys():
 value = bank.retrieve(1, consumer_team=2, consumer_step=4)
 print(f"\nteam 2 retrieved entry 1 -> {value!r}")
 
-# Usage accounting feeds the training signal: which admissions paid off?
-print("\nusage flags per admitted step:")
-for (team, step), flags in bank.usage_sets().items():
-    print(f"  team {team} step {step}: used={flags.used} cross_team={flags.cross_team_used}")
+# The event log feeds the training signal: which admissions paid off?
+print("\nusage per admitted step, read from the event log:")
+for admit in (e for e in events if e["kind"] == "admit"):
+    consumers = sorted(
+        e["team"] for e in events if e["kind"] == "retrieve" and e["entry_id"] == admit["entry_id"]
+    )
+    print(f"  team {admit['team']} step {admit['step']}: retrieved by teams {consumers}")
 
 print("\nevent log (exact fields, one line per admit/retrieve):")
 for event in events:

@@ -24,7 +24,8 @@ for name, policy in [("no memory", None), ("admit everything", ConstantAdmission
         f"steps={trace.step_count()}"
     )
     print(f"  shared-subtask computations across teams: {computations}")
-    print(f"  bank: {len(trace.bank)} entries, {len(trace.bank.retrieval_log)} retrievals")
+    kinds = [e["kind"] for e in trace.events]
+    print(f"  bank: {kinds.count('admit')} entries, {kinds.count('retrieve')} retrievals")
     print(f"  first finisher: team {trace.first_team} at t={min(c.finish_time for c in trace.candidates):.0f}")
 
 print(

@@ -2,8 +2,8 @@
 
 One bank is instantiated per task episode.  Agent teams see only the
 summary keys; full outputs are returned on explicit retrieval, and every
-admit/retrieve is logged with a global sequence number so concurrent
-schedules can be replayed and verified after the fact.
+admit/retrieve is emitted as an event with a global sequence number, so
+concurrent schedules can be replayed and verified after the fact.
 """
 
 from __future__ import annotations
@@ -28,22 +28,8 @@ class MemoryEntry:
     admit_seq: int
 
 
-@dataclass(frozen=True)
-class RetrievalRecord:
-    entry_id: int
-    consumer_team: int
-    consumer_step: int
-    retrieve_seq: int
-
-
-@dataclass(frozen=True)
-class UsageFlags:
-    used: bool
-    cross_team_used: bool
-
-
 class MemoryBank:
-    """Append-only store of (summary, output) pairs with usage accounting.
+    """Append-only store of (summary, output) pairs.
 
     Safe for concurrent access by any number of team executors plus the
     controller: all operations take a single lock, which makes every
@@ -67,7 +53,6 @@ class MemoryBank:
         self.embedding_dim = embedding_dim
         self._entries: list[MemoryEntry] = []
         self._key_embeddings: list[np.ndarray] = []
-        self._retrieval_log: list[RetrievalRecord] = []
         self._seq = 0
         self._lock = threading.Lock()
         self._event_sink = event_sink
@@ -82,11 +67,6 @@ class MemoryBank:
         """Snapshot of all entries in admission order."""
         with self._lock:
             return list(self._entries)
-
-    @property
-    def retrieval_log(self) -> list[RetrievalRecord]:
-        with self._lock:
-            return list(self._retrieval_log)
 
     def admit(
         self,
@@ -143,7 +123,7 @@ class MemoryBank:
             return self._seq, [(e.entry_id, e.summary) for e in self._entries]
 
     def retrieve(self, entry_id: int, consumer_team: int, consumer_step: int) -> str:
-        """Return the stored output verbatim and log the retrieval.
+        """Return the stored output verbatim and emit a ``retrieve`` event.
 
         Unknown ids raise :class:`EntryNotFoundError`; callers treat that
         as a failed step (agent-issued ids may be stale or hallucinated).
@@ -152,26 +132,18 @@ class MemoryBank:
             if not 1 <= entry_id <= len(self._entries):
                 raise EntryNotFoundError(f"no entry with id {entry_id}")
             self._seq += 1
-            record = RetrievalRecord(
-                entry_id=entry_id,
-                consumer_team=consumer_team,
-                consumer_step=consumer_step,
-                retrieve_seq=self._seq,
-            )
-            self._retrieval_log.append(record)
-            entry = self._entries[entry_id - 1]
             if self._event_sink is not None:
                 self._event_sink(
                     {
                         "kind": "retrieve",
-                        "seq": record.retrieve_seq,
+                        "seq": self._seq,
                         "entry_id": entry_id,
                         "team": consumer_team,
                         "step": consumer_step,
                         "t_ns": self._clock_ns(),
                     }
                 )
-            return entry.output
+            return self._entries[entry_id - 1].output
 
     def context_snapshot(self) -> tuple[list[MemoryEntry], np.ndarray]:
         """Consistent (entries, key embedding matrix) pair for the controller.
@@ -186,41 +158,8 @@ class MemoryBank:
                 matrix = np.zeros((0, self.embedding_dim), dtype=np.float64)
             return list(self._entries), matrix
 
-    def key_embeddings(self) -> np.ndarray:
-        return self.context_snapshot()[1]
-
     def get_entry(self, entry_id: int) -> MemoryEntry:
         with self._lock:
             if not 1 <= entry_id <= len(self._entries):
                 raise EntryNotFoundError(f"no entry with id {entry_id}")
             return self._entries[entry_id - 1]
-
-    def usage_sets(self) -> dict[tuple[int, int], UsageFlags]:
-        """Per admitted step: was its entry ever retrieved, and cross-team?
-
-        Meant to be called after the episode is finished.  Own-team
-        retrievals count as ``used`` but not ``cross_team_used``.
-        """
-        with self._lock:
-            entries = list(self._entries)
-            log = list(self._retrieval_log)
-        by_id: dict[int, list[RetrievalRecord]] = {}
-        for rec in log:
-            by_id.setdefault(rec.entry_id, []).append(rec)
-        result: dict[tuple[int, int], UsageFlags] = {}
-        for entry in entries:
-            recs = by_id.get(entry.entry_id, [])
-            used = len(recs) > 0
-            cross = any(r.consumer_team != entry.source_team for r in recs)
-            key = (entry.source_team, entry.source_step)
-            if key in result:
-                prev = result[key]
-                result[key] = UsageFlags(prev.used or used, prev.cross_team_used or cross)
-            else:
-                result[key] = UsageFlags(used, cross)
-        return result
-
-    def used_entry_ids(self) -> set[int]:
-        """Entry ids retrieved at least once (any consumer)."""
-        with self._lock:
-            return {rec.entry_id for rec in self._retrieval_log}

@@ -85,12 +85,18 @@ def _run_llm(args, provider, policy) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     streams = []
-    for i in range(args.episodes):
-        trace = run_episode(task, args.k, backend, policy, provider, aggregator,
-                            seed=args.seed + i, mode="live")
-        trace.write(out / f"episode_{i:05d}.jsonl")
-        streams.append(trace.events)
-        sys.stdout.write(f"episode {i}: aggregate answer: {trace.aggregate_answer}\n")
+    try:
+        for i in range(args.episodes):
+            trace = run_episode(task, args.k, backend, policy, provider, aggregator,
+                                seed=args.seed + i, mode="live")
+            trace.write(out / f"episode_{i:05d}.jsonl")
+            streams.append(trace.events)
+            sys.stdout.write(f"episode {i}: aggregate answer: {trace.aggregate_answer}\n")
+    finally:  # call metadata explains a failed run too
+        with open(out / "calls.jsonl", "w", encoding="utf-8") as fh:
+            for caller, log in (("backend", backend.call_log), ("aggregator", aggregator.call_log)):
+                for row in log:
+                    fh.write(json.dumps({"caller": caller, **row}) + "\n")
     metrics = metrics_from_event_streams(streams)
     (out / "metrics.json").write_text(
         json.dumps(_metrics_to_json(metrics), indent=2), encoding="utf-8"

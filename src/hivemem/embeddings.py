@@ -2,9 +2,9 @@
 
 The controller never fine-tunes its embedder; providers are frozen,
 deterministic functions from text to a fixed-dimension vector.  The
-feature-hashing provider below is the reference implementation used by
-tests and the simulation harness; an HTTP-backed provider for real
-endpoints lives in :mod:`hivemem.endpoint`.
+feature-hashing provider below is the one implementation, used by the
+CLI, tests and the simulation harness; any object meeting
+:class:`EmbeddingProvider` can stand in for it.
 """
 
 from __future__ import annotations

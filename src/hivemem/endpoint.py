@@ -23,7 +23,6 @@ import numpy as np
 import requests
 
 from .controller import StepTriplet
-from .embeddings import EmbeddingProvider  # noqa: F401  (protocol reference)
 from .errors import BackendFailure, ConfigurationError, ValidationError
 from .runtime import Candidate, FinalMove, HistoryItem, Move, RetrieveMove, StepMove
 
@@ -42,8 +41,6 @@ class EndpointConfig:
     max_retries: int = 3
     backoff_base: float = 0.5
     temperature: float = 0.7
-    max_concurrency: int = 4
-    log_content: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -348,6 +345,7 @@ class LLMAggregator:
         self.config = config
         self.template = template or PromptTemplate()
         self.sleep_fn = sleep_fn
+        self.call_log: list[dict] = []
 
     def aggregate(self, query: str, candidates: list[Candidate]) -> str:
         from .runtime import MajorityAggregator
@@ -358,6 +356,7 @@ class LLMAggregator:
                 self.config,
                 [{"role": "user", "content": prompt}],
                 sleep_fn=self.sleep_fn,
+                call_log=self.call_log,
             )
         except BackendFailure:
             return MajorityAggregator().aggregate(query, candidates)
@@ -368,38 +367,3 @@ class LLMAggregator:
                 return candidates[index].answer
         return MajorityAggregator().aggregate(query, candidates)
 
-
-class HTTPEmbeddingProvider:
-    """Embedding-endpoint provider for real runs (frozen, assumed
-    deterministic server-side)."""
-
-    def __init__(self, config: EndpointConfig, dimension: int, max_input_length: int = 8192):
-        self.config = config
-        self.dimension = dimension
-        self.max_input_length = max_input_length
-        self.name = f"http:{config.model}:d={dimension}"
-        self._cache: dict[str, np.ndarray] = {}
-
-    def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise ValidationError("cannot embed empty text")
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        url = self.config.base_url.rstrip("/") + "/embeddings"
-        response = requests.post(
-            url,
-            json={"model": self.config.model, "input": text[: self.max_input_length]},
-            headers={"Authorization": f"Bearer {self.config.credential()}"},
-            timeout=self.config.timeout,
-        )
-        if response.status_code != 200:
-            raise BackendFailure(f"embedding endpoint returned HTTP {response.status_code}")
-        vec = np.asarray(response.json()["data"][0]["embedding"], dtype=np.float64)
-        if vec.shape != (self.dimension,):
-            raise ConfigurationError(
-                f"embedding endpoint returned dimension {vec.shape}, expected {self.dimension}"
-            )
-        if len(self._cache) < 100_000:
-            self._cache[text] = vec
-        return vec

@@ -27,7 +27,6 @@ from .controller import (
     NO,
     YES,
     AdmissionPolicy,
-    ControllerContext,
     Decision,
     StepTriplet,
     build_context,
@@ -151,6 +150,11 @@ def aggregate(aggregator: Aggregator, query: str, candidates: list[Candidate]) -
 
 
 class AdmissionRule(Protocol):
+    """Decides one step: returns the decision, the step summary's embedding
+    (stored as the entry's key when the decision is YES, else may be None)
+    and the memory size the decision saw.  Training rebuilds the keys as
+    ``embed(provider, step_summary)``, so the embedding must be exactly that."""
+
     def decide_step(
         self,
         query: str,
@@ -158,7 +162,7 @@ class AdmissionRule(Protocol):
         triplet: StepTriplet,
         provider: EmbeddingProvider,
         rng: np.random.Generator,
-    ) -> tuple[Decision, np.ndarray | None, int, ControllerContext | None]: ...
+    ) -> tuple[Decision, np.ndarray | None, int]: ...
 
 
 class LearnedAdmission:
@@ -181,7 +185,7 @@ class LearnedAdmission:
             logits, self.mode, rng=rng, temperature=self.temperature
         )
         summary_embedding = context.step_embeddings[1]
-        return decision, summary_embedding, context.memory_key_embeddings.shape[0], context
+        return decision, summary_embedding, context.memory_key_embeddings.shape[0]
 
 
 class ConstantAdmission:
@@ -204,7 +208,7 @@ class ConstantAdmission:
             mode="constant",
         )
         emb = provider.embed(triplet.step_summary) if self.action == YES else None
-        return decision, emb, len(bank), None
+        return decision, emb, len(bank)
 
 
 class HeuristicAdmission:
@@ -222,7 +226,7 @@ class HeuristicAdmission:
             mode="heuristic",
         )
         emb = provider.embed(triplet.step_summary) if admit else None
-        return decision, emb, len(bank), None
+        return decision, emb, len(bank)
 
 
 def as_admission_rule(
@@ -266,7 +270,6 @@ class EpisodeTrace:
     first_team: int | None
     first_answer: str
     aggregate_answer: str
-    bank: MemoryBank
     events: list[dict]
     end_time: float
     team_status: list[str] = field(default_factory=list)
@@ -323,7 +326,6 @@ def run_episode(
     decision_mode: str = "greedy",
     decision_temperature: float = 1.0,
     mode: str = "deterministic",
-    bank: MemoryBank | None = None,
 ) -> EpisodeTrace:
     """Run one parallel episode and return the fully populated trace.
 
@@ -332,6 +334,11 @@ def run_episode(
     advance per-team clocks and the interleaving is fixed by the seed,
     so two runs with identical inputs produce identical traces including
     bank sequence numbers.  Controller decisions cost zero virtual time.
+
+    A backend failure ends its team with a failure candidate; any other
+    error raised while running a team (an unknown move, say) propagates
+    in both modes.  Live mode re-raises the first such error once every
+    team thread has stopped.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -346,8 +353,7 @@ def run_episode(
         clock_ns = lambda: int(now_vt[0] * 1_000_000)  # noqa: E731
     else:
         clock_ns = time.time_ns
-    if bank is None:
-        bank = MemoryBank(provider.dimension, event_sink=sink, clock_ns=clock_ns)
+    bank = MemoryBank(provider.dimension, event_sink=sink, clock_ns=clock_ns)
 
     sink(
         {
@@ -396,7 +402,7 @@ def run_episode(
             entry_id = None
             mem_size = len(visible)
             if rule is not None:
-                decision, summary_emb, mem_size, _ = rule.decide_step(
+                decision, summary_emb, mem_size = rule.decide_step(
                     task.query, bank, move.triplet, provider, decision_rngs[team - 1]
                 )
                 sink(
@@ -492,18 +498,24 @@ def run_episode(
         end_time = max(s.clock for s in states)
     else:
         t0 = time.perf_counter()
+        errors: list[Exception] = []
 
         def team_loop(state: _TeamState) -> None:
-            while not state.done:
-                now = time.perf_counter() - t0
-                advance(state, now)
-                state.clock = time.perf_counter() - t0
+            try:
+                while not state.done:
+                    now = time.perf_counter() - t0
+                    advance(state, now)
+                    state.clock = time.perf_counter() - t0
+            except Exception as exc:  # re-raised once every team has stopped
+                errors.append(exc)
 
         threads = [threading.Thread(target=team_loop, args=(s,)) for s in states]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+        if errors:
+            raise errors[0]
         end_time = time.perf_counter() - t0
 
     candidates = [s.candidate for s in states if s.candidate is not None]
@@ -518,7 +530,6 @@ def run_episode(
         first_team=None,
         first_answer=NO_ANSWER,
         aggregate_answer=NO_ANSWER,
-        bank=bank,
         events=[],
         end_time=end_time,
         team_status=[s.status for s in states],

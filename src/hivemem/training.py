@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bank import UsageFlags
 from .controller import (
     YES,
     AdmissionPolicy,
@@ -87,19 +86,15 @@ def shaped_advantages(
 ) -> list[float]:
     """Per-decision advantages: a_base, plus beta for admitted-and-used
     steps of a positively rewarded trace.  Order matches trace.decisions().
+
+    An admitted step's entry is used when the trace has a ``retrieve``
+    event for it, from any team, the admitting team included.
     """
     if not math.isfinite(a_base):
         raise ValidationError("a_base must be finite")
-    usage = trace.bank.usage_sets()
-    out: list[float] = []
-    for record in trace.decisions():
-        bonus = 0.0
-        if record.decision.action == YES and record.entry_id is not None and r_total > 0:
-            flags = usage.get((record.team, record.step_index), UsageFlags(False, False))
-            if flags.used:
-                bonus = beta
-        out.append(a_base + bonus)
-    return out
+    used = {e["entry_id"] for e in trace.events if e["kind"] == "retrieve"}
+    bonus = beta if r_total > 0 else 0.0
+    return [a_base + (bonus if r.entry_id in used else 0.0) for r in trace.decisions()]
 
 
 def policy_loss(log_probs: Sequence[float], advantages: Sequence[float]) -> float:
@@ -290,10 +285,14 @@ def _store_trace(
     sizes = np.array([r.mem_size_at_decision for r, _ in kept], dtype=np.intp)
     memory_empty = sizes == 0
     present = ~memory_empty
-    _, key_matrix = trace.bank.context_snapshot()
+    # The bank's key rows: each admitted summary's embedding, in entry order.
+    admitted = sorted(
+        (r for r in trace.decisions() if r.entry_id is not None), key=lambda r: r.entry_id
+    )
+    keys = np.array([embed(provider, r.triplet.step_summary) for r in admitted]).reshape(-1, d_e)
     memory_means = np.zeros((n, d_e))
     # cumsum[k - 1] / k is bit for bit the mean of the first k keys
-    memory_means[present] = np.cumsum(key_matrix, axis=0)[sizes[present] - 1] / sizes[present, None]
+    memory_means[present] = np.cumsum(keys, axis=0)[sizes[present] - 1] / sizes[present, None]
     step_means = np.zeros((n, d_e))
     for i, (record, _) in enumerate(kept):
         t = record.triplet

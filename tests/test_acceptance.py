@@ -30,6 +30,7 @@ from hivemem.errors import EntryNotFoundError
 from hivemem.metrics import metrics_from_event_streams
 from hivemem.runtime import ConstantAdmission, MajorityAggregator, run_episode
 from hivemem.sim import ScriptedBackend, generate_task, prob_yes_by_label, run_variant, variant_policy
+from hivemem.tracefile import TraceSink
 from hivemem.training import TrainConfig, group_advantage, shaped_advantages, train
 
 PROVIDER = HashingEmbedder(64)
@@ -284,7 +285,8 @@ def test_c08_concurrency_linearizability():
     rng = np.random.default_rng(123)
     violations = 0
     for schedule in range(10_000):
-        bank = MemoryBank(2)
+        sink = TraceSink()
+        bank = MemoryBank(2, event_sink=sink)
         n_threads = int(rng.integers(2, 4))
         plans = []
         for t in range(n_threads):
@@ -356,18 +358,18 @@ def test_c08_concurrency_linearizability():
                 if a[5] < b[4] and not a[3] < b[3]:
                     ok = False
         # retrieves: successful ones return the (immutable) stored output,
-        # and the bank's own log obeys causality and matches the op count
+        # and the bank's retrieve events obey causality and match the op count
         successful = 0
         for _, rec in tagged:
             if rec[0] == "retrieve" and rec[2] is not EntryNotFoundError:
                 successful += 1
                 if rec[2] != bank.get_entry(rec[1]).output:
                     ok = False
-        log = bank.retrieval_log
+        log = [e for e in sink.events if e["kind"] == "retrieve"]
         if len(log) != successful:
             ok = False
-        for record in log:
-            if record.retrieve_seq <= bank.get_entry(record.entry_id).admit_seq:
+        for event in log:
+            if event["seq"] <= bank.get_entry(event["entry_id"]).admit_seq:
                 ok = False
         if not ok:
             violations += 1

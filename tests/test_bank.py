@@ -2,10 +2,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hivemem.bank import MemoryBank
 from hivemem.errors import ConfigurationError, EntryNotFoundError, ValidationError
+from hivemem.tracefile import TraceSink
 
 
 def emb(dim=4, fill=0.5):
@@ -14,6 +14,10 @@ def emb(dim=4, fill=0.5):
 
 def make_bank(dim=4, sink=None):
     return MemoryBank(dim, event_sink=sink)
+
+
+def retrievals(sink):
+    return [e for e in sink.events if e["kind"] == "retrieve"]
 
 
 def test_first_admission():
@@ -51,12 +55,13 @@ def test_list_keys_empty_and_ordering():
 
 
 def test_retrieve_roundtrip_and_log():
-    bank = make_bank()
+    sink = TraceSink()
+    bank = make_bank(sink=sink)
     bank.admit("fact A", "raw A", emb(), 1, 1)
     assert bank.retrieve(1, consumer_team=2, consumer_step=5) == "raw A"
-    log = bank.retrieval_log
+    log = retrievals(sink)
     assert len(log) == 1
-    assert (log[0].entry_id, log[0].consumer_team, log[0].consumer_step) == (1, 2, 5)
+    assert (log[0]["entry_id"], log[0]["team"], log[0]["step"]) == (1, 2, 5)
 
 
 def test_retrieve_unknown_id():
@@ -68,62 +73,21 @@ def test_retrieve_unknown_id():
 
 
 def test_retrieve_idempotent_reads():
-    bank = make_bank()
+    sink = TraceSink()
+    bank = make_bank(sink=sink)
     bank.admit("a", "x", emb(), 1, 1)
     assert bank.retrieve(1, 2, 1) == bank.retrieve(1, 3, 1)
-    assert len(bank.retrieval_log) == 2
+    assert len(retrievals(sink)) == 2
 
 
 def test_retrieval_causality():
-    bank = make_bank()
+    sink = TraceSink()
+    bank = make_bank(sink=sink)
     bank.admit("a", "x", emb(), 1, 1)
     bank.retrieve(1, 2, 1)
     entry = bank.entries[0]
-    record = bank.retrieval_log[0]
-    assert record.retrieve_seq > entry.admit_seq
-
-
-def test_usage_sets_simple():
-    bank = make_bank()
-    bank.admit("a", "x", emb(), 1, 3)
-    flags = bank.usage_sets()[(1, 3)]
-    assert not flags.used and not flags.cross_team_used
-    bank.retrieve(1, 2, 1)
-    flags = bank.usage_sets()[(1, 3)]
-    assert flags.used and flags.cross_team_used
-
-
-def test_usage_sets_own_team_not_cross():
-    bank = make_bank()
-    bank.admit("a", "x", emb(), 1, 3)
-    bank.retrieve(1, 1, 4)
-    flags = bank.usage_sets()[(1, 3)]
-    assert flags.used and not flags.cross_team_used
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_usage_sets_matches_brute_force(data):
-    n_entries = data.draw(st.integers(1, 20))
-    bank = make_bank()
-    for i in range(n_entries):
-        bank.admit(f"s{i}", f"o{i}", emb(), data.draw(st.integers(1, 3)), i + 1)
-    n_retrieves = data.draw(st.integers(0, 12))
-    for _ in range(n_retrieves):
-        bank.retrieve(data.draw(st.integers(1, n_entries)), data.draw(st.integers(1, 3)), 1)
-
-    got = bank.usage_sets()
-    entries, log = bank.entries, bank.retrieval_log
-    for entry in entries:
-        used = cross = False
-        for rec in log:  # naive double loop oracle
-            if rec.entry_id == entry.entry_id:
-                used = True
-                if rec.consumer_team != entry.source_team:
-                    cross = True
-        flags = got[(entry.source_team, entry.source_step)]
-        assert flags.used == used
-        assert flags.cross_team_used == cross
+    record = retrievals(sink)[0]
+    assert record["seq"] > entry.admit_seq
 
 
 def test_cache_alignment(provider):
@@ -170,7 +134,7 @@ def test_concurrent_admits_complete():
     seqs = [e.admit_seq for e in bank.entries]
     assert ids == sorted(ids) and len(set(ids)) == 30
     assert seqs == sorted(seqs) and len(set(seqs)) == 30
-    assert bank.key_embeddings().shape[0] == 30
+    assert bank.context_snapshot()[1].shape[0] == 30
 
 
 def test_snapshot_prefix_property_under_concurrency():

@@ -112,6 +112,11 @@ def test_run_llm_backend_against_mock(tmp_path, monkeypatch):
         assert code == 0
         assert (out / "metrics.json").exists()
         assert b"sk-cli-test" not in (out / "episode_00000.jsonl").read_bytes()
+        calls = (out / "calls.jsonl").read_bytes()
+        assert b"sk-cli-test" not in calls
+        rows = [json.loads(line) for line in calls.splitlines()]
+        assert len(rows) == len(server.requests) == 3  # two teams, then the aggregator
+        assert all(row["status"] == 200 for row in rows)
     finally:
         server.shutdown()
         thread.join()

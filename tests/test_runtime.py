@@ -44,9 +44,10 @@ def test_single_team_completes_without_cross_sharing():
     trace = run_sim(task, ConstantAdmission(YES), seed=3, k=1)
     assert trace.candidates and trace.candidates[0].answer
     assert task.scorer().score(trace.aggregate_answer) == 1.0
-    assert all(r.consumer_team == 1 for r in trace.bank.retrieval_log)
-    usage = trace.bank.usage_sets()
-    assert not any(f.cross_team_used for f in usage.values())
+    admit_team = {e["entry_id"]: e["team"] for e in trace.events if e["kind"] == "admit"}
+    retrieves = [e for e in trace.events if e["kind"] == "retrieve"]
+    assert all(e["team"] == 1 for e in retrieves)
+    assert all(admit_team[e["entry_id"]] == e["team"] for e in retrieves)
 
 
 def test_always_no_equals_memory_disabled():
@@ -56,7 +57,7 @@ def test_always_no_equals_memory_disabled():
         always_no = run_sim(task, ConstantAdmission(NO), seed=seed)
         strip = lambda evs: [e for e in evs if e["kind"] != "decision"]  # noqa: E731
         assert json.dumps(strip(disabled.events)) == json.dumps(strip(always_no.events))
-        assert len(always_no.bank) == 0
+        assert not any(e["kind"] == "admit" for e in always_no.events)
 
 
 def test_always_yes_shares_overlap_work():
@@ -65,7 +66,7 @@ def test_always_yes_shares_overlap_work():
     counts = solve_counts(trace.events)
     total = sum(counts.values())
     assert 4 <= total <= 12
-    assert len(trace.bank.retrieval_log) > 0
+    assert any(e["kind"] == "retrieve" for e in trace.events)
 
 
 def test_always_yes_exactly_once_noise_free():
@@ -133,8 +134,10 @@ def test_decision_coverage():
     yes_count = sum(1 for d in decision_events if d["action"] == YES)
     assert yes_count == len(admit_events)
     retrieve_events = [e for e in trace.events if e["kind"] == "retrieve"]
-    failed = [e for e in trace.events if e["kind"] == "failed_retrieve"]
-    assert len(retrieve_events) + len(failed) == len(trace.bank.retrieval_log) + len(failed)
+    assert retrieve_events
+    admit_seq = {e["entry_id"]: e["seq"] for e in admit_events}
+    for e in retrieve_events:
+        assert e["entry_id"] in admit_seq and admit_seq[e["entry_id"]] < e["seq"]
 
 
 def test_determinism_identical_traces():
@@ -174,6 +177,21 @@ def test_backend_failure_records_failure_candidate():
     by_team = {c.team: c for c in trace.candidates}
     assert by_team[2].answer == ""
     assert by_team[1].answer == "answer-1"
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "live"])
+def test_team_error_raises_in_both_modes(mode):
+    # an unknown move from one team must fail the episode, not drop the team
+    class UnknownMoveOnTeam2(ScriptedBackend):
+        def next_move(self, team, query, history, visible_keys, rng):
+            if team == 2:
+                return "not a move"
+            return super().next_move(team, query, history, visible_keys, rng)
+
+    task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
+    with pytest.raises(ValidationError, match="unknown move"):
+        run_episode(task.task_spec(), 3, UnknownMoveOnTeam2(task, 3), ConstantAdmission(YES),
+                    _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
 
 
 def test_unknown_retrieve_is_failed_step_not_crash():

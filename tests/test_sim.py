@@ -81,7 +81,7 @@ def test_zero_overlap_yields_zero_savings(provider):
     yes_trace = run_episode(spec, 3, ScriptedBackend(task, 3), ConstantAdmission(YES), provider,
                             MajorityAggregator(), seed=1)
     assert none_trace.end_time == yes_trace.end_time
-    assert len(yes_trace.bank.retrieval_log) == 0
+    assert not any(e["kind"] == "retrieve" for e in yes_trace.events)
     assert yes_trace.aggregate_answer == "status=ok"
 
 

@@ -36,6 +36,12 @@ from hivemem.training import (
 )
 
 PROVIDER = HashingEmbedder(32)
+HEAVY = dict(
+    depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14,
+    p_fail=0.08, pollution_fail_boost=0.25, pollution_recovery_steps=2,
+    pollution_corrupt_rate=0.65,
+)
+HEAVY_PROVIDER = HashingEmbedder(64)
 
 
 def sim_trace(policy=None, seed=0, distractors=0, p_fail=0.1):
@@ -118,20 +124,23 @@ def _trace_with_usage():
                          distractor_count=0, p_fail=0.0)
     trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
                         ConstantAdmission(YES), PROVIDER, MajorityAggregator(), seed=1)
-    assert trace.bank.used_entry_ids()
+    assert any(e["kind"] == "retrieve" for e in trace.events)
     return trace
+
+
+def used_steps(trace):
+    """(team, step) of every admitted step whose entry some team retrieved."""
+    admitted_by = {e["entry_id"]: (e["team"], e["step"])
+                   for e in trace.events if e["kind"] == "admit"}
+    return {admitted_by[e["entry_id"]] for e in trace.events if e["kind"] == "retrieve"}
 
 
 def test_shaped_advantage_bonus_applied():
     trace = _trace_with_usage()
     advantages = shaped_advantages(trace, a_base=-0.5, beta=0.25, r_total=0.8)
-    usage = trace.bank.usage_sets()
+    used = used_steps(trace)
     for record, adv in zip(trace.decisions(), advantages):
-        used = (
-            record.entry_id is not None
-            and usage[(record.team, record.step_index)].used
-        )
-        assert adv == pytest.approx(-0.25 if used else -0.5)
+        assert adv == pytest.approx(-0.25 if (record.team, record.step_index) in used else -0.5)
     assert any(a == pytest.approx(-0.25) for a in advantages)
 
 
@@ -154,9 +163,28 @@ def test_shaped_advantage_unretrieved_entry_gets_base():
                          distractor_count=0, p_fail=0.0)
     trace = run_episode(task.task_spec(), 1, ScriptedBackend(task, 1),
                         ConstantAdmission(YES), PROVIDER, MajorityAggregator(), seed=0)
-    assert not trace.bank.used_entry_ids()
+    assert any(e["kind"] == "admit" for e in trace.events)
+    assert not any(e["kind"] == "retrieve" for e in trace.events)
     advantages = shaped_advantages(trace, a_base=0.1, beta=0.25, r_total=1.0)
     assert all(a == pytest.approx(0.1) for a in advantages)
+
+
+def test_shaped_advantage_pays_own_team_retrievals():
+    # k=1, so every retrieval is by the admitting team: the bonus still applies
+    task = generate_task(seed=1005, **HEAVY)
+    trace = run_episode(task.task_spec(), 1, ScriptedBackend(task, 1),
+                        ConstantAdmission(YES), HEAVY_PROVIDER, MajorityAggregator(), seed=0)
+    admits = [e for e in trace.events if e["kind"] == "admit"]
+    own_used = {
+        (a["team"], a["step"]) for a in admits
+        if any(e["kind"] == "retrieve" and e["entry_id"] == a["entry_id"]
+               and e["team"] == a["team"] for e in trace.events)
+    }
+    assert len(own_used) >= 2 and len(admits) > len(own_used)
+    advantages = shaped_advantages(trace, a_base=0.5, beta=0.25, r_total=2.0)
+    assert len(advantages) == len(admits)
+    for record, adv in zip(trace.decisions(), advantages):
+        assert adv == (0.75 if (record.team, record.step_index) in own_used else 0.5)
 
 
 # -- losses --------------------------------------------------------------------
@@ -379,7 +407,7 @@ def test_nonfinite_logits_fail_closed_in_rollout():
                          distractor_count=0, p_fail=0.0)
     trace = run_episode(task.task_spec(), 2, ScriptedBackend(task, 2), policy, PROVIDER,
                         MajorityAggregator(), seed=0)
-    assert len(trace.bank) == 0
+    assert not any(e["kind"] == "admit" for e in trace.events)
     assert all(r.decision.fail_closed for r in trace.decisions())
 
 
@@ -439,13 +467,6 @@ def test_adamw_clips_gradient_norm():
 
 # -- packed replay ---------------------------------------------------------------
 
-HEAVY = dict(
-    depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14,
-    p_fail=0.08, pollution_fail_boost=0.25, pollution_recovery_steps=2,
-    pollution_corrupt_rate=0.65,
-)
-HEAVY_PROVIDER = HashingEmbedder(64)
-
 
 def _heavy_group(importance_weighting):
     """Packs of one sampled HEAVY group (k=3, G=5) and the per-step reference.
@@ -470,7 +491,10 @@ def _heavy_group(importance_weighting):
     for trace, reward, a in zip(traces, rewards, base):
         packs.append(_store_trace(trace, reward, float(a), config.beta, policy,
                                   HEAVY_PROVIDER, config.loss_temperature))
-        _, keys = trace.bank.context_snapshot()
+        # the bank's key rows, rebuilt from the admit events in file order
+        summaries = {(r.team, r.step_index): r.triplet.step_summary for r in trace.decisions()}
+        keys = np.array([HEAVY_PROVIDER.embed(summaries[e["team"], e["step"]])
+                         for e in trace.events if e["kind"] == "admit"]).reshape(-1, 64)
         advantages = shaped_advantages(trace, float(a), config.beta, reward.r_total)
         for record, adv in zip(trace.decisions(), advantages):
             if record.decision.fail_closed:
