@@ -1,8 +1,8 @@
 """The admission controller: context assembly and YES/NO decisions.
 
-The policy sees embeddings of the task query, every current memory key,
-and the step triplet (instruction, summary, output), then emits a binary
-decision.  Untrained, it admits with probability exactly 0.5; sampling
+The policy sees embeddings of the task query, the mean of the current
+memory keys, and the mean of the step triplet (instruction, summary,
+output), then emits a binary decision.  Untrained, it admits with probability exactly 0.5; sampling
 temperature trades off exploration against determinism.
 """
 
@@ -32,8 +32,7 @@ triplet = StepTriplet(
     agent_output="all twelve columns match the documented layout",
 )
 context = build_context("reconcile the two data files", bank, triplet, provider)
-print(f"context: {context.token_count} embedded tokens "
-      f"({context.memory_key_embeddings.shape[0]} memory keys)")
+print(f"context: query, step and the mean of {context.memory_sizes[0]} memory keys")
 
 greedy = decide(policy, context, mode="greedy")
 print(f"greedy decision: {greedy.action} (prob_yes={greedy.prob_yes:.3f})")

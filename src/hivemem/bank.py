@@ -3,7 +3,8 @@
 One bank is instantiated per task episode.  Agent teams see only the
 summary keys; full outputs are returned on explicit retrieval, and every
 admit/retrieve is emitted as an event with a global sequence number, so
-concurrent schedules can be replayed and verified after the fact.
+concurrent schedules can be replayed and verified after the fact.  The
+controller sees the keys only through their running sum.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ class MemoryBank:
             raise ConfigurationError("embedding_dim must be >= 1")
         self.embedding_dim = embedding_dim
         self._entries: list[MemoryEntry] = []
-        self._key_embeddings: list[np.ndarray] = []
+        # Sum of the key embeddings in admission order; replaced, never
+        # updated in place, so a snapshot's sum stays as it was.
+        self._key_sum = np.zeros(embedding_dim)
         self._seq = 0
         self._lock = threading.Lock()
         self._event_sink = event_sink
@@ -96,8 +99,8 @@ class MemoryBank:
                 source_step=source_step,
                 admit_seq=self._seq,
             )
+            self._key_sum = self._key_sum + emb if self._entries else emb.copy()
             self._entries.append(entry)
-            self._key_embeddings.append(emb.copy())
             if self._event_sink is not None:
                 self._event_sink(
                     {
@@ -146,17 +149,14 @@ class MemoryBank:
             return self._entries[entry_id - 1].output
 
     def context_snapshot(self) -> tuple[list[MemoryEntry], np.ndarray]:
-        """Consistent (entries, key embedding matrix) pair for the controller.
+        """Consistent (entries, key embedding sum) pair for the controller.
 
-        The matrix has shape (n_entries, embedding_dim) and rows in entry
-        order; it is the cached embeddings, never a recomputation.
+        The sum, of shape (embedding_dim,), adds the admitted embeddings
+        one by one in entry order, starting from the first; it is zero
+        for an empty bank.  Later admissions leave it unchanged.
         """
         with self._lock:
-            if self._entries:
-                matrix = np.stack(self._key_embeddings)
-            else:
-                matrix = np.zeros((0, self.embedding_dim), dtype=np.float64)
-            return list(self._entries), matrix
+            return list(self._entries), self._key_sum
 
     def get_entry(self, entry_id: int) -> MemoryEntry:
         with self._lock:

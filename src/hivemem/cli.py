@@ -74,7 +74,7 @@ def _metrics_from_json(d: dict) -> RunMetrics:
 def _run_llm(args, provider, policy) -> int:
     from .endpoint import EndpointConfig, LLMAggregator, LLMBackend
     from .metrics import metrics_from_event_streams
-    from .runtime import TaskSpec, run_episode
+    from .runtime import AggregationError, TaskSpec, run_episode
 
     if not args.query:
         raise ValidationError("--backend llm requires --query")
@@ -87,9 +87,14 @@ def _run_llm(args, provider, policy) -> int:
     streams = []
     try:
         for i in range(args.episodes):
-            trace = run_episode(task, args.k, backend, policy, provider, aggregator,
-                                seed=args.seed + i, mode="live")
-            trace.write(out / f"episode_{i:05d}.jsonl")
+            path = out / f"episode_{i:05d}.jsonl"
+            try:
+                trace = run_episode(task, args.k, backend, policy, provider, aggregator,
+                                    seed=args.seed + i, mode="live")
+            except AggregationError as exc:  # the teams finished; keep their episode
+                exc.trace.write(path)
+                raise
+            trace.write(path)
             streams.append(trace.events)
             sys.stdout.write(f"episode {i}: aggregate answer: {trace.aggregate_answer}\n")
     finally:  # call metadata explains a failed run too

@@ -2,20 +2,21 @@
 
 The policy maps an embedded context (task query, current memory keys,
 current step triplet) to two logits over {YES, NO}.  Reference
-architecture: one learnable linear projection per input source into the
-controller width, mean-pooling per source (order-invariant over memory
-keys), then a small tanh MLP head.  Forward and backward passes are
-hand-written numpy so gradients can be checked against finite
-differences.  The forward pass has a single-row form for decisions and
-a batched form over row matrices for training replay, equal bit for bit;
-one batched backward pass serves both.
+architecture: mean-pooling per input source (order-invariant over memory
+keys), one learnable linear projection per source into the controller
+width, then a small tanh MLP head.  Contexts are pooled once, when they
+are built, into rows of (query, memory-key mean, memory size, step mean);
+a decision is one row and a training replay many.  One forward and one
+backward pass, hand-written numpy, serve both, so gradients can be
+checked against finite differences and a row's result does not depend
+on the rows batched with it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,32 +55,15 @@ class StepTriplet:
 
 @dataclass
 class ControllerContext:
-    """Pre-projection embedded inputs for one admission decision."""
+    """Pooled inputs of N admission decisions, one row each; a decision is N=1.
 
-    query_embedding: np.ndarray        # (d_e,)
-    memory_key_embeddings: np.ndarray  # (n_keys, d_e), bank order
-    step_embeddings: np.ndarray        # (3, d_e): input, summary, output
-
-    @property
-    def dimension(self) -> int:
-        return int(self.query_embedding.shape[0])
-
-    @property
-    def token_count(self) -> int:
-        return 1 + int(self.memory_key_embeddings.shape[0]) + 3
-
-
-@dataclass
-class DecisionRows:
-    """N decisions as row matrices, the input of the batched forward pass.
-
-    A row's memory mean is zero where ``memory_empty`` holds; the policy
+    A row's memory mean is zero where its memory size is 0; the policy
     ignores it there.
     """
 
     queries: np.ndarray        # (N, d_e)
     memory_means: np.ndarray   # (N, d_e), mean of the keys visible at decision time
-    memory_empty: np.ndarray   # (N,) bool
+    memory_sizes: np.ndarray   # (N,) number of keys that mean covers
     step_means: np.ndarray     # (N, d_e), mean of the step triplet's embeddings
 
 
@@ -95,8 +79,6 @@ class Decision:
     action: str
     prob_yes: float
     log_prob_action: float
-    mode: str                 # "sampled" | "greedy"
-    temperature: float = 1.0
     fail_closed: bool = False
 
 
@@ -144,8 +126,6 @@ def sample_binary_decision(
             action=NO,
             prob_yes=0.5,
             log_prob_action=float(np.log(0.5)),
-            mode=mode,
-            temperature=temperature,
             fail_closed=True,
         )
     if mode == "greedy":
@@ -156,8 +136,6 @@ def sample_binary_decision(
             action=action,
             prob_yes=float(probs[0]),
             log_prob_action=float(np.log(p_action)),
-            mode="greedy",
-            temperature=1.0,
         )
     if mode == "sampled":
         if rng is None:
@@ -169,8 +147,6 @@ def sample_binary_decision(
             action=action,
             prob_yes=float(probs[0]),
             log_prob_action=float(np.log(p_action)),
-            mode="sampled",
-            temperature=temperature,
         )
     raise ValidationError(f"unknown decision mode {mode!r}")
 
@@ -185,8 +161,8 @@ class AdmissionPolicy:
         admits with probability exactly 0.5.
 
     Memory keys are mean-pooled before projection, so decisions are
-    invariant to the order of ``memory_key_embeddings`` by construction.
-    An empty memory pools to the zero vector.
+    invariant to the order of the keys by construction.  An empty memory
+    pools to the zero vector.
     """
 
     def __init__(self, embed_dim: int, controller_dim: int = 32, seed: int = 0):
@@ -217,75 +193,25 @@ class AdmissionPolicy:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _pooled_inputs(
-        self, context: ControllerContext
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Validated (query, memory-key mean or None when empty, step mean)."""
-        if context.dimension != self.embed_dim:
+    def forward(self, context: ControllerContext) -> tuple[np.ndarray, dict]:
+        """Logits (N, 2) over (YES, NO) of N decisions; returns (logits, cache).
+
+        Each matrix-vector product runs row by row as its own gemv, so a
+        row's logits are the same bit for bit whatever rows share its batch.
+        """
+        if context.queries.shape[1] != self.embed_dim:
             raise ConfigurationError(
-                f"context dimension {context.dimension} != policy embed_dim {self.embed_dim}"
+                f"context dimension {context.queries.shape[1]} != policy embed_dim {self.embed_dim}"
             )
-        q = np.asarray(context.query_embedding, dtype=np.float64)
-        mem = np.asarray(context.memory_key_embeddings, dtype=np.float64)
-        steps = np.asarray(context.step_embeddings, dtype=np.float64)
-        if steps.shape != (3, self.embed_dim):
-            raise ValidationError("step_embeddings must have shape (3, d_e)")
-        # np.add.reduce(x, axis=0) / n is what x.mean(axis=0) computes, minus its overhead
-        mem_mean = np.add.reduce(mem, axis=0) / mem.shape[0] if mem.shape[0] > 0 else None
-        return q, mem_mean, np.add.reduce(steps, axis=0) / 3
-
-    def _forward_row(
-        self, q: np.ndarray, mem_mean: np.ndarray | None, step_mean: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(logits, h0, h1) of one decision."""
         p = self.params
-        pooled_q = p["w_query"] @ q + p["b_query"]
-        if mem_mean is not None:
-            pooled_m = p["w_memory"] @ mem_mean + p["b_memory"]
-        else:
-            pooled_m = np.zeros(self.controller_dim)
-        pooled_s = p["w_step"] @ step_mean + p["b_step"]
-        h0 = np.concatenate([pooled_q, pooled_m, pooled_s])
-        h1 = np.tanh(p["w_hidden"] @ h0 + p["b_hidden"])
-        return p["w_out"] @ h1 + p["b_out"], h0, h1
-
-    def forward(self, context: ControllerContext) -> np.ndarray:
-        """The 2 logits (YES, NO) of one decision.
-
-        Equals the matching :meth:`forward_batch` row bit for bit, without
-        the cost of the batch path's stacked arrays.
-        """
-        return self._forward_row(*self._pooled_inputs(context))[0]
-
-    def forward_cached(self, context: ControllerContext) -> tuple[np.ndarray, dict]:
-        """:meth:`forward` as a one-row batch: logits (1, 2) and the cache
-        :meth:`backward_batch` takes."""
-        q, mem_mean, step_mean = self._pooled_inputs(context)
-        logits, h0, h1 = self._forward_row(q, mem_mean, step_mean)
-        empty = mem_mean is None
-        rows = DecisionRows(
-            queries=q[None],
-            memory_means=np.zeros((1, self.embed_dim)) if empty else mem_mean[None],
-            memory_empty=np.array([empty]),
-            step_means=step_mean[None],
-        )
-        return logits[None], {"rows": rows, "h0": h0[None], "h1": h1[None]}
-
-    def forward_batch(self, rows: DecisionRows) -> tuple[np.ndarray, dict]:
-        """Logits (N, 2) of N decisions; returns (logits, cache).
-
-        Each matrix-vector product runs row by row as its own gemv, so row
-        n equals :meth:`forward` on the same context bit for bit.
-        """
-        p = self.params
-        pooled_q = _rowwise(p["w_query"], rows.queries) + p["b_query"]
-        pooled_m = _rowwise(p["w_memory"], rows.memory_means) + p["b_memory"]
-        pooled_m[rows.memory_empty] = 0.0
-        pooled_s = _rowwise(p["w_step"], rows.step_means) + p["b_step"]
+        pooled_q = _rowwise(p["w_query"], context.queries) + p["b_query"]
+        pooled_m = _rowwise(p["w_memory"], context.memory_means) + p["b_memory"]
+        pooled_m[context.memory_sizes == 0] = 0.0
+        pooled_s = _rowwise(p["w_step"], context.step_means) + p["b_step"]
         h0 = np.concatenate([pooled_q, pooled_m, pooled_s], axis=1)
         h1 = np.tanh(_rowwise(p["w_hidden"], h0) + p["b_hidden"])
         logits = _rowwise(p["w_out"], h1) + p["b_out"]
-        return logits, {"rows": rows, "h0": h0, "h1": h1}
+        return logits, {"context": context, "h0": h0, "h1": h1}
 
     def backward_batch(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of sum_n dlogits[n] . logits[n], keyed in PARAM_KEYS order.
@@ -295,17 +221,17 @@ class AdmissionPolicy:
         """
         p = self.params
         d_c = self.controller_dim
-        rows, h0, h1 = cache["rows"], cache["h0"], cache["h1"]
+        context, h0, h1 = cache["context"], cache["h0"], cache["h1"]
         da1 = _rowwise(p["w_out"].T, dlogits) * (1.0 - h1 * h1)
         dh0 = _rowwise(p["w_hidden"].T, da1)
-        dh0[rows.memory_empty, d_c : 2 * d_c] = 0.0  # empty memory pools to a constant
+        dh0[context.memory_sizes == 0, d_c : 2 * d_c] = 0.0  # empty memory pools to a constant
         db0 = np.add.reduce(dh0, axis=0)
         return {
-            "w_query": _outer_sum(dh0[:, :d_c], rows.queries),
+            "w_query": _outer_sum(dh0[:, :d_c], context.queries),
             "b_query": db0[:d_c],
-            "w_memory": _outer_sum(dh0[:, d_c : 2 * d_c], rows.memory_means),
+            "w_memory": _outer_sum(dh0[:, d_c : 2 * d_c], context.memory_means),
             "b_memory": db0[d_c : 2 * d_c],
-            "w_step": _outer_sum(dh0[:, 2 * d_c :], rows.step_means),
+            "w_step": _outer_sum(dh0[:, 2 * d_c :], context.step_means),
             "b_step": db0[2 * d_c :],
             "w_hidden": _outer_sum(da1, h0),
             "b_hidden": np.add.reduce(da1, axis=0),
@@ -360,17 +286,26 @@ def embed(provider: EmbeddingProvider, text: str) -> np.ndarray:
     return provider.embed(text)
 
 
+def step_mean(provider: EmbeddingProvider, triplet: StepTriplet) -> np.ndarray:
+    """Mean of the triplet's embeddings: (input + summary) + output, over 3."""
+    return (
+        embed(provider, triplet.agent_input)
+        + embed(provider, triplet.step_summary)
+        + embed(provider, triplet.agent_output)
+    ) / 3
+
+
 def build_context(
     query: str,
     bank: MemoryBank,
     triplet: StepTriplet,
     provider: EmbeddingProvider,
 ) -> ControllerContext:
-    """Assemble the decision context for the current step.
+    """Assemble the one-row decision context for the current step.
 
-    Memory-key embeddings come from the bank's cache, never recomputed;
-    the snapshot is taken at decision time, so admissions racing with
-    this call land in the next step's context.
+    The memory mean comes from the bank's running key sum, never
+    recomputed; the snapshot is taken at decision time, so admissions
+    racing with this call land in the next step's context.
     """
     if not (triplet.agent_input and triplet.step_summary and triplet.agent_output):
         raise ValidationError("all step triplet fields must be non-empty")
@@ -378,18 +313,13 @@ def build_context(
         raise ConfigurationError(
             f"provider dimension {provider.dimension} != bank dimension {bank.embedding_dim}"
         )
-    _, key_matrix = bank.context_snapshot()
-    step_rows = np.stack(
-        [
-            embed(provider, triplet.agent_input),
-            embed(provider, triplet.step_summary),
-            embed(provider, triplet.agent_output),
-        ]
-    )
+    entries, key_sum = bank.context_snapshot()
+    size = len(entries)
     return ControllerContext(
-        query_embedding=embed(provider, query),
-        memory_key_embeddings=key_matrix,
-        step_embeddings=step_rows,
+        queries=embed(provider, query)[None],
+        memory_means=(key_sum / max(size, 1))[None],
+        memory_sizes=np.array([size]),
+        step_means=step_mean(provider, triplet)[None],
     )
 
 
@@ -400,8 +330,9 @@ def decide(
     rng: np.random.Generator | None = None,
     temperature: float = 1.0,
 ) -> Decision:
-    """Evaluate the policy on a context and emit a YES/NO decision."""
-    return sample_binary_decision(policy.forward(context), mode, rng=rng, temperature=temperature)
+    """Evaluate the policy on a one-row context and emit a YES/NO decision."""
+    logits, _ = policy.forward(context)
+    return sample_binary_decision(logits[0], mode, rng=rng, temperature=temperature)
 
 
 def action_index(action: str) -> int:
@@ -423,8 +354,8 @@ def batch_loss_grads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Per-decision loss pieces of N decisions and their summed gradient.
 
-    ``forward`` is a (logits, cache) pair from ``forward_batch`` or
-    ``forward_cached``; ``actions`` are action indices.  Returns
+    ``forward`` is the (logits, cache) pair of ``AdmissionPolicy.forward``;
+    ``actions`` are action indices.  Returns
     (policy_terms, sparsity_terms, weights, grads): -advantages * log
     pi(action), pi(YES), the loss weights, and the gradient of
     sum_n weights[n] * (policy_terms[n] + lambda_sparse * sparsity_terms[n]).
@@ -463,7 +394,7 @@ def step_loss_grads(
     """
     p_terms, s_terms, _, grads = batch_loss_grads(
         policy,
-        policy.forward_cached(context),
+        policy.forward(context),
         np.array([action_index(action)]),
         np.array([float(advantage)]),
         lambda_sparse,
@@ -471,16 +402,6 @@ def step_loss_grads(
         np.array([float(loss_weight)]),
     )
     return float(p_terms[0]), float(s_terms[0]), grads
-
-
-def _context_probs(
-    policy: AdmissionPolicy, context: ControllerContext, temperature: float
-) -> tuple[np.ndarray, dict]:
-    """pi(YES), pi(NO) for one context, and the cache of its batch pass."""
-    if temperature <= 0:
-        raise ValidationError("temperature must be > 0")
-    logits, cache = policy.forward_cached(context)
-    return softmax(logits[0], temperature), cache
 
 
 def log_prob(
@@ -491,7 +412,10 @@ def log_prob(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """log pi(action | context) and its gradient w.r.t. all parameters."""
     idx = action_index(action)
-    probs, cache = _context_probs(policy, context, temperature)
+    if temperature <= 0:
+        raise ValidationError("temperature must be > 0")
+    logits, cache = policy.forward(context)
+    probs = softmax(logits[0], temperature)
     dlogits = (_ONE_HOT[idx] - probs) / temperature
     return float(np.log(probs[idx])), policy.backward_batch(cache, dlogits[None])
 
@@ -502,6 +426,9 @@ def prob_yes_with_grad(
     temperature: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """pi(YES | context) and its gradient; the sparsity penalty term."""
-    probs, cache = _context_probs(policy, context, temperature)
+    if temperature <= 0:
+        raise ValidationError("temperature must be > 0")
+    logits, cache = policy.forward(context)
+    probs = softmax(logits[0], temperature)
     dlogits = probs[0] * (_ONE_HOT[0] - probs) / temperature
     return float(probs[0]), policy.backward_batch(cache, dlogits[None])

@@ -30,6 +30,7 @@ from .controller import (
     Decision,
     StepTriplet,
     build_context,
+    embed,
     sample_binary_decision,
 )
 from .embeddings import EmbeddingProvider
@@ -180,12 +181,13 @@ class LearnedAdmission:
 
     def decide_step(self, query, bank, triplet, provider, rng):
         context = build_context(query, bank, triplet, provider)
-        logits = self.policy.forward(context)
+        logits, _ = self.policy.forward(context)
         decision = sample_binary_decision(
-            logits, self.mode, rng=rng, temperature=self.temperature
+            logits[0], self.mode, rng=rng, temperature=self.temperature
         )
-        summary_embedding = context.step_embeddings[1]
-        return decision, summary_embedding, context.memory_key_embeddings.shape[0]
+        # a cache hit: build_context embedded the summary for the step mean
+        summary_embedding = embed(provider, triplet.step_summary)
+        return decision, summary_embedding, int(context.memory_sizes[0])
 
 
 class ConstantAdmission:
@@ -205,7 +207,6 @@ class ConstantAdmission:
             action=self.action,
             prob_yes=1.0 if self.action == YES else 0.0,
             log_prob_action=0.0,
-            mode="constant",
         )
         emb = provider.embed(triplet.step_summary) if self.action == YES else None
         return decision, emb, len(bank)
@@ -223,7 +224,6 @@ class HeuristicAdmission:
             action=YES if admit else NO,
             prob_yes=1.0 if admit else 0.0,
             log_prob_action=0.0,
-            mode="heuristic",
         )
         emb = provider.embed(triplet.step_summary) if admit else None
         return decision, emb, len(bank)
@@ -334,6 +334,8 @@ def run_episode(
     advance per-team clocks and the interleaving is fixed by the seed,
     so two runs with identical inputs produce identical traces including
     bank sequence numbers.  Controller decisions cost zero virtual time.
+    In live mode vt is seconds and the bank's ``t_ns`` nanoseconds since
+    one ``perf_counter`` origin.
 
     A backend failure ends its team with a failure candidate; any other
     error raised while running a team (an unknown move, say) propagates
@@ -351,8 +353,9 @@ def run_episode(
 
     if mode == "deterministic":
         clock_ns = lambda: int(now_vt[0] * 1_000_000)  # noqa: E731
-    else:
-        clock_ns = time.time_ns
+    else:  # the origin of vt, so bank events and vt share one clock
+        t0 = time.perf_counter()
+        clock_ns = lambda: int((time.perf_counter() - t0) * 1e9)  # noqa: E731
     bank = MemoryBank(provider.dimension, event_sink=sink, clock_ns=clock_ns)
 
     sink(
@@ -497,7 +500,6 @@ def run_episode(
             state.clock += cost
         end_time = max(s.clock for s in states)
     else:
-        t0 = time.perf_counter()
         errors: list[Exception] = []
 
         def team_loop(state: _TeamState) -> None:

@@ -27,11 +27,12 @@ import numpy as np
 from .controller import (
     YES,
     AdmissionPolicy,
-    DecisionRows,
+    ControllerContext,
     action_index,
     batch_loss_grads,
     embed,
     softmax,
+    step_mean,
 )
 # Not called here any more, but hivebench/tracing.py patches them under
 # these names.
@@ -234,7 +235,7 @@ class _TracePack:
 
     query: np.ndarray          # (d_e,)
     memory_means: np.ndarray   # (n, d_e), zero where memory was empty
-    memory_empty: np.ndarray   # (n,) bool
+    memory_sizes: np.ndarray   # (n,)
     step_means: np.ndarray     # (n, d_e)
     actions: np.ndarray        # (n,) action index, 0 = YES
     advantages: np.ndarray     # (n,)
@@ -254,14 +255,14 @@ class TrainReport:
                 fh.write(json.dumps({"kind": "epoch", **row}, sort_keys=True) + "\n")
 
 
-def _rows(packs: list[_TracePack]) -> DecisionRows:
-    """Every decision of ``packs`` as one set of row matrices, in pack order."""
-    return DecisionRows(
+def _rows(packs: list[_TracePack]) -> ControllerContext:
+    """Every decision of ``packs`` as one context, in pack order."""
+    return ControllerContext(
         queries=np.repeat(
             np.stack([p.query for p in packs]), [len(p.actions) for p in packs], axis=0
         ),
         memory_means=np.concatenate([p.memory_means for p in packs]),
-        memory_empty=np.concatenate([p.memory_empty for p in packs]),
+        memory_sizes=np.concatenate([p.memory_sizes for p in packs]),
         step_means=np.concatenate([p.step_means for p in packs]),
     )
 
@@ -283,8 +284,7 @@ def _store_trace(
     ]
     n, d_e = len(kept), provider.dimension
     sizes = np.array([r.mem_size_at_decision for r, _ in kept], dtype=np.intp)
-    memory_empty = sizes == 0
-    present = ~memory_empty
+    present = sizes > 0
     # The bank's key rows: each admitted summary's embedding, in entry order.
     admitted = sorted(
         (r for r in trace.decisions() if r.entry_id is not None), key=lambda r: r.entry_id
@@ -293,21 +293,16 @@ def _store_trace(
     memory_means = np.zeros((n, d_e))
     # cumsum[k - 1] / k is bit for bit the mean of the first k keys
     memory_means[present] = np.cumsum(keys, axis=0)[sizes[present] - 1] / sizes[present, None]
-    step_means = np.zeros((n, d_e))
-    for i, (record, _) in enumerate(kept):
-        t = record.triplet
-        step_means[i] = np.stack(
-            [embed(provider, text) for text in (t.agent_input, t.step_summary, t.agent_output)]
-        ).mean(axis=0)
+    step_means = np.array([step_mean(provider, r.triplet) for r, _ in kept]).reshape(n, d_e)
     query = embed(provider, trace.query)
     actions = np.array([action_index(r.decision.action) for r, _ in kept], dtype=np.intp)
-    logits, _ = policy.forward_batch(
-        DecisionRows(np.repeat(query[None], n, axis=0), memory_means, memory_empty, step_means)
+    logits, _ = policy.forward(
+        ControllerContext(np.repeat(query[None], n, axis=0), memory_means, sizes, step_means)
     )
     return _TracePack(
         query=query,
         memory_means=memory_means,
-        memory_empty=memory_empty,
+        memory_sizes=sizes,
         step_means=step_means,
         actions=actions,
         advantages=np.array([adv for _, adv in kept], dtype=np.float64),
@@ -349,18 +344,16 @@ def _rollout_group(
 def _group_loss_and_grads(
     policy: AdmissionPolicy,
     group: list[_TracePack],
-    provider: EmbeddingProvider,
     config: TrainConfig,
 ) -> tuple[LossTerms, dict[str, np.ndarray]]:
     """Average of per-trace summed losses over one group, with gradients.
 
-    One batched forward and backward pass over every decision of the
-    group; the packs already hold the embeddings, so ``provider`` is unused.
+    One forward and one backward pass over every decision of the group.
     """
     actions = np.concatenate([pack.actions for pack in group])
     p_terms, s_terms, weights, grads = batch_loss_grads(
         policy,
-        policy.forward_batch(_rows(group)),
+        policy.forward(_rows(group)),
         actions,
         np.concatenate([pack.advantages for pack in group]),
         config.lambda_sparse,
@@ -437,7 +430,7 @@ def train(
         for _ in range(config.replay_factor):
             order = shuffle_rng.permutation(len(groups))
             for gi in order:
-                terms, grads = _group_loss_and_grads(policy, groups[gi], provider, config)
+                terms, grads = _group_loss_and_grads(policy, groups[gi], config)
                 if not math.isfinite(terms.total):
                     checkpoint("last_finite")
                     raise TrainingDiverged(

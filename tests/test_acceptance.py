@@ -110,14 +110,17 @@ def test_c02_gradient_correctness():
         policy = AdmissionPolicy(4, 8, seed=trial)
         for key in policy.params:
             policy.params[key] = rng.normal(0, 0.5, policy.params[key].shape)
-        contexts = [
-            ControllerContext(
-                query_embedding=rng.normal(size=4),
-                memory_key_embeddings=rng.normal(size=(int(rng.integers(1, 4)), 4)),
-                step_embeddings=rng.normal(size=(3, 4)),
-            )
-            for _ in range(3)
-        ]
+        contexts = []
+        for _ in range(3):
+            query = rng.normal(size=4)
+            keys = rng.normal(size=(int(rng.integers(1, 4)), 4))
+            steps = rng.normal(size=(3, 4))
+            contexts.append(ControllerContext(  # pooled as plain means
+                queries=query[None],
+                memory_means=keys.mean(axis=0)[None],
+                memory_sizes=np.array([len(keys)]),
+                step_means=steps.mean(axis=0)[None],
+            ))
         actions = [YES if rng.random() < 0.5 else NO for _ in contexts]
         advantages = [float(rng.normal()) for _ in contexts]
 

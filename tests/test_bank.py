@@ -95,10 +95,31 @@ def test_cache_alignment(provider):
     texts = [f"fact number {i}" for i in range(10)]
     for i, t in enumerate(texts):
         bank.admit(t, f"out {i}", provider.embed(t), 1, i + 1)
-    entries, matrix = bank.context_snapshot()
-    assert matrix.shape == (10, provider.dimension)
-    for i, entry in enumerate(entries):
-        assert np.allclose(matrix[i], provider.embed(entry.summary))
+    entries, key_sum = bank.context_snapshot()
+    assert [e.summary for e in entries] == texts
+    assert key_sum.shape == (provider.dimension,)
+    assert np.allclose(key_sum, sum(provider.embed(e.summary) for e in entries))
+
+
+def test_snapshot_key_sum_adds_keys_in_admission_order(provider):
+    rng = np.random.default_rng(0)
+    bank = MemoryBank(provider.dimension)
+    entries, key_sum = bank.context_snapshot()
+    assert entries == [] and np.array_equal(key_sum, np.zeros(provider.dimension))
+    first = rng.normal(size=provider.dimension)
+    bank.admit("a raw key", "out", first, 1, 1)
+    keys = [first.copy()]
+    first[:] = 0.0  # the bank keeps its own copy of the caller's array
+    snapshots = [bank.context_snapshot()]
+    for i in range(2, 41):
+        text = f"fact {rng.integers(1_000_000)} number {i}"
+        keys.append(provider.embed(text))
+        bank.admit(text, "out", keys[-1], 1, i)
+        snapshots.append(bank.context_snapshot())
+    for n, (entries, key_sum) in enumerate(snapshots, 1):
+        # bit for bit, although later admits happened after the snapshot
+        assert len(entries) == n
+        assert np.array_equal(key_sum, np.add.reduce(np.stack(keys[:n]), axis=0))
 
 
 def test_event_sink_fields():
@@ -134,7 +155,9 @@ def test_concurrent_admits_complete():
     seqs = [e.admit_seq for e in bank.entries]
     assert ids == sorted(ids) and len(set(ids)) == 30
     assert seqs == sorted(seqs) and len(set(seqs)) == 30
-    assert bank.context_snapshot()[1].shape[0] == 30
+    entries, key_sum = bank.context_snapshot()
+    assert len(entries) == 30
+    assert np.array_equal(key_sum, 30 * emb())  # every key is 0.5s; exact in any order
 
 
 def test_snapshot_prefix_property_under_concurrency():

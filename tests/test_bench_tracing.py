@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds the hivemem names it patches.
+
+``hivebench/tracing.py`` wraps functions under the names hivemem looks them
+up by; renaming one of them would silently empty a per-layer metric, or
+fail only in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import hivemem
+from hivemem.controller import AdmissionPolicy
+from hivemem.embeddings import HashingEmbedder
+from hivemem.runtime import MajorityAggregator, run_episode
+from hivemem.sim import ScriptedBackend, generate_task
+
+_TRACING = Path(__file__).resolve().parent.parent / "hivebench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("hivebench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_spans_a_learned_greedy_episode():
+    forward = AdmissionPolicy.forward
+    tracer = _load_tracing().Tracer()
+    tracer.install(hivemem)
+    try:
+        task = generate_task(seed=9, depth=2, width=1, overlap_count=4,
+                             distractor_count=0, p_fail=0.1)
+        provider = HashingEmbedder(64)
+        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), AdmissionPolicy(64, 8),
+                    provider, MajorityAggregator(), seed=0)
+    finally:
+        tracer.restore()
+    assert AdmissionPolicy.forward is forward
+    metrics, _ = tracer.layer_metrics(passes=1)
+    for name in ("controller.forward", "controller.build_context", "bank.context_snapshot"):
+        assert metrics[f"{name}.calls"] > 0, name

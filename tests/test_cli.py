@@ -122,6 +122,42 @@ def test_run_llm_backend_against_mock(tmp_path, monkeypatch):
         thread.join()
 
 
+def test_run_llm_keeps_episode_when_aggregation_fails(tmp_path, monkeypatch, capsys):
+    import threading
+    from http.server import ThreadingHTTPServer
+
+    import tests.test_endpoint as te
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), te._MockHandler)
+    server.script = [(200, "FINAL:blue")] * 2 + [(401, "")]  # two teams, then the aggregator
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        monkeypatch.setenv("HIVEMEM_ENDPOINT_URL", f"http://127.0.0.1:{server.server_address[1]}/v1")
+        monkeypatch.setenv("HIVEMEM_MODEL", "mock")
+        monkeypatch.setenv("HIVEMEM_API_KEY", "sk-cli-test")
+        out = tmp_path / "llm"
+        code = main([
+            "run", "--backend", "llm", "--query", "what color is the sky",
+            "--k", "2", "--episodes", "1", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err.strip())["error"] == "AggregationError"
+        episode = (out / "episode_00000.jsonl").read_bytes()
+        events = [json.loads(line) for line in episode.splitlines()]
+        assert any(e["kind"] == "aggregate" for e in events)
+        calls = (out / "calls.jsonl").read_bytes()
+        assert len(calls.splitlines()) == len(server.requests) == 3
+        assert [json.loads(line)["status"] for line in calls.splitlines()] == [200, 200, 401]
+        for text in (episode, calls, err.encode()):
+            assert b"sk-cli-test" not in text
+    finally:
+        server.shutdown()
+        thread.join()
+
+
 def test_run_llm_requires_query(tmp_path, capsys):
     code = main(["run", "--backend", "llm", "--out", str(tmp_path / "x")])
     assert code != 0

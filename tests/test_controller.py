@@ -20,11 +20,19 @@ from hivemem.controller import (
 from hivemem.errors import ConfigurationError, ValidationError
 
 
-def random_context(d_e, m, rng):
+def pooled_context(query, keys, steps):
+    """One-row context from raw embeddings, pooled here as plain means."""
     return ControllerContext(
-        query_embedding=rng.normal(size=d_e),
-        memory_key_embeddings=rng.normal(size=(m, d_e)),
-        step_embeddings=rng.normal(size=(3, d_e)),
+        queries=query[None],
+        memory_means=(keys.mean(axis=0) if len(keys) else np.zeros_like(query))[None],
+        memory_sizes=np.array([len(keys)]),
+        step_means=steps.mean(axis=0)[None],
+    )
+
+
+def random_context(d_e, m, rng):
+    return pooled_context(
+        rng.normal(size=d_e), rng.normal(size=(m, d_e)), rng.normal(size=(3, d_e))
     )
 
 
@@ -153,18 +161,21 @@ def test_all_parameters_participate_in_gradient():
         assert np.abs(g).max() > 0, f"parameter {key} got zero gradient"
 
 
-def test_memory_permutation_invariance():
+def test_memory_permutation_invariance(provider):
+    # two banks admit the same keys in different orders
     rng = np.random.default_rng(13)
-    policy = randomized_policy(6, 4, 13)
-    c = random_context(6, 5, rng)
-    d1 = decide(policy, c, "greedy")
+    policy = randomized_policy(provider.dimension, 4, 13)
+    summaries = [f"partial result {i} pinned down" for i in range(5)]
     perm = rng.permutation(5)
-    c2 = ControllerContext(
-        query_embedding=c.query_embedding,
-        memory_key_embeddings=c.memory_key_embeddings[perm],
-        step_embeddings=c.step_embeddings,
-    )
-    d2 = decide(policy, c2, "greedy")
+    assert list(perm) != sorted(perm)
+    triplet = StepTriplet("check the result", "result checked", "the result holds")
+    decisions = []
+    for order in (range(5), perm):
+        bank = MemoryBank(provider.dimension)
+        for step, i in enumerate(order, 1):
+            bank.admit(summaries[i], "out", provider.embed(summaries[i]), 1, step)
+        decisions.append(decide(policy, build_context("the query", bank, triplet, provider)))
+    d1, d2 = decisions
     assert d1.prob_yes == pytest.approx(d2.prob_yes, abs=1e-12)
     assert d1.action == d2.action
 
@@ -173,17 +184,21 @@ def test_build_context_shapes(provider):
     bank = MemoryBank(provider.dimension)
     triplet = StepTriplet("do thing", "thing done", "result of thing")
     c = build_context("the query", bank, triplet, provider)
-    assert c.memory_key_embeddings.shape == (0, provider.dimension)
-    assert c.token_count == 4
+    for rows in (c.queries, c.memory_means, c.step_means):
+        assert rows.shape == (1, provider.dimension)
+    assert list(c.memory_sizes) == [0]
+    assert not c.memory_means.any()
+    steps = [provider.embed(t) for t in ("do thing", "thing done", "result of thing")]
+    assert np.allclose(c.step_means[0], np.mean(steps, axis=0))
 
     for i in range(5):
         text = f"key {i}"
         bank.admit(text, "out", provider.embed(text), 1, i + 1)
     c = build_context("the query", bank, triplet, provider)
-    assert c.memory_key_embeddings.shape == (5, provider.dimension)
-    keys = bank.list_keys()
-    for i, (_, summary) in enumerate(keys):
-        assert np.allclose(c.memory_key_embeddings[i], provider.embed(summary))
+    assert c.memory_means.shape == (1, provider.dimension)
+    assert list(c.memory_sizes) == [5]
+    keys = [provider.embed(summary) for _, summary in bank.list_keys()]
+    assert np.allclose(c.memory_means[0], np.mean(keys, axis=0))
 
 
 def test_build_context_cached_embeddings_match_recompute(provider):
@@ -194,16 +209,12 @@ def test_build_context_cached_embeddings_match_recompute(provider):
         bank.admit(text, "out", provider.embed(text), 1, i + 1)
     c = build_context("q", bank, StepTriplet("a", "b", "c"), provider)
     recomputed = np.stack([provider.embed(e.summary) for e in bank.entries])
-    assert np.allclose(c.memory_key_embeddings, recomputed)
+    assert np.allclose(c.memory_means[0], recomputed.mean(axis=0))
 
 
 def test_dimension_mismatch_rejected(tiny_provider):
     policy = AdmissionPolicy(16, 4)
-    c = ControllerContext(
-        query_embedding=np.zeros(8),
-        memory_key_embeddings=np.zeros((0, 8)),
-        step_embeddings=np.zeros((3, 8)),
-    )
+    c = pooled_context(np.zeros(8), np.zeros((0, 8)), np.zeros((3, 8)))
     with pytest.raises(ConfigurationError):
         policy.forward(c)
 

@@ -251,3 +251,15 @@ def test_live_mode_smoke():
     step_events = [e for e in trace.events if e["kind"] == "step"]
     decision_events = [e for e in trace.events if e["kind"] == "decision"]
     assert len(step_events) == len(decision_events)
+
+
+def test_live_bank_events_share_the_vt_clock():
+    task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
+    trace = run_sim(task, ConstantAdmission(YES), seed=3, mode="live")
+    bank_events = sorted(
+        (e for e in trace.events if e["kind"] in ("admit", "retrieve")), key=lambda e: e["seq"]
+    )
+    assert {e["kind"] for e in bank_events} == {"admit", "retrieve"}
+    seconds = [e["t_ns"] / 1e9 for e in bank_events]
+    assert all(0.0 <= t <= trace.end_time for t in seconds)
+    assert seconds == sorted(seconds)

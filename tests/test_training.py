@@ -36,6 +36,17 @@ from hivemem.training import (
 )
 
 PROVIDER = HashingEmbedder(32)
+
+
+def pooled_context(query, keys, steps):
+    """One-row context from raw embeddings, pooled here with np.add.reduce."""
+    n = len(keys)
+    return ControllerContext(
+        queries=query[None],
+        memory_means=(np.add.reduce(keys, axis=0) / n if n else np.zeros_like(query))[None],
+        memory_sizes=np.array([n]),
+        step_means=(np.add.reduce(steps, axis=0) / 3)[None],
+    )
 HEAVY = dict(
     depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14,
     p_fail=0.08, pollution_fail_boost=0.25, pollution_recovery_steps=2,
@@ -233,10 +244,8 @@ def test_positive_advantage_increases_action_probability():
     policy = AdmissionPolicy(8, 4, seed=3)
     for key in policy.params:
         policy.params[key] = rng.normal(0, 0.3, policy.params[key].shape)
-    context = ControllerContext(
-        query_embedding=rng.normal(size=8),
-        memory_key_embeddings=rng.normal(size=(2, 8)),
-        step_embeddings=rng.normal(size=(3, 8)),
+    context = pooled_context(
+        rng.normal(size=8), rng.normal(size=(2, 8)), rng.normal(size=(3, 8))
     )
     before, _ = log_prob(policy, context, YES)
     assert math.exp(before) < 1.0
@@ -253,11 +262,7 @@ def test_sparsity_only_training_drives_prob_down():
     for key in policy.params:
         policy.params[key] = rng.normal(0, 0.3, policy.params[key].shape)
     contexts = [
-        ControllerContext(
-            query_embedding=rng.normal(size=8),
-            memory_key_embeddings=rng.normal(size=(2, 8)),
-            step_embeddings=rng.normal(size=(3, 8)),
-        )
+        pooled_context(rng.normal(size=8), rng.normal(size=(2, 8)), rng.normal(size=(3, 8)))
         for _ in range(6)
     ]
     optimizer = AdamW(policy, lr=1e-2, weight_decay=0.0)
@@ -288,10 +293,10 @@ def test_composed_objective_gradcheck():
         for key in policy.params:
             policy.params[key] = rng.normal(0, 0.5, policy.params[key].shape)
         contexts = [
-            ControllerContext(
-                query_embedding=rng.normal(size=4),
-                memory_key_embeddings=rng.normal(size=(int(rng.integers(1, 4)), 4)),
-                step_embeddings=rng.normal(size=(3, 4)),
+            pooled_context(
+                rng.normal(size=4),
+                rng.normal(size=(int(rng.integers(1, 4)), 4)),
+                rng.normal(size=(3, 4)),
             )
             for _ in range(4)
         ]
@@ -349,10 +354,8 @@ def test_zero_advantage_no_learning():
     train(policy, tasks, PROVIDER, cfg)
     for key in policy.params:
         assert np.allclose(policy.params[key], before[key], atol=1e-12)
-    context = ControllerContext(
-        query_embedding=PROVIDER.embed("q"),
-        memory_key_embeddings=np.zeros((0, 32)),
-        step_embeddings=np.stack([PROVIDER.embed(t) for t in ("a", "b", "c")]),
+    context = pooled_context(
+        PROVIDER.embed("q"), np.zeros((0, 32)), np.stack([PROVIDER.embed(t) for t in "abc"])
     )
     assert decide(policy, context).prob_yes == pytest.approx(0.5, abs=1e-9)
 
@@ -386,7 +389,7 @@ def test_training_diverged_checkpoint(tmp_path, monkeypatch):
     # can only enter through the replay objective; inject one there
     import hivemem.training as training_mod
 
-    def poisoned(policy, group, provider, config):
+    def poisoned(policy, group, config):
         terms = total_loss(float("inf"), 0.0, config.lambda_sparse)
         return terms, policy.zero_grads()
 
@@ -500,11 +503,11 @@ def _heavy_group(importance_weighting):
             if record.decision.fail_closed:
                 continue
             t = record.triplet
-            context = ControllerContext(
-                query_embedding=HEAVY_PROVIDER.embed(trace.query),
-                memory_key_embeddings=keys[: record.mem_size_at_decision],
-                step_embeddings=np.stack([HEAVY_PROVIDER.embed(x) for x in
-                                          (t.agent_input, t.step_summary, t.agent_output)]),
+            context = pooled_context(
+                HEAVY_PROVIDER.embed(trace.query),
+                keys[: record.mem_size_at_decision],
+                np.stack([HEAVY_PROVIDER.embed(x) for x in
+                          (t.agent_input, t.step_summary, t.agent_output)]),
             )
             action = record.decision.action
             reference.append((context, action, adv, log_prob(policy, context, action)[0]))
@@ -535,17 +538,17 @@ def _reference_loss_and_grads(policy, config, reference):
 def test_packed_group_covers_empty_memory_and_fail_closed_steps():
     policy, _, packs, reference = _heavy_group(False)
     assert sum(len(p.actions) for p in packs) == len(reference)
-    empty = np.concatenate([p.memory_empty for p in packs])
+    empty = np.concatenate([p.memory_sizes for p in packs]) == 0
     assert empty.any() and not empty.all()
-    # rows of forward_batch equal the single-row forward, bit for bit
-    logits, _ = policy.forward_batch(_rows(packs))
+    # rows of the group's forward equal the one-row forwards, bit for bit
+    logits, _ = policy.forward(_rows(packs))
     for row, (context, *_) in zip(logits, reference):
-        assert np.array_equal(row, policy.forward(context))
+        assert np.array_equal(row, policy.forward(context)[0][0])
 
 
 def test_packed_replay_equals_per_step_loop_bit_for_bit():
     policy, config, packs, reference = _heavy_group(False)
-    terms, grads = _group_loss_and_grads(policy, packs, HEAVY_PROVIDER, config)
+    terms, grads = _group_loss_and_grads(policy, packs, config)
     per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
     assert terms.per_step_policy == per_policy
     assert terms.per_step_sparsity == per_sparse
@@ -558,7 +561,7 @@ def test_packed_replay_equals_per_step_loop_bit_for_bit():
 
 def test_packed_replay_with_importance_weights_matches_loop():
     policy, config, packs, reference = _heavy_group(True)
-    terms, grads = _group_loss_and_grads(policy, packs, HEAVY_PROVIDER, config)
+    terms, grads = _group_loss_and_grads(policy, packs, config)
     per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
     # the ratios are not all 1: the parameters moved after collection
     plain = _reference_loss_and_grads(
