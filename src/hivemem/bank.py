@@ -53,6 +53,7 @@ class MemoryBank:
             raise ConfigurationError("embedding_dim must be >= 1")
         self.embedding_dim = embedding_dim
         self._entries: list[MemoryEntry] = []
+        self._keys: list[tuple[int, str]] = []  # (entry_id, summary) per entry
         # Sum of the key embeddings in admission order; replaced, never
         # updated in place, so a snapshot's sum stays as it was.
         self._key_sum = np.zeros(embedding_dim)
@@ -101,6 +102,7 @@ class MemoryBank:
             )
             self._key_sum = self._key_sum + emb if self._entries else emb.copy()
             self._entries.append(entry)
+            self._keys.append((entry.entry_id, summary))
             if self._event_sink is not None:
                 self._event_sink(
                     {
@@ -117,13 +119,13 @@ class MemoryBank:
     def list_keys(self) -> list[tuple[int, str]]:
         """Point-in-time snapshot of (entry_id, summary), ordered by id."""
         with self._lock:
-            return [(e.entry_id, e.summary) for e in self._entries]
+            return list(self._keys)
 
     def list_keys_seq(self) -> tuple[int, list[tuple[int, str]]]:
         """list_keys plus the linearization point, for concurrency tests."""
         with self._lock:
             self._seq += 1
-            return self._seq, [(e.entry_id, e.summary) for e in self._entries]
+            return self._seq, list(self._keys)
 
     def retrieve(self, entry_id: int, consumer_team: int, consumer_step: int) -> str:
         """Return the stored output verbatim and emit a ``retrieve`` event.

@@ -126,7 +126,7 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
 
 def compute_metrics(trace_paths: Sequence[str | Path]) -> RunMetrics:
     """Metrics over persisted trace files (one episode per file)."""
-    return metrics_from_event_streams(list(read_events(p)) for p in trace_paths)
+    return metrics_from_event_streams(read_events(p) for p in trace_paths)
 
 
 def fd_bin_count(samples: Sequence[float]) -> int:

@@ -201,15 +201,13 @@ class ConstantAdmission:
         if action not in (YES, NO):
             raise ValidationError("action must be YES or NO")
         self.action = action
+        self._decision = Decision(
+            action=action, prob_yes=1.0 if action == YES else 0.0, log_prob_action=0.0
+        )
 
     def decide_step(self, query, bank, triplet, provider, rng):
-        decision = Decision(
-            action=self.action,
-            prob_yes=1.0 if self.action == YES else 0.0,
-            log_prob_action=0.0,
-        )
         emb = provider.embed(triplet.step_summary) if self.action == YES else None
-        return decision, emb, len(bank)
+        return self._decision, emb, len(bank)
 
 
 class HeuristicAdmission:
@@ -217,16 +215,13 @@ class HeuristicAdmission:
 
     def __init__(self, predicate: Callable[[StepTriplet], bool]):
         self.predicate = predicate
+        self._yes = Decision(action=YES, prob_yes=1.0, log_prob_action=0.0)
+        self._no = Decision(action=NO, prob_yes=0.0, log_prob_action=0.0)
 
     def decide_step(self, query, bank, triplet, provider, rng):
-        admit = bool(self.predicate(triplet))
-        decision = Decision(
-            action=YES if admit else NO,
-            prob_yes=1.0 if admit else 0.0,
-            log_prob_action=0.0,
-        )
-        emb = provider.embed(triplet.step_summary) if admit else None
-        return decision, emb, len(bank)
+        if self.predicate(triplet):
+            return self._yes, provider.embed(triplet.step_summary), len(bank)
+        return self._no, None, len(bank)
 
 
 def as_admission_rule(

@@ -15,6 +15,13 @@ One JSON object per line.  Event kinds and their required fields:
 ``admit``/``retrieve`` lines are emitted by the memory bank itself and
 carry only the six fields above, so external tools can recompute memory
 statistics bit-exactly from the file alone.
+
+A file is written with one encode per event and one write.  It is read
+with one parse of its non-blank lines joined into a JSON array when every
+such line starts with ``{``, ends with ``}`` and holds no other brace, as
+written files do; that parse then gives each line's own object.  Any other
+file, or one that parse rejects, is read line by line, which names the
+first bad line.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import SchemaError
 
@@ -39,6 +46,10 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "aggregate": ("answer", "first_team", "first_answer", "vt"),
     "score": ("agg_score", "first_score"),
 }
+_REQUIRED_SETS = {kind: frozenset(fields) for kind, fields in _REQUIRED_FIELDS.items()}
+
+# json.dumps(event, sort_keys=True) builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class TraceSink:
@@ -60,31 +71,64 @@ class TraceSink:
 
 def validate_event(event: dict, line_number: int | None = None) -> dict:
     kind = event.get("kind")
-    if kind not in _REQUIRED_FIELDS:
+    required = _REQUIRED_SETS.get(kind) if isinstance(kind, str) else None
+    if required is None:
         raise SchemaError(f"unknown event kind {kind!r}", line_number)
-    missing = [f for f in _REQUIRED_FIELDS[kind] if f not in event]
-    if missing:
+    if not event.keys() >= required:
+        missing = [f for f in _REQUIRED_FIELDS[kind] if f not in event]
         raise SchemaError(f"{kind} event missing fields {missing}", line_number)
     return event
 
 
 def write_events(path: str | Path, events: Iterable[dict]) -> None:
+    """Write one ``json.dumps(event, sort_keys=True)`` line per event."""
+    text = "".join([_ENCODER.encode(event) + "\n" for event in events])
     with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        fh.write(text)
 
 
-def read_events(path: str | Path) -> Iterator[dict]:
-    """Yield validated events; raises SchemaError naming the bad line."""
+def _one_object_per_line(body: str, lines: int) -> bool:
+    """Whether each of the ``lines`` lines that ``body`` joins with a comma and
+    a newline starts with ``{``, ends with ``}`` and holds no other brace.
+
+    Then a successful parse of ``"[" + body + "]"`` gives exactly the objects
+    each line parses to alone: a string cannot run past its line (JSON
+    strings hold no raw newline), so each line's final brace closes its
+    first, and no value can span two lines.
+    """
+    return (
+        body.count("{") == body.count("}") == lines
+        and body.count("},\n{") == lines - 1
+        and body[:1] == "{"
+        and body[-1:] == "}"
+    )
+
+
+def _parse_line(line: str, line_number: int) -> dict:
+    try:
+        event = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON ({exc.msg})", line_number) from exc
+    if not isinstance(event, dict):
+        raise SchemaError("event is not an object", line_number)
+    return validate_event(event, line_number)
+
+
+def read_events(path: str | Path) -> list[dict]:
+    """Validated events of a trace file; raises SchemaError naming the bad line.
+
+    Blank lines are skipped; line numbers count them.
+    """
     with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", i) from exc
-            if not isinstance(event, dict):
-                raise SchemaError("event is not an object", i)
-            yield validate_event(event, i)
+        text = fh.read()
+    stripped = map(str.strip, text.split("\n"))
+    numbered = [(i, line) for i, line in enumerate(stripped, start=1) if line]
+    body = ",\n".join([line for _, line in numbered])
+    if _one_object_per_line(body, len(numbered)):
+        try:
+            events = json.loads("[" + body + "]")
+        except (json.JSONDecodeError, RecursionError):
+            pass  # line by line names the bad line, and nests one level less
+        else:
+            return [validate_event(e, i) for (i, _), e in zip(numbered, events)]
+    return [_parse_line(line, i) for i, line in numbered]

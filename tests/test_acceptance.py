@@ -20,10 +20,8 @@ from hivemem.controller import (
     YES,
     AdmissionPolicy,
     ControllerContext,
-    log_prob,
-    prob_yes_with_grad,
+    batch_loss_grads,
     sample_binary_decision,
-    step_loss_grads,
 )
 from hivemem.embeddings import HashingEmbedder
 from hivemem.errors import EntryNotFoundError
@@ -110,33 +108,32 @@ def test_c02_gradient_correctness():
         policy = AdmissionPolicy(4, 8, seed=trial)
         for key in policy.params:
             policy.params[key] = rng.normal(0, 0.5, policy.params[key].shape)
-        contexts = []
+        rows = []
         for _ in range(3):
             query = rng.normal(size=4)
             keys = rng.normal(size=(int(rng.integers(1, 4)), 4))
             steps = rng.normal(size=(3, 4))
-            contexts.append(ControllerContext(  # pooled as plain means
-                queries=query[None],
-                memory_means=keys.mean(axis=0)[None],
-                memory_sizes=np.array([len(keys)]),
-                step_means=steps.mean(axis=0)[None],
-            ))
-        actions = [YES if rng.random() < 0.5 else NO for _ in contexts]
-        advantages = [float(rng.normal()) for _ in contexts]
+            rows.append((query, keys.mean(axis=0), len(keys), steps.mean(axis=0)))
+        context = ControllerContext(  # three decisions, pooled as plain means
+            queries=np.stack([r[0] for r in rows]),
+            memory_means=np.stack([r[1] for r in rows]),
+            memory_sizes=np.array([r[2] for r in rows]),
+            step_means=np.stack([r[3] for r in rows]),
+        )
+        actions = np.array([0 if rng.random() < 0.5 else 1 for _ in rows])  # 0 = YES
+        advantages = np.array([float(rng.normal()) for _ in rows])
 
         def objective():
-            total = 0.0
-            for c, a, adv in zip(contexts, actions, advantages):
-                lp, _ = log_prob(policy, c, a)
-                py, _ = prob_yes_with_grad(policy, c)
-                total += -adv * lp + lam * py
-            return total
+            """sum_n -advantage * log pi(action) + lam * pi(YES), softmax taken here."""
+            logits, _ = policy.forward(context)
+            z = logits - logits.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            chosen = logp[np.arange(len(actions)), actions]
+            return float(np.sum(-advantages * chosen + lam * np.exp(logp[:, 0])))
 
-        grads = policy.zero_grads()
-        for c, a, adv in zip(contexts, actions, advantages):
-            _, _, g = step_loss_grads(policy, c, a, adv, lam)
-            for key in grads:
-                grads[key] += g[key]
+        *_, grads = batch_loss_grads(
+            policy, policy.forward(context), actions, advantages, lam, 1.0, np.ones(3)
+        )
         for key in policy.params:
             flat = policy.params[key].ravel()
             for i in range(flat.size):

@@ -54,6 +54,19 @@ def test_list_keys_empty_and_ordering():
     assert bank.list_keys() == [(1, "fact A"), (2, "fact B")]
 
 
+def test_list_keys_results_are_independent_snapshots():
+    bank = make_bank()
+    bank.admit("fact A", "raw A", emb(), 1, 1)
+    first = bank.list_keys()
+    seq, second = bank.list_keys_seq()
+    second.append((99, "forged"))
+    second[0] = (98, "replaced")
+    bank.admit("fact B", "raw B", emb(), 2, 1)
+    assert first == [(1, "fact A")]
+    assert bank.list_keys() == [(1, "fact A"), (2, "fact B")]
+    assert bank.list_keys_seq() == (seq + 2, [(1, "fact A"), (2, "fact B")])
+
+
 def test_retrieve_roundtrip_and_log():
     sink = TraceSink()
     bank = make_bank(sink=sink)

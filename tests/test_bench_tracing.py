@@ -40,3 +40,36 @@ def test_tracer_spans_a_learned_greedy_episode():
     metrics, _ = tracer.layer_metrics(passes=1)
     for name in ("controller.forward", "controller.build_context", "bank.context_snapshot"):
         assert metrics[f"{name}.calls"] > 0, name
+
+
+def test_tracer_sees_every_trace_file_write_and_read(tmp_path):
+    from collections import Counter
+
+    from hivemem.metrics import compute_metrics, metrics_from_event_streams
+    from hivemem.runtime import ConstantAdmission, EpisodeTrace
+
+    task = generate_task(seed=9, depth=2, width=1, overlap_count=4,
+                         distractor_count=0, p_fail=0.1)
+    traces = [
+        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), ConstantAdmission("YES"),
+                    HashingEmbedder(64), MajorityAggregator(), seed=seed)
+        for seed in (0, 1)
+    ]
+    paths = [tmp_path / f"episode_{n}.jsonl" for n in range(len(traces))]
+    write, read = EpisodeTrace.write, hivemem.metrics.read_events
+    tracer = _load_tracing().Tracer()
+    tracer.install(hivemem)
+    try:
+        for trace, path in zip(traces, paths):
+            trace.write(path)
+        metrics = compute_metrics(paths)
+    finally:
+        tracer.restore()
+    assert EpisodeTrace.write is write and hivemem.metrics.read_events is read
+    calls = Counter(tracer.names[code] for code in tracer.name_of)
+    assert calls["tracefile.write"] == 2
+    assert calls["tracefile.read"] == 2
+    assert calls["metrics.from_streams"] >= 1
+    assert tracer.counts["events_read"] == sum(len(t.events) for t in traces)
+    assert [read(path) for path in paths] == [t.events for t in traces]
+    assert metrics == metrics_from_event_streams(t.events for t in traces)

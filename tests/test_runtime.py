@@ -194,6 +194,32 @@ def test_team_error_raises_in_both_modes(mode):
                     _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
 
 
+def test_reference_rules_report_certain_decisions():
+    from hivemem.bank import MemoryBank
+    from hivemem.runtime import HeuristicAdmission
+
+    bank = MemoryBank(_PROVIDER.dimension)
+    bank.admit("earlier", "out", _PROVIDER.embed("earlier"), 1, 1)
+    rules = {
+        YES: ConstantAdmission(YES),
+        NO: ConstantAdmission(NO),
+        "heuristic": HeuristicAdmission(lambda t: t.step_summary.startswith("keep")),
+    }
+    for summary in ("keep this", "drop this", "keep that"):
+        triplet = StepTriplet("in", summary, "out")
+        for name, rule in rules.items():
+            decision, key, mem_size = rule.decide_step("q", bank, triplet, _PROVIDER, None)
+            admit = name == YES or (name == "heuristic" and summary.startswith("keep"))
+            assert decision.action == (YES if admit else NO)
+            assert decision.prob_yes == (1.0 if admit else 0.0)
+            assert decision.log_prob_action == 0.0 and not decision.fail_closed
+            assert mem_size == 1
+            if admit:
+                assert np.array_equal(key, _PROVIDER.embed(summary))
+            else:
+                assert key is None
+
+
 def test_unknown_retrieve_is_failed_step_not_crash():
     class BadRetriever:
         def __init__(self):

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hivemem.controller import AdmissionPolicy
 from hivemem.errors import SchemaError, ValidationError
 from hivemem.metrics import (
     RunMetrics,
@@ -183,6 +185,164 @@ def test_schema_missing_field(tmp_path):
     with pytest.raises(SchemaError) as exc:
         list(read_events(path))
     assert "missing" in str(exc.value)
+
+
+KINDS = {
+    "header": ("schema", "task_id", "k", "mode", "cap"),
+    "step": ("team", "step", "label", "vt_start", "vt_end"),
+    "decision": ("team", "step", "action", "prob_yes", "log_prob", "fail_closed"),
+    "admit": ("seq", "entry_id", "team", "step", "t_ns"),
+    "retrieve": ("seq", "entry_id", "team", "step", "t_ns"),
+    "failed_retrieve": ("team", "entry_id", "vt"),
+    "final": ("team", "step", "answer", "vt"),
+    "aggregate": ("answer", "first_team", "first_answer", "vt"),
+    "score": ("agg_score", "first_score"),
+}
+
+
+def test_writer_bytes_match_per_event_dumps(tmp_path, provider):
+    from hivemem.runtime import ConstantAdmission, MajorityAggregator, RetrieveMove, run_episode
+    from hivemem.sim import ScriptedBackend, generate_task, run_variant, variant_policy
+
+    class StaleFirstRetrieve(ScriptedBackend):
+        """Each team first asks for an entry that does not exist."""
+
+        def next_move(self, team, query, history, visible_keys, rng):
+            if not history:
+                return RetrieveMove(999)
+            return super().next_move(team, query, history, visible_keys, rng)
+
+    tasks = [generate_task(seed=300 + i, depth=2, width=1, overlap_count=4,
+                           distractor_count=2, p_fail=0.2) for i in range(3)]
+    learned = AdmissionPolicy(64, 8, seed=1)
+    learned.params["w_out"] = np.random.default_rng(1).normal(0, 1, learned.params["w_out"].shape)
+    streams = []
+    for name in ("no-memory", "add-all", "llm-proxy", "learned"):
+        _, traces = run_variant(tasks, variant_policy(name, learned), 3, [0, 1], provider,
+                                keep_traces=True)
+        streams += [t.events for t in traces]
+    stale = run_episode(tasks[0].task_spec(), 3, StaleFirstRetrieve(tasks[0], 3),
+                        ConstantAdmission("YES"), provider, MajorityAggregator(), seed=0)
+    streams.append(stale.events)
+    streams.append([{"kind": "final", "team": 1, "step": 2, "vt": 0.1,
+                     "answer": 'na\u00efve {"x": [1]}\n\\ \u2713'}])
+    assert {e["kind"] for events in streams for e in events} == set(KINDS)
+    for n, events in enumerate(streams):
+        path = tmp_path / f"ep{n}.jsonl"
+        write_events(path, events)
+        expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_events(path) == events
+
+
+def read_events_line_by_line(path):
+    """Reference reader: parse and validate one line at a time."""
+    events = []
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON ({exc.msg})", i) from exc
+            if not isinstance(event, dict):
+                raise SchemaError("event is not an object", i)
+            events.append(validate_event(event, i))
+    return events
+
+
+# Strings holding braces send a file to the line-by-line read; plain strings
+# keep it on the one-parse read.
+_PLAIN = st.text(alphabet="ab :\u00e9", max_size=4)
+_JSONISH = st.text(alphabet='ab{}[],:" \\\u00e9\u2028', max_size=6)
+
+
+def _event_lists(text):
+    value = st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False) | text
+
+    def event(kind):
+        fields = {"kind": st.just(kind), **{f: value for f in KINDS[kind]}}
+        return st.fixed_dictionaries(fields, optional={"extra": st.lists(value, max_size=2)})
+
+    return st.lists(st.sampled_from(sorted(KINDS)).flatmap(event), max_size=8)
+
+
+def _corrupt(kind, event, line):
+    if kind == "two_objects_comma":
+        return line + "," + line
+    if kind == "two_objects_space":
+        return line + " " + line
+    if kind == "array":
+        return "[" + line + "]"
+    if kind == "invalid_json":
+        return line[:-1]
+    if kind == "unknown_kind":
+        return json.dumps({**event, "kind": "bogus"})
+    if kind == "unhashable_kind":
+        return json.dumps({**event, "kind": [event["kind"]]})
+    if kind == "missing_field":
+        return json.dumps({k: v for k, v in event.items() if k != KINDS[event["kind"]][-1]})
+    raise AssertionError(kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    events=st.sampled_from([_PLAIN, _JSONISH]).flatmap(_event_lists),
+    blanks=st.lists(st.sampled_from(["", "  ", "\t"]), max_size=8),
+    blank_at=st.lists(st.integers(0, 8), max_size=8),
+    corruption=st.none() | st.sampled_from([
+        "two_objects_comma", "two_objects_space", "array", "invalid_json",
+        "unknown_kind", "unhashable_kind", "missing_field",
+    ]),
+    corrupt_at=st.sampled_from([0, -1]) | st.integers(0, 7),  # the ends most often
+    newline=st.sampled_from(["\n", "\r\n"]),
+    pad=st.sampled_from(["", " ", "\t "]),
+)
+def test_read_events_matches_line_by_line_reference(
+    tmp_path_factory, events, blanks, blank_at, corruption, corrupt_at, newline, pad
+):
+    lines = [
+        pad + json.dumps(e, sort_keys=bool(i % 2), ensure_ascii=bool(i % 3)) + pad
+        for i, e in enumerate(events)
+    ]
+    if corruption is not None and events:
+        at = corrupt_at % len(events)
+        lines[at] = _corrupt(corruption, events[at], lines[at].strip())
+    for blank, at in zip(blanks, blank_at):
+        lines.insert(min(at, len(lines)), blank)
+    path = tmp_path_factory.getbasetemp() / "property.jsonl"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    try:
+        expected = read_events_line_by_line(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            read_events(path)
+        assert got.value.line_number == exc.line_number
+        assert str(got.value) == str(exc)
+    else:
+        assert corruption is None or not events
+        assert read_events(path) == expected == events
+
+
+_SCORE = '{"kind": "score", "agg_score": 1, "first_score": 2}'
+
+
+@pytest.mark.parametrize("text, message", [
+    # three objects when joined, but line 1 holds two and lines 2-3 share one
+    (f'{_SCORE},{_SCORE}\n{_SCORE[:-1]}, "extra": [1\n2]}}\n', "Extra data"),
+    (f"[{_SCORE}]\n", "event is not an object"),
+    (f"1, {_SCORE}\n{_SCORE}\n", "Extra data"),
+])
+def test_read_events_names_first_bad_line_of_files_that_parse_joined(tmp_path, text, message):
+    json.loads("[" + ",".join(text.splitlines()) + "]")  # the joined lines are valid JSON
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        read_events(path)
+    assert exc.value.line_number == 1
+    assert message in str(exc.value)
 
 
 def test_validate_event_accepts_known_kinds():
