@@ -43,7 +43,6 @@ from .runtime import (
     RetrieveMove,
     StepMove,
     TaskSpec,
-    aggregate,
     first_finisher,
     run_episode,
 )
@@ -58,16 +57,12 @@ from .sim import (
 )
 from .training import (
     AdamW,
-    LossTerms,
     RewardBreakdown,
     TrainConfig,
     TrainReport,
     episode_reward,
     group_advantage,
-    policy_loss,
     shaped_advantages,
-    sparsity_loss,
-    total_loss,
     train,
 )
 

@@ -10,6 +10,11 @@ a decision is one row and a training replay many.  One forward and one
 backward pass, hand-written numpy, serve both, so gradients can be
 checked against finite differences and a row's result does not depend
 on the rows batched with it.
+
+``step_loss_grads`` is the training objective over N decisions and its
+gradient, the one loss path.  ``log_prob`` and ``prob_yes_with_grad``
+give its two terms alone for one decision; tests check them against
+finite differences, and the benchmark tracer wraps them.
 """
 
 from __future__ import annotations
@@ -131,24 +136,19 @@ def sample_binary_decision(
     if mode == "greedy":
         probs = softmax(logits, 1.0)
         action = YES if logits[0] >= logits[1] else NO
-        p_action = probs[0] if action == YES else probs[1]
-        return Decision(
-            action=action,
-            prob_yes=float(probs[0]),
-            log_prob_action=float(np.log(p_action)),
-        )
-    if mode == "sampled":
+    elif mode == "sampled":
         if rng is None:
             raise ValidationError("sampled mode requires a random generator")
         probs = softmax(logits, temperature)
         action = YES if rng.random() < probs[0] else NO
-        p_action = probs[0] if action == YES else probs[1]
-        return Decision(
-            action=action,
-            prob_yes=float(probs[0]),
-            log_prob_action=float(np.log(p_action)),
-        )
-    raise ValidationError(f"unknown decision mode {mode!r}")
+    else:
+        raise ValidationError(f"unknown decision mode {mode!r}")
+    p_action = probs[0] if action == YES else probs[1]
+    return Decision(
+        action=action,
+        prob_yes=float(probs[0]),
+        log_prob_action=float(np.log(p_action)),
+    )
 
 
 class AdmissionPolicy:
@@ -342,7 +342,7 @@ def action_index(action: str) -> int:
     return 0 if action == YES else 1
 
 
-def batch_loss_grads(
+def step_loss_grads(
     policy: AdmissionPolicy,
     forward: tuple[np.ndarray, dict],
     actions: np.ndarray,
@@ -374,34 +374,6 @@ def batch_loss_grads(
     dpyes = probs[:, :1] * (_ONE_HOT[0] - probs) / temperature
     dlogits = weights[:, None] * (-advantages[:, None] * dlogp + lambda_sparse * dpyes)
     return -advantages * logp, probs[:, 0], weights, policy.backward_batch(cache, dlogits)
-
-
-def step_loss_grads(
-    policy: AdmissionPolicy,
-    context: ControllerContext,
-    action: str,
-    advantage: float,
-    lambda_sparse: float,
-    temperature: float = 1.0,
-    loss_weight: float = 1.0,
-) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Fused per-step loss pieces and their combined parameter gradient.
-
-    Returns (policy_term, sparsity_term, grads) where
-    policy_term = -advantage * log pi(action), sparsity_term = pi(YES),
-    and grads is the gradient of
-    loss_weight * (policy_term + lambda_sparse * sparsity_term).
-    """
-    p_terms, s_terms, _, grads = batch_loss_grads(
-        policy,
-        policy.forward(context),
-        np.array([action_index(action)]),
-        np.array([float(advantage)]),
-        lambda_sparse,
-        temperature,
-        np.array([float(loss_weight)]),
-    )
-    return float(p_terms[0]), float(s_terms[0]), grads
 
 
 def log_prob(

@@ -13,7 +13,9 @@ Definitions (denominators matter and are fixed here):
   retrieval / entries retrieved at least once (entry-level alternative).
 
 Everything is recomputable bit-exactly from the persisted event lines
-alone.
+alone.  Events are validated once, where they enter from outside:
+``read_events`` checks each line of a trace file.  The in-memory events
+of a run are built by the runtime and are not checked again here.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .tracefile import read_events, validate_event
+from .tracefile import read_events
 
 
 @dataclass
@@ -70,7 +72,11 @@ def _pct(numerator: int, denominator: int) -> float:
 
 
 def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
-    """Aggregate metrics over episodes; each stream is one episode's events."""
+    """Aggregate metrics over episodes; each stream is one episode's events.
+
+    The events must already be valid: built by the runtime, or read back
+    with ``read_events``.
+    """
     m = RunMetrics()
     for events in streams:
         m.episodes += 1
@@ -79,7 +85,6 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
         steps = 0
         runtime = 0.0
         for event in events:
-            validate_event(event)
             kind = event["kind"]
             if kind == "decision":
                 m.candidate_steps += 1

@@ -140,21 +140,11 @@ class MajorityAggregator:
         return winner.answer
 
 
-def aggregate(aggregator: Aggregator, query: str, candidates: list[Candidate]) -> str:
-    """Combine candidates into one answer; empty set yields the no-answer value."""
-    if not candidates:
-        return NO_ANSWER
-    return aggregator.aggregate(query, candidates)
-
-
 # -- admission rules ---------------------------------------------------------
 
 
 class AdmissionRule(Protocol):
-    """Decides one step: returns the decision, the step summary's embedding
-    (stored as the entry's key when the decision is YES, else may be None)
-    and the memory size the decision saw.  Training rebuilds the keys as
-    ``embed(provider, step_summary)``, so the embedding must be exactly that."""
+    """Decides one step: returns the decision and the memory size it saw."""
 
     def decide_step(
         self,
@@ -163,7 +153,7 @@ class AdmissionRule(Protocol):
         triplet: StepTriplet,
         provider: EmbeddingProvider,
         rng: np.random.Generator,
-    ) -> tuple[Decision, np.ndarray | None, int]: ...
+    ) -> tuple[Decision, int]: ...
 
 
 class LearnedAdmission:
@@ -185,9 +175,7 @@ class LearnedAdmission:
         decision = sample_binary_decision(
             logits[0], self.mode, rng=rng, temperature=self.temperature
         )
-        # a cache hit: build_context embedded the summary for the step mean
-        summary_embedding = embed(provider, triplet.step_summary)
-        return decision, summary_embedding, int(context.memory_sizes[0])
+        return decision, int(context.memory_sizes[0])
 
 
 class ConstantAdmission:
@@ -206,8 +194,7 @@ class ConstantAdmission:
         )
 
     def decide_step(self, query, bank, triplet, provider, rng):
-        emb = provider.embed(triplet.step_summary) if self.action == YES else None
-        return self._decision, emb, len(bank)
+        return self._decision, len(bank)
 
 
 class HeuristicAdmission:
@@ -219,9 +206,7 @@ class HeuristicAdmission:
         self._no = Decision(action=NO, prob_yes=0.0, log_prob_action=0.0)
 
     def decide_step(self, query, bank, triplet, provider, rng):
-        if self.predicate(triplet):
-            return self._yes, provider.embed(triplet.step_summary), len(bank)
-        return self._no, None, len(bank)
+        return (self._yes if self.predicate(triplet) else self._no), len(bank)
 
 
 def as_admission_rule(
@@ -400,7 +385,7 @@ def run_episode(
             entry_id = None
             mem_size = len(visible)
             if rule is not None:
-                decision, summary_emb, mem_size = rule.decide_step(
+                decision, mem_size = rule.decide_step(
                     task.query, bank, move.triplet, provider, decision_rngs[team - 1]
                 )
                 sink(
@@ -415,10 +400,11 @@ def run_episode(
                     }
                 )
                 if decision.action == YES:
+                    # training rebuilds the bank's keys this same way
                     entry_id = bank.admit(
                         move.triplet.step_summary,
                         move.triplet.agent_output,
-                        summary_emb,
+                        embed(provider, move.triplet.step_summary),
                         source_team=team,
                         source_step=state.steps,
                     )

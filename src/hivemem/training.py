@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -29,14 +29,13 @@ from .controller import (
     AdmissionPolicy,
     ControllerContext,
     action_index,
-    batch_loss_grads,
     embed,
     softmax,
+    step_loss_grads,
     step_mean,
 )
-# Not called here any more, but hivebench/tracing.py patches them under
-# these names.
-from .controller import log_prob, step_loss_grads  # noqa: F401
+# Not called here, but the benchmark tracer patches it under this name.
+from .controller import log_prob  # noqa: F401
 from .embeddings import EmbeddingProvider
 from .errors import TrainingDiverged, ValidationError
 from .runtime import EpisodeTrace, MajorityAggregator, run_episode
@@ -96,50 +95,6 @@ def shaped_advantages(
     used = {e["entry_id"] for e in trace.events if e["kind"] == "retrieve"}
     bonus = beta if r_total > 0 else 0.0
     return [a_base + (bonus if r.entry_id in used else 0.0) for r in trace.decisions()]
-
-
-def policy_loss(log_probs: Sequence[float], advantages: Sequence[float]) -> float:
-    """Sum over steps of -log_prob * advantage."""
-    if len(log_probs) != len(advantages):
-        raise ValidationError("log_probs and advantages must have equal length")
-    return float(sum(-lp * adv for lp, adv in zip(log_probs, advantages)))
-
-
-def sparsity_loss(prob_yes_sequence: Sequence[float]) -> float:
-    """Sum of admit probabilities (differentiable YES mass, not actions)."""
-    for p in prob_yes_sequence:
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"probability {p} outside [0, 1]")
-    return float(sum(prob_yes_sequence))
-
-
-@dataclass
-class LossTerms:
-    policy_loss: float
-    sparsity_loss: float
-    lambda_sparse: float
-    total: float
-    per_step_policy: list[float] = field(default_factory=list)
-    per_step_sparsity: list[float] = field(default_factory=list)
-
-
-def total_loss(
-    policy_loss_value: float,
-    sparsity_loss_value: float,
-    lambda_sparse: float,
-    per_step_policy: Sequence[float] = (),
-    per_step_sparsity: Sequence[float] = (),
-) -> LossTerms:
-    if lambda_sparse < 0:
-        raise ValidationError("lambda_sparse must be >= 0")
-    return LossTerms(
-        policy_loss=policy_loss_value,
-        sparsity_loss=sparsity_loss_value,
-        lambda_sparse=lambda_sparse,
-        total=policy_loss_value + lambda_sparse * sparsity_loss_value,
-        per_step_policy=list(per_step_policy),
-        per_step_sparsity=list(per_step_sparsity),
-    )
 
 
 class AdamW:
@@ -216,6 +171,8 @@ class TrainConfig:
             raise ValidationError("epochs and replay_factor must be >= 1")
         if self.sample_temperature <= 0 or self.loss_temperature <= 0:
             raise ValidationError("sample_temperature and loss_temperature must be > 0")
+        if self.lambda_sparse < 0:
+            raise ValidationError("lambda_sparse must be >= 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -345,13 +302,15 @@ def _group_loss_and_grads(
     policy: AdmissionPolicy,
     group: list[_TracePack],
     config: TrainConfig,
-) -> tuple[LossTerms, dict[str, np.ndarray]]:
-    """Average of per-trace summed losses over one group, with gradients.
+) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Policy and sparsity terms of one group's loss, and the loss gradient.
 
-    One forward and one backward pass over every decision of the group.
+    The loss is the average over the group's traces of their summed
+    per-decision losses.  One forward and one backward pass over every
+    decision of the group.
     """
     actions = np.concatenate([pack.actions for pack in group])
-    p_terms, s_terms, weights, grads = batch_loss_grads(
+    p_terms, s_terms, weights, grads = step_loss_grads(
         policy,
         policy.forward(_rows(group)),
         actions,
@@ -363,12 +322,8 @@ def _group_loss_and_grads(
         if config.importance_weighting
         else None,
     )
-    per_policy = (weights * p_terms).tolist()
-    per_sparse = (weights * s_terms).tolist()
-    terms = total_loss(
-        sum(per_policy), sum(per_sparse), config.lambda_sparse, per_policy, per_sparse
-    )
-    return terms, grads
+    # Python sums left to right, not pairwise as np.sum; the epoch rows rely on it
+    return sum((weights * p_terms).tolist()), sum((weights * s_terms).tolist()), grads
 
 
 def train(
@@ -430,16 +385,19 @@ def train(
         for _ in range(config.replay_factor):
             order = shuffle_rng.permutation(len(groups))
             for gi in order:
-                terms, grads = _group_loss_and_grads(policy, groups[gi], config)
-                if not math.isfinite(terms.total):
+                policy_term, sparsity_term, grads = _group_loss_and_grads(
+                    policy, groups[gi], config
+                )
+                total = policy_term + config.lambda_sparse * sparsity_term
+                if not math.isfinite(total):
                     checkpoint("last_finite")
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}; checkpoint saved"
                     )
                 optimizer.step(grads)
-                pass_losses.append(terms.total)
-                pass_policy.append(terms.policy_loss)
-                pass_sparse.append(terms.sparsity_loss)
+                pass_losses.append(total)
+                pass_policy.append(policy_term)
+                pass_sparse.append(sparsity_term)
 
         row = {
             "epoch": epoch,

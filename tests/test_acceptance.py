@@ -20,8 +20,8 @@ from hivemem.controller import (
     YES,
     AdmissionPolicy,
     ControllerContext,
-    batch_loss_grads,
     sample_binary_decision,
+    step_loss_grads,
 )
 from hivemem.embeddings import HashingEmbedder
 from hivemem.errors import EntryNotFoundError
@@ -131,7 +131,7 @@ def test_c02_gradient_correctness():
             chosen = logp[np.arange(len(actions)), actions]
             return float(np.sum(-advantages * chosen + lam * np.exp(logp[:, 0])))
 
-        *_, grads = batch_loss_grads(
+        *_, grads = step_loss_grads(
             policy, policy.forward(context), actions, advantages, lam, 1.0, np.ones(3)
         )
         for key in policy.params:

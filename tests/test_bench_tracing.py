@@ -42,6 +42,29 @@ def test_tracer_spans_a_learned_greedy_episode():
         assert metrics[f"{name}.calls"] > 0, name
 
 
+def test_tracer_spans_the_replay_gradient():
+    from hivemem.training import TrainConfig
+
+    step_loss_grads = hivemem.training.step_loss_grads
+    tasks = [
+        generate_task(seed=seed, depth=2, width=1, overlap_count=4,
+                      distractor_count=0, p_fail=0.1)
+        for seed in (9, 10)
+    ]
+    config = TrainConfig(group_size=2, epochs=1, replay_factor=2, seed=3, k=2)
+    tracer = _load_tracing().Tracer()
+    tracer.install(hivemem)
+    try:
+        hivemem.training.train(AdmissionPolicy(32, 8), tasks, HashingEmbedder(32), config)
+    finally:
+        tracer.restore()
+    assert hivemem.training.step_loss_grads is step_loss_grads
+    metrics, _ = tracer.layer_metrics(passes=1)
+    assert metrics["training.updates"] == 4  # replay_factor x tasks
+    assert metrics["training.grad_calls_per_update"] == 1
+    assert metrics["training.grad_s"] > 0
+
+
 def test_tracer_sees_every_trace_file_write_and_read(tmp_path):
     from collections import Counter
 

@@ -248,8 +248,14 @@ def test_step_loss_grads_consistency():
     rng = np.random.default_rng(2)
     policy = randomized_policy(5, 4, 2)
     c = random_context(5, 2, rng)
-    p_term, s_term, _ = step_loss_grads(policy, c, YES, advantage=0.7, lambda_sparse=0.05)
-    lp, _ = log_prob(policy, c, YES)
-    py, _ = prob_yes_with_grad(policy, c)
-    assert p_term == pytest.approx(-0.7 * lp, abs=1e-12)
-    assert s_term == pytest.approx(py, abs=1e-12)
+    p_terms, s_terms, weights, grads = step_loss_grads(
+        policy, policy.forward(c), np.array([0]), np.array([0.7]), 0.05, 1.0, np.array([2.0])
+    )
+    lp, lp_grads = log_prob(policy, c, YES)
+    py, py_grads = prob_yes_with_grad(policy, c)
+    assert p_terms[0] == pytest.approx(-0.7 * lp, abs=1e-12)
+    assert s_terms[0] == pytest.approx(py, abs=1e-12)
+    assert weights[0] == 2.0
+    for key in policy.params:  # weight * (-advantage * dlog pi + lambda * dpi(YES))
+        expected = 2.0 * (-0.7 * lp_grads[key] + 0.05 * py_grads[key])
+        np.testing.assert_allclose(grads[key], expected, rtol=0.0, atol=1e-12)

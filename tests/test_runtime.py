@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from hivemem.controller import NO, YES, StepTriplet
@@ -13,7 +12,6 @@ from hivemem.runtime import (
     RetrieveMove,
     StepMove,
     TaskSpec,
-    aggregate,
     first_finisher,
     run_episode,
 )
@@ -113,7 +111,7 @@ def test_aggregator_all_distinct_earliest_finisher():
 
 
 def test_aggregate_empty_is_no_answer():
-    assert aggregate(MajorityAggregator(), "q", []) == ""
+    assert MajorityAggregator().aggregate("q", []) == ""
 
 
 def test_step_cap_safety():
@@ -208,16 +206,12 @@ def test_reference_rules_report_certain_decisions():
     for summary in ("keep this", "drop this", "keep that"):
         triplet = StepTriplet("in", summary, "out")
         for name, rule in rules.items():
-            decision, key, mem_size = rule.decide_step("q", bank, triplet, _PROVIDER, None)
+            decision, mem_size = rule.decide_step("q", bank, triplet, _PROVIDER, None)
             admit = name == YES or (name == "heuristic" and summary.startswith("keep"))
             assert decision.action == (YES if admit else NO)
             assert decision.prob_yes == (1.0 if admit else 0.0)
             assert decision.log_prob_action == 0.0 and not decision.fail_closed
             assert mem_size == 1
-            if admit:
-                assert np.array_equal(key, _PROVIDER.embed(summary))
-            else:
-                assert key is None
 
 
 def test_unknown_retrieve_is_failed_step_not_crash():

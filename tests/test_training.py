@@ -10,6 +10,7 @@ from hivemem.controller import (
     YES,
     AdmissionPolicy,
     ControllerContext,
+    action_index,
     decide,
     log_prob,
     prob_yes_with_grad,
@@ -28,10 +29,7 @@ from hivemem.training import (
     _store_trace,
     episode_reward,
     group_advantage,
-    policy_loss,
     shaped_advantages,
-    sparsity_loss,
-    total_loss,
     train,
 )
 
@@ -47,6 +45,22 @@ def pooled_context(query, keys, steps):
         memory_sizes=np.array([n]),
         step_means=(np.add.reduce(steps, axis=0) / 3)[None],
     )
+
+
+def step_loss(policy, context, action, advantage, lambda_sparse, loss_weight=1.0):
+    """``step_loss_grads`` on a one-row context: (policy term, sparsity term, grads)."""
+    p_terms, s_terms, _, grads = step_loss_grads(
+        policy,
+        policy.forward(context),
+        np.array([action_index(action)]),
+        np.array([float(advantage)]),
+        lambda_sparse,
+        1.0,
+        np.array([float(loss_weight)]),
+    )
+    return float(p_terms[0]), float(s_terms[0]), grads
+
+
 HEAVY = dict(
     depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14,
     p_fail=0.08, pollution_fail_boost=0.25, pollution_recovery_steps=2,
@@ -201,42 +215,63 @@ def test_shaped_advantage_pays_own_team_retrievals():
 # -- losses --------------------------------------------------------------------
 
 
+def random_contexts(rng, n, d=8):
+    return [
+        pooled_context(rng.normal(size=d), rng.normal(size=(2, d)), rng.normal(size=(3, d)))
+        for _ in range(n)
+    ]
+
+
 def test_policy_loss_reference_value():
-    assert policy_loss([-0.6931], [2.0]) == pytest.approx(1.3862, abs=1e-3)
+    # the untrained head admits with probability 0.5: the term is -2 * log 0.5
+    policy = AdmissionPolicy(8, 4, seed=0)
+    (context,) = random_contexts(np.random.default_rng(0), 1)
+    p_term, _, _ = step_loss(policy, context, YES, advantage=2.0, lambda_sparse=0.0)
+    assert p_term == pytest.approx(1.3862, abs=1e-3)
 
 
 def test_policy_loss_zero_advantages():
-    assert policy_loss([-0.5, -1.2], [0.0, 0.0]) == 0.0
-
-
-def test_policy_loss_length_mismatch():
-    with pytest.raises(ValidationError):
-        policy_loss([1.0], [1.0, 2.0])
+    rng = np.random.default_rng(2)
+    policy = AdmissionPolicy(8, 4, seed=2)
+    for key in policy.params:
+        policy.params[key] = rng.normal(0, 0.3, policy.params[key].shape)
+    for context, action in zip(random_contexts(rng, 2), (YES, NO)):
+        p_term, _, grads = step_loss(policy, context, action, advantage=0.0, lambda_sparse=0.0)
+        assert p_term == 0.0
+        assert all(not g.any() for g in grads.values())
 
 
 def test_sparsity_loss_values():
-    assert sparsity_loss([0.5, 0.5]) == pytest.approx(1.0)
-    assert sparsity_loss([0.0, 0.0, 0.0]) == 0.0
-    with pytest.raises(ValidationError):
-        sparsity_loss([1.2])
+    # the sparsity term is pi(YES): 0.5 untrained, 0 under a head that never admits
+    policy = AdmissionPolicy(8, 4, seed=0)
+    contexts = random_contexts(np.random.default_rng(1), 3)
+    assert sum(step_loss(policy, c, NO, 0.0, 0.05)[1] for c in contexts[:2]) == 1.0
+    policy.params["b_out"][:] = (-800.0, 0.0)
+    assert sum(step_loss(policy, c, NO, 0.0, 0.05)[1] for c in contexts) == 0.0
 
 
 def test_total_loss_arithmetic():
-    terms = total_loss(1.0, 2.0, 0.1)
-    assert terms.total == pytest.approx(1.2)
+    # train() reports total = policy + lambda_sparse * sparsity for every update
+    cfg = TrainConfig(group_size=2, epochs=1, replay_factor=3, lr=1e-3, seed=5, k=2,
+                      lambda_sparse=0.1)
+    (row,) = train(AdmissionPolicy(32, 8, seed=0), small_tasks(1), PROVIDER, cfg).epochs
+    assert row["mean_sparsity_loss"] > 0
+    assert row["mean_total_loss"] == pytest.approx(
+        row["mean_policy_loss"] + 0.1 * row["mean_sparsity_loss"], abs=1e-12
+    )
 
 
 def test_total_loss_lambda_zero_is_policy_only():
-    terms = total_loss(3.5, 99.0, 0.0)
-    assert terms.total == pytest.approx(3.5)
-
-
-def test_total_loss_audit_consistency():
-    per_policy = [0.2, 0.3, -0.1]
-    per_sparse = [0.5, 0.1, 0.2]
-    terms = total_loss(sum(per_policy), sum(per_sparse), 0.05, per_policy, per_sparse)
-    recomputed = sum(terms.per_step_policy) + terms.lambda_sparse * sum(terms.per_step_sparsity)
-    assert terms.total == pytest.approx(recomputed, abs=1e-10)
+    rng = np.random.default_rng(3)
+    policy = AdmissionPolicy(8, 4, seed=3)
+    for key in policy.params:
+        policy.params[key] = rng.normal(0, 0.3, policy.params[key].shape)
+    (context,) = random_contexts(rng, 1)
+    _, _, grads = step_loss(policy, context, NO, advantage=1.5, lambda_sparse=0.0,
+                            loss_weight=0.5)
+    _, lp_grads = log_prob(policy, context, NO)
+    for key in policy.params:
+        np.testing.assert_allclose(grads[key], -0.75 * lp_grads[key], rtol=0.0, atol=1e-12)
 
 
 def test_positive_advantage_increases_action_probability():
@@ -244,12 +279,10 @@ def test_positive_advantage_increases_action_probability():
     policy = AdmissionPolicy(8, 4, seed=3)
     for key in policy.params:
         policy.params[key] = rng.normal(0, 0.3, policy.params[key].shape)
-    context = pooled_context(
-        rng.normal(size=8), rng.normal(size=(2, 8)), rng.normal(size=(3, 8))
-    )
+    (context,) = random_contexts(rng, 1)
     before, _ = log_prob(policy, context, YES)
     assert math.exp(before) < 1.0
-    _, _, grads = step_loss_grads(policy, context, YES, advantage=1.0, lambda_sparse=0.0)
+    _, _, grads = step_loss(policy, context, YES, advantage=1.0, lambda_sparse=0.0)
     for key in policy.params:  # plain SGD step, lr 1e-3
         policy.params[key] -= 1e-3 * grads[key]
     after, _ = log_prob(policy, context, YES)
@@ -261,10 +294,7 @@ def test_sparsity_only_training_drives_prob_down():
     policy = AdmissionPolicy(8, 4, seed=7)
     for key in policy.params:
         policy.params[key] = rng.normal(0, 0.3, policy.params[key].shape)
-    contexts = [
-        pooled_context(rng.normal(size=8), rng.normal(size=(2, 8)), rng.normal(size=(3, 8)))
-        for _ in range(6)
-    ]
+    contexts = random_contexts(rng, 6)
     optimizer = AdamW(policy, lr=1e-2, weight_decay=0.0)
     history = []
     for _ in range(200):
@@ -314,7 +344,7 @@ def test_composed_objective_gradcheck():
 
         grads = policy.zero_grads()
         for c, a, adv in zip(contexts, actions, advs):
-            _, _, g = step_loss_grads(policy, c, a, adv, lam)
+            _, _, g = step_loss(policy, c, a, adv, lam)
             for key in grads:
                 grads[key] += g[key]
         for key in policy.params:
@@ -390,8 +420,7 @@ def test_training_diverged_checkpoint(tmp_path, monkeypatch):
     import hivemem.training as training_mod
 
     def poisoned(policy, group, config):
-        terms = total_loss(float("inf"), 0.0, config.lambda_sparse)
-        return terms, policy.zero_grads()
+        return float("inf"), 0.0, policy.zero_grads()
 
     monkeypatch.setattr(training_mod, "_group_loss_and_grads", poisoned)
     policy = AdmissionPolicy(32, 8, seed=0)
@@ -433,6 +462,11 @@ def test_importance_weighting_flag():
 def test_group_size_validation():
     with pytest.raises(ValidationError):
         TrainConfig(group_size=1)
+
+
+def test_negative_lambda_sparse_rejected():
+    with pytest.raises(ValidationError, match="lambda_sparse"):
+        TrainConfig(lambda_sparse=-0.01)
 
 
 def test_adamw_grad_norm_ignores_dict_order():
@@ -518,7 +552,7 @@ def _heavy_group(importance_weighting):
 
 
 def _reference_loss_and_grads(policy, config, reference):
-    """The per-step replay loop: one step_loss_grads call per decision, in order."""
+    """The per-step replay loop: one one-row step_loss_grads call per decision, in order."""
     grads = policy.zero_grads()
     per_policy, per_sparse = [], []
     for context, action, adv, logp_collect in reference:
@@ -526,8 +560,8 @@ def _reference_loss_and_grads(policy, config, reference):
         if config.importance_weighting:
             logp_now, _ = log_prob(policy, context, action)
             weight *= math.exp(logp_now - logp_collect)
-        p_term, s_term, g = step_loss_grads(policy, context, action, adv,
-                                            config.lambda_sparse, loss_weight=weight)
+        p_term, s_term, g = step_loss(policy, context, action, adv,
+                                      config.lambda_sparse, loss_weight=weight)
         per_policy.append(weight * p_term)
         per_sparse.append(weight * s_term)
         for key in grads:
@@ -546,28 +580,48 @@ def test_packed_group_covers_empty_memory_and_fail_closed_steps():
         assert np.array_equal(row, policy.forward(context)[0][0])
 
 
-def test_packed_replay_equals_per_step_loop_bit_for_bit():
+def _packed_loss_and_grads(policy, config, packs, monkeypatch):
+    """``_group_loss_and_grads``, plus the weighted per-decision terms of the
+    one ``step_loss_grads`` call it makes."""
+    import hivemem.training as training_mod
+
+    calls = []
+
+    def recording(*args):
+        calls.append(step_loss_grads(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(training_mod, "step_loss_grads", recording)
+    policy_term, sparsity_term, grads = _group_loss_and_grads(policy, packs, config)
+    ((p_terms, s_terms, weights, _),) = calls
+    per_policy, per_sparse = (weights * p_terms).tolist(), (weights * s_terms).tolist()
+    return per_policy, per_sparse, policy_term, sparsity_term, grads
+
+
+def test_packed_replay_equals_per_step_loop_bit_for_bit(monkeypatch):
     policy, config, packs, reference = _heavy_group(False)
-    terms, grads = _group_loss_and_grads(policy, packs, config)
+    packed_policy, packed_sparse, policy_term, sparsity_term, grads = _packed_loss_and_grads(
+        policy, config, packs, monkeypatch)
     per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
-    assert terms.per_step_policy == per_policy
-    assert terms.per_step_sparsity == per_sparse
-    assert terms.total == total_loss(sum(per_policy), sum(per_sparse),
-                                     config.lambda_sparse).total
+    assert packed_policy == per_policy
+    assert packed_sparse == per_sparse
+    assert policy_term == sum(per_policy)
+    assert sparsity_term == sum(per_sparse)
     assert list(grads) == list(policy.params)
     for key in policy.params:
         assert np.array_equal(grads[key], ref_grads[key]), key
 
 
-def test_packed_replay_with_importance_weights_matches_loop():
+def test_packed_replay_with_importance_weights_matches_loop(monkeypatch):
     policy, config, packs, reference = _heavy_group(True)
-    terms, grads = _group_loss_and_grads(policy, packs, config)
+    packed_policy, packed_sparse, _, _, grads = _packed_loss_and_grads(
+        policy, config, packs, monkeypatch)
     per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
     # the ratios are not all 1: the parameters moved after collection
     plain = _reference_loss_and_grads(
         policy, dataclasses.replace(config, importance_weighting=False), reference)
     assert not np.allclose(plain[0], per_policy, rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(terms.per_step_policy, per_policy, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(terms.per_step_sparsity, per_sparse, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(packed_policy, per_policy, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(packed_sparse, per_sparse, rtol=0.0, atol=1e-12)
     for key in policy.params:
         np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0.0, atol=1e-12)
