@@ -57,7 +57,6 @@ from .sim import (
 )
 from .training import (
     AdamW,
-    RewardBreakdown,
     TrainConfig,
     TrainReport,
     episode_reward,

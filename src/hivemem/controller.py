@@ -78,7 +78,7 @@ class Decision:
 
     ``log_prob_action`` is the log-probability of the taken action at the
     temperature the decision was made with; training recomputes
-    log-probabilities at its own (default 1.0) temperature.
+    log-probabilities at temperature 1.
     """
 
     action: str
@@ -344,34 +344,31 @@ def action_index(action: str) -> int:
 
 def step_loss_grads(
     policy: AdmissionPolicy,
-    forward: tuple[np.ndarray, dict],
+    context: ControllerContext,
     actions: np.ndarray,
     advantages: np.ndarray,
     lambda_sparse: float,
-    temperature: float,
     loss_weights: np.ndarray,
     logp_collect: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Per-decision loss pieces of N decisions and their summed gradient.
 
-    ``forward`` is the (logits, cache) pair of ``AdmissionPolicy.forward``;
-    ``actions`` are action indices.  Returns
+    Runs one forward pass over ``context``; ``actions`` are action indices,
+    and the loss is taken at temperature 1.  Returns
     (policy_terms, sparsity_terms, weights, grads): -advantages * log
     pi(action), pi(YES), the loss weights, and the gradient of
     sum_n weights[n] * (policy_terms[n] + lambda_sparse * sparsity_terms[n]).
     With ``logp_collect`` each weight is multiplied by the importance ratio
     exp(log pi(action) - logp_collect), held constant in the gradient.
     """
-    if temperature <= 0:
-        raise ValidationError("temperature must be > 0")
-    logits, cache = forward
-    probs = softmax(logits, temperature)
+    logits, cache = policy.forward(context)
+    probs = softmax(logits, 1.0)
     logp = np.log(probs[np.arange(len(actions)), actions])
     weights = loss_weights
     if logp_collect is not None:
         weights = loss_weights * np.exp(logp - logp_collect)
-    dlogp = (_ONE_HOT[actions] - probs) / temperature
-    dpyes = probs[:, :1] * (_ONE_HOT[0] - probs) / temperature
+    dlogp = _ONE_HOT[actions] - probs
+    dpyes = probs[:, :1] * (_ONE_HOT[0] - probs)
     dlogits = weights[:, None] * (-advantages[:, None] * dlogp + lambda_sparse * dpyes)
     return -advantages * logp, probs[:, 0], weights, policy.backward_batch(cache, dlogits)
 

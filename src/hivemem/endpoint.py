@@ -30,6 +30,8 @@ logger = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = {500, 502, 503, 504, 429}
 AUTH_STATUS = {401, 403}
+# Most recent history items shown to the orchestrator.
+HISTORY_WINDOW = 12
 
 
 @dataclass
@@ -170,10 +172,9 @@ class PromptTemplate:
         query: str,
         history: list[HistoryItem],
         visible_keys: list[tuple[int, str]],
-        history_window: int = 12,
     ) -> str:
         keys = "\n".join(f"{eid}: {summary}" for eid, summary in visible_keys) or "(none yet)"
-        hist = "\n".join(f"[{h.kind}] {h.text}" for h in history[-history_window:]) or "(empty)"
+        hist = "\n".join(f"[{h.kind}] {h.text}" for h in history[-HISTORY_WINDOW:]) or "(empty)"
         return self.orchestrator_system.format(query=query, keys=keys, history=hist)
 
     def render_aggregator(self, query: str, candidates: list[Candidate]) -> str:

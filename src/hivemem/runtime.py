@@ -51,7 +51,6 @@ MOVE_LIMIT_FACTOR = 10
 class TaskSpec:
     task_id: str
     query: str
-    scorer_id: str = ""
     step_cap: int = 30
 
     def __post_init__(self) -> None:
@@ -335,7 +334,8 @@ def run_episode(
         clock_ns = lambda: int(now_vt[0] * 1_000_000)  # noqa: E731
     else:  # the origin of vt, so bank events and vt share one clock
         t0 = time.perf_counter()
-        clock_ns = lambda: int((time.perf_counter() - t0) * 1e9)  # noqa: E731
+        elapsed = lambda: time.perf_counter() - t0  # noqa: E731
+        clock_ns = lambda: int(elapsed() * 1e9)  # noqa: E731
     bank = MemoryBank(provider.dimension, event_sink=sink, clock_ns=clock_ns)
 
     sink(
@@ -357,7 +357,11 @@ def run_episode(
     move_limit = task.step_cap * MOVE_LIMIT_FACTOR
 
     def advance(state: _TeamState, now: float) -> float:
-        """Execute one move for a team at time ``now``; returns its cost."""
+        """Execute one move for a team at time ``now``; returns its cost.
+
+        A virtual move ends ``cost`` after ``now``; a live one when the
+        backend's reply arrives.
+        """
         team = state.team
         state.moves += 1
         if state.moves > move_limit:
@@ -370,10 +374,14 @@ def run_episode(
             move = backend.next_move(team, task.query, state.history, visible, team_rngs[team - 1])
         except Exception:
             logger.exception("backend failure on team %d; recording failure candidate", team)
-            state.candidate = Candidate(team, NO_ANSWER, now)
+            failed_at = now if mode == "deterministic" else elapsed()
+            state.candidate = Candidate(team, NO_ANSWER, failed_at)
             state.done = True
             state.status = "failed"
             return 0.0
+        if not isinstance(move, (StepMove, RetrieveMove, FinalMove)):
+            raise ValidationError(f"backend returned unknown move {move!r}")
+        end = now + move.cost if mode == "deterministic" else elapsed()
 
         if isinstance(move, StepMove):
             if state.steps >= task.step_cap:
@@ -415,7 +423,7 @@ def run_episode(
                     "step": state.steps,
                     "label": move.label,
                     "vt_start": now,
-                    "vt_end": now + move.cost,
+                    "vt_end": end,
                 }
             )
             state.records.append(
@@ -427,7 +435,7 @@ def run_episode(
                     decision=decision,
                     entry_id=entry_id,
                     vt_start=now,
-                    vt_end=now + move.cost,
+                    vt_end=end,
                     mem_size_at_decision=mem_size,
                 )
             )
@@ -453,22 +461,19 @@ def run_episode(
                 )
             return move.cost
 
-        if isinstance(move, FinalMove):
-            state.candidate = Candidate(team, move.answer, now + move.cost)
-            state.done = True
-            state.status = "final"
-            sink(
-                {
-                    "kind": "final",
-                    "team": team,
-                    "step": state.steps,
-                    "answer": move.answer,
-                    "vt": now + move.cost,
-                }
-            )
-            return move.cost
-
-        raise ValidationError(f"backend returned unknown move {move!r}")
+        state.candidate = Candidate(team, move.answer, end)
+        state.done = True
+        state.status = "final"
+        sink(
+            {
+                "kind": "final",
+                "team": team,
+                "step": state.steps,
+                "answer": move.answer,
+                "vt": end,
+            }
+        )
+        return move.cost
 
     if mode == "deterministic":
         while True:
@@ -486,9 +491,8 @@ def run_episode(
         def team_loop(state: _TeamState) -> None:
             try:
                 while not state.done:
-                    now = time.perf_counter() - t0
-                    advance(state, now)
-                    state.clock = time.perf_counter() - t0
+                    advance(state, elapsed())
+                    state.clock = elapsed()
             except Exception as exc:  # re-raised once every team has stopped
                 errors.append(exc)
 
@@ -499,7 +503,7 @@ def run_episode(
             t.join()
         if errors:
             raise errors[0]
-        end_time = time.perf_counter() - t0
+        end_time = elapsed()
 
     candidates = [s.candidate for s in states if s.candidate is not None]
     trace = EpisodeTrace(

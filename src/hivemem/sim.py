@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -116,12 +116,7 @@ class SimTask:
         return "complete the local calibration work"
 
     def task_spec(self) -> TaskSpec:
-        return TaskSpec(
-            task_id=self.task_id,
-            query=self.query,
-            scorer_id="sim",
-            step_cap=self.step_cap,
-        )
+        return TaskSpec(task_id=self.task_id, query=self.query, step_cap=self.step_cap)
 
     def scorer(self, binary: bool = False) -> SimScorer:
         return SimScorer(self.answer_key, binary=binary)
@@ -161,14 +156,7 @@ def generate_task(
     width: int,
     overlap_count: int,
     distractor_count: int = 0,
-    step_cap: int = 30,
-    p_fail: float = 0.15,
-    solve_cost: float = 10.0,
-    retrieve_cost: float = 1.0,
-    pollution_step_surcharge: float = 5.0,
-    pollution_recovery_steps: int = 1,
-    pollution_fail_boost: float = 0.2,
-    pollution_corrupt_rate: float = 0.35,
+    **economics,
 ) -> SimTask:
     """Reproducibly generate a task; identical seeds give identical tasks.
 
@@ -176,6 +164,8 @@ def generate_task(
     ``depth`` (the last chain may be shorter); every team additionally
     owns ``width`` private chains of the same depth.  Distractor lures
     target seeded shared subtasks, so they require ``overlap_count >= 1``.
+    ``economics`` sets ``SimTask``'s cost, cap and pollution fields; the
+    rest keep their defaults there.
     """
     if depth < 1 or width < 1:
         raise ValidationError("depth and width must be >= 1")
@@ -183,8 +173,6 @@ def generate_task(
         raise ValidationError("counts must be >= 0")
     if distractor_count > 0 and overlap_count == 0:
         raise ValidationError("distractors need at least one shared subtask to mimic")
-    if not 0.0 <= p_fail < 1.0:
-        raise ValidationError("p_fail must be in [0, 1)")
 
     shared = [f"s{i}" for i in range(overlap_count)]
     chains = [shared[i : i + depth] for i in range(0, overlap_count, depth)]
@@ -194,7 +182,7 @@ def generate_task(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD15C]))
     targets = [shared[int(rng.integers(len(shared)))] for _ in range(distractor_count)]
 
-    return SimTask(
+    task = SimTask(
         seed=seed,
         depth=depth,
         width=width,
@@ -204,15 +192,11 @@ def generate_task(
         distractor_targets=targets,
         values=values,
         answer_key=answer_key,
-        step_cap=step_cap,
-        p_fail=p_fail,
-        solve_cost=solve_cost,
-        retrieve_cost=retrieve_cost,
-        pollution_step_surcharge=pollution_step_surcharge,
-        pollution_recovery_steps=pollution_recovery_steps,
-        pollution_fail_boost=pollution_fail_boost,
-        pollution_corrupt_rate=pollution_corrupt_rate,
+        **economics,
     )
+    if not 0.0 <= task.p_fail < 1.0:
+        raise ValidationError("p_fail must be in [0, 1)")
+    return task
 
 
 class _TeamPlan:
@@ -474,10 +458,12 @@ def run_variant(
     k: int,
     seeds: list[int],
     provider,
-    decision_mode: str = "greedy",
     keep_traces: bool = False,
 ) -> tuple[RunMetrics, list[EpisodeTrace]]:
-    """Run every (task, seed) pair under one admission policy and score it."""
+    """Run every (task, seed) pair under one admission policy and score it.
+
+    Learned policies decide greedily.
+    """
     streams: list[list[dict]] = []
     traces: list[EpisodeTrace] = []
     for task in tasks:
@@ -492,7 +478,6 @@ def run_variant(
                 provider,
                 MajorityAggregator(),
                 seed=seed,
-                decision_mode=decision_mode,
             )
             trace.events.append(
                 {
@@ -513,11 +498,10 @@ def run_matrix(
     k: int,
     seeds: list[int],
     provider,
-    decision_mode: str = "greedy",
 ) -> dict[str, RunMetrics]:
     """Compare admission strategies over a common task/seed grid."""
     return {
-        name: run_variant(tasks, policy, k, seeds, provider, decision_mode)[0]
+        name: run_variant(tasks, policy, k, seeds, provider)[0]
         for name, policy in policies.items()
     }
 

@@ -1,7 +1,7 @@
 """Stepwise policy-gradient training for the admission controller.
 
-Episodes are rewarded by the aggregated answer's score plus a weighted
-first-finisher score.  Rewards are standardized within groups of G
+Episodes are rewarded by the aggregated answer's score plus the first
+finisher's score.  Rewards are standardized within groups of G
 rollouts of the same task, each admission decision gets its trace's
 base advantage plus a usage bonus when its entry was actually retrieved
 in a rewarded trace, and the policy minimizes the advantage-weighted
@@ -46,29 +46,14 @@ logger = logging.getLogger(__name__)
 ScoreFn = Callable[[str], float]
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
-    r_agg: float
-    r_first: float
-    lambda_first: float
-
-    @property
-    def r_total(self) -> float:
-        return self.r_agg + self.lambda_first * self.r_first
-
-
-def episode_reward(
-    trace: EpisodeTrace, scorer: ScoreFn, lambda_first: float = 1.0
-) -> RewardBreakdown:
-    """Score the aggregated answer and the first finisher's answer."""
-    if lambda_first < 0:
-        raise ValidationError("lambda_first must be >= 0")
+def episode_reward(trace: EpisodeTrace, scorer: ScoreFn) -> float:
+    """The aggregated answer's score plus the first finisher's score."""
     r_agg = float(scorer(trace.aggregate_answer))
     r_first = float(scorer(trace.first_answer))
     for name, value in (("aggregate", r_agg), ("first-finisher", r_first)):
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"{name} score {value} outside [0, 1]")
-    return RewardBreakdown(r_agg=r_agg, r_first=r_first, lambda_first=lambda_first)
+    return r_agg + r_first
 
 
 def group_advantage(rewards: Sequence[float], eps: float = 1e-8) -> np.ndarray:
@@ -148,16 +133,9 @@ class TrainConfig:
     replay_factor: int = 10
     beta: float = 0.25
     lambda_sparse: float = 0.05
-    lambda_first: float = 1.0
     sample_temperature: float = 1.2
-    loss_temperature: float = 1.0
     lr: float = 1e-4
     weight_decay: float = 0.01
-    clip_norm: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    adv_eps: float = 1e-8
     seed: int = 0
     k: int = 3
     importance_weighting: bool = False
@@ -169,8 +147,8 @@ class TrainConfig:
             raise ValidationError("group_size must be >= 2 for a defined std")
         if self.epochs < 1 or self.replay_factor < 1:
             raise ValidationError("epochs and replay_factor must be >= 1")
-        if self.sample_temperature <= 0 or self.loss_temperature <= 0:
-            raise ValidationError("sample_temperature and loss_temperature must be > 0")
+        if self.sample_temperature <= 0:
+            raise ValidationError("sample_temperature must be > 0")
         if self.lambda_sparse < 0:
             raise ValidationError("lambda_sparse must be >= 0")
 
@@ -196,7 +174,7 @@ class _TracePack:
     step_means: np.ndarray     # (n, d_e)
     actions: np.ndarray        # (n,) action index, 0 = YES
     advantages: np.ndarray     # (n,)
-    logp_collect: np.ndarray   # (n,) at loss temperature, under collection-time params
+    logp_collect: np.ndarray   # (n,) at temperature 1, under collection-time params
 
 
 @dataclass
@@ -226,14 +204,13 @@ def _rows(packs: list[_TracePack]) -> ControllerContext:
 
 def _store_trace(
     trace: EpisodeTrace,
-    reward: RewardBreakdown,
+    reward: float,
     a_base: float,
     beta: float,
     policy: AdmissionPolicy,
     provider: EmbeddingProvider,
-    loss_temperature: float,
 ) -> _TracePack:
-    advantages = shaped_advantages(trace, a_base, beta, reward.r_total)
+    advantages = shaped_advantages(trace, a_base, beta, reward)
     kept = [
         (record, adv)
         for record, adv in zip(trace.decisions(), advantages)
@@ -263,7 +240,7 @@ def _store_trace(
         step_means=step_means,
         actions=actions,
         advantages=np.array([adv for _, adv in kept], dtype=np.float64),
-        logp_collect=np.log(softmax(logits, loss_temperature)[np.arange(n), actions]),
+        logp_collect=np.log(softmax(logits, 1.0)[np.arange(n), actions]),
     )
 
 
@@ -274,7 +251,7 @@ def _rollout_group(
     config: TrainConfig,
     epoch: int,
     task_index: int,
-) -> tuple[list[EpisodeTrace], list[RewardBreakdown]]:
+) -> tuple[list[EpisodeTrace], list[float]]:
     traces, rewards = [], []
     scorer = task.scorer()
     for g in range(config.group_size):
@@ -294,7 +271,7 @@ def _rollout_group(
             decision_temperature=config.sample_temperature,
         )
         traces.append(trace)
-        rewards.append(episode_reward(trace, scorer.score, config.lambda_first))
+        rewards.append(episode_reward(trace, scorer.score))
     return traces, rewards
 
 
@@ -312,11 +289,10 @@ def _group_loss_and_grads(
     actions = np.concatenate([pack.actions for pack in group])
     p_terms, s_terms, weights, grads = step_loss_grads(
         policy,
-        policy.forward(_rows(group)),
+        _rows(group),
         actions,
         np.concatenate([pack.advantages for pack in group]),
         config.lambda_sparse,
-        config.loss_temperature,
         np.full(len(actions), 1.0 / max(1, len(group))),
         np.concatenate([pack.logp_collect for pack in group])
         if config.importance_weighting
@@ -341,14 +317,7 @@ def train(
     """
     if not tasks:
         raise ValidationError("tasks must be non-empty")
-    optimizer = AdamW(
-        policy,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        betas=(config.adam_beta1, config.adam_beta2),
-        eps=config.adam_eps,
-        clip_norm=config.clip_norm,
-    )
+    optimizer = AdamW(policy, lr=config.lr, weight_decay=config.weight_decay)
     ckpt_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
     if ckpt_dir:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -365,17 +334,12 @@ def train(
         admit_flags: list[bool] = []
         for task_index, task in enumerate(tasks):
             traces, rewards = _rollout_group(policy, task, provider, config, epoch, task_index)
-            totals = [r.r_total for r in rewards]
-            base = group_advantage(totals, config.adv_eps)
-            stored_group = [
-                _store_trace(
-                    trace, reward, float(a), config.beta, policy, provider,
-                    config.loss_temperature,
-                )
+            base = group_advantage(rewards)
+            groups.append([
+                _store_trace(trace, reward, float(a), config.beta, policy, provider)
                 for trace, reward, a in zip(traces, rewards, base)
-            ]
-            groups.append(stored_group)
-            reward_values.extend(totals)
+            ])
+            reward_values.extend(rewards)
             for trace in traces:
                 admit_flags.extend(r.decision.action == YES for r in trace.decisions())
 

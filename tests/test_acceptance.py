@@ -132,7 +132,7 @@ def test_c02_gradient_correctness():
             return float(np.sum(-advantages * chosen + lam * np.exp(logp[:, 0])))
 
         *_, grads = step_loss_grads(
-            policy, policy.forward(context), actions, advantages, lam, 1.0, np.ones(3)
+            policy, context, actions, advantages, lam, np.ones(3)
         )
         for key in policy.params:
             flat = policy.params[key].ravel()

@@ -63,6 +63,13 @@ def test_tracer_spans_the_replay_gradient():
     assert metrics["training.updates"] == 4  # replay_factor x tasks
     assert metrics["training.grad_calls_per_update"] == 1
     assert metrics["training.grad_s"] > 0
+    # each update's forward pass runs inside its gradient span, so grad_s counts it
+    names = [tracer.names[code] for code in tracer.name_of]
+    grads = [sid for sid, name in enumerate(names) if name == "controller.grad"]
+    assert len(grads) == 4
+    for sid in grads:
+        children = [names[c] for c, parent in enumerate(tracer.parents) if parent == sid]
+        assert children.count("controller.forward") == 1
 
 
 def test_tracer_sees_every_trace_file_write_and_read(tmp_path):

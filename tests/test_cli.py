@@ -1,8 +1,14 @@
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hivemem.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = ROOT / "hivebench" / "pinned"
 
 
 def test_run_no_memory(tmp_path, capsys):
@@ -26,14 +32,17 @@ def test_run_defaults_documented():
     args = parser.parse_args(["run", "--out", "x"])
     assert args.k == 3
     assert args.cap == 30
+    args = parser.parse_args(["eval", "--out", "x"])
+    assert (args.k, args.cap, args.seed, args.episodes, args.embed_dim) == (3, 30, 0, 1, 64)
+    assert (args.policy, args.tasks, args.checkpoint) == ("learned", 10, None)
 
 
 def test_train_then_eval_learned(tmp_path):
     config = {
-        "embed_dim": 32,
-        "controller_dim": 8,
-        "tasks": {"count": 2, "depth": 1, "width": 1, "overlap": 2,
-                  "distractors": 1, "step_cap": 10, "p_fail": 0.05, "seed0": 500},
+        "tasks": {"seed0": 500, "count": 2,
+                  "family": {"depth": 1, "width": 1, "overlap_count": 2,
+                             "distractor_count": 1, "step_cap": 10, "p_fail": 0.05}},
+        "policy": {"embed_dim": 32, "controller_dim": 8},
         "train": {"group_size": 2, "epochs": 1, "replay_factor": 1,
                   "lr": 0.001, "seed": 1, "k": 2},
     }
@@ -54,6 +63,46 @@ def test_train_then_eval_learned(tmp_path):
     ])
     assert code == 0
     assert (eval_out / "metrics.json").exists()
+
+
+def test_train_regenerates_the_pinned_checkpoint(tmp_path):
+    # the benchmark's pinned config trains through the CLI to the pinned policy
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(PINNED / "train_config.json"),
+                 "--out", str(out)]) == 0
+    with np.load(out / "policy.npz") as got, np.load(PINNED / "policy.npz") as pinned:
+        keys = [key for key in pinned.files if key != "__meta__"]
+        assert len(keys) == 10
+        for key in keys:
+            assert np.array_equal(got[key], pinned[key]), key
+
+
+def test_readme_training_config_builds(tmp_path):
+    from hivemem.cli import training_setup
+    from hivemem.sim import generate_task
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Example training config:\s*```json\n(.*?)```", readme, re.S)
+    cfg = json.loads(block.group(1))
+    tasks, policy, provider, config = training_setup(cfg, tmp_path)
+    # the README trains on the benchmark's HEAVY family
+    family = json.loads((PINNED / "train_config.json").read_text())["tasks"]["family"]
+    seed0 = cfg["tasks"]["seed0"]
+    assert tasks == [generate_task(seed=seed0 + i, **family) for i in range(len(tasks))]
+    assert len(tasks) == cfg["tasks"]["count"]
+    assert (policy.embed_dim, provider.dimension) == (cfg["policy"]["embed_dim"],) * 2
+    assert policy.controller_dim == cfg["policy"]["controller_dim"]
+    for key, value in cfg["train"].items():
+        assert getattr(config, key) == value, key
+    assert config.report_path == str(tmp_path / "report.jsonl")
+
+
+def test_train_rejects_a_config_in_another_schema(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"embed_dim": 32, "tasks": {"count": 2, "overlap": 2}}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
 
 
 def test_eval_add_all(tmp_path):

@@ -249,7 +249,7 @@ def test_step_loss_grads_consistency():
     policy = randomized_policy(5, 4, 2)
     c = random_context(5, 2, rng)
     p_terms, s_terms, weights, grads = step_loss_grads(
-        policy, policy.forward(c), np.array([0]), np.array([0.7]), 0.05, 1.0, np.array([2.0])
+        policy, c, np.array([0]), np.array([0.7]), 0.05, np.array([2.0])
     )
     lp, lp_grads = log_prob(policy, c, YES)
     py, py_grads = prob_yes_with_grad(policy, c)

@@ -273,6 +273,31 @@ def test_live_mode_smoke():
     assert len(step_events) == len(decision_events)
 
 
+def test_live_moves_are_stamped_when_the_reply_arrives():
+    import time
+
+    class SlowTeamOne:
+        """Team 1 answers after 0.3 s; team 2 takes one step, then answers at once."""
+
+        def next_move(self, team, query, history, visible_keys, rng):
+            if team == 1:
+                time.sleep(0.3)
+                return FinalMove("slow")
+            if not history:
+                return StepMove(StepTriplet("in", "sum", "out"))
+            return FinalMove("fast")
+
+    trace = run_episode(TaskSpec("t", "q", step_cap=5), 2, SlowTeamOne(), None, _PROVIDER,
+                        MajorityAggregator(), seed=0, mode="live")
+    assert trace.first_team == 2
+    finish = {c.team: c.finish_time for c in trace.candidates}
+    assert finish[2] < 0.3 <= finish[1] <= trace.end_time
+    finals = {e["team"]: e["vt"] for e in trace.events if e["kind"] == "final"}
+    assert finals == finish
+    (step,) = [e for e in trace.events if e["kind"] == "step"]
+    assert step["vt_start"] <= step["vt_end"] <= finish[2]
+
+
 def test_live_bank_events_share_the_vt_clock():
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
     trace = run_sim(task, ConstantAdmission(YES), seed=3, mode="live")

@@ -51,11 +51,10 @@ def step_loss(policy, context, action, advantage, lambda_sparse, loss_weight=1.0
     """``step_loss_grads`` on a one-row context: (policy term, sparsity term, grads)."""
     p_terms, s_terms, _, grads = step_loss_grads(
         policy,
-        policy.forward(context),
+        context,
         np.array([action_index(action)]),
         np.array([float(advantage)]),
         lambda_sparse,
-        1.0,
         np.array([float(loss_weight)]),
     )
     return float(p_terms[0]), float(s_terms[0]), grads
@@ -82,21 +81,18 @@ def sim_trace(policy=None, seed=0, distractors=0, p_fail=0.1):
 
 def test_episode_reward_full_marks():
     _, trace = sim_trace(ConstantAdmission(YES))
-    reward = episode_reward(trace, lambda answer: 1.0, lambda_first=1.0)
-    assert reward.r_total == 2.0
+    assert episode_reward(trace, lambda answer: 1.0) == 2.0
 
 
 def test_episode_reward_zero():
     _, trace = sim_trace()
-    reward = episode_reward(trace, lambda answer: 0.0)
-    assert reward.r_total == 0.0
+    assert episode_reward(trace, lambda answer: 0.0) == 0.0
 
 
 def test_episode_reward_partial_credit():
     _, trace = sim_trace()
     scores = iter([0.6, 0.4])  # aggregate then first-finisher
-    reward = episode_reward(trace, lambda answer: next(scores), lambda_first=1.0)
-    assert reward.r_total == pytest.approx(1.0)
+    assert episode_reward(trace, lambda answer: next(scores)) == pytest.approx(1.0)
 
 
 def test_episode_reward_rejects_out_of_range_scorer():
@@ -523,16 +519,16 @@ def _heavy_group(importance_weighting):
     traces, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
     record = traces[1].decisions()[2]
     record.decision = dataclasses.replace(record.decision, fail_closed=True)
-    base = group_advantage([r.r_total for r in rewards])
+    base = group_advantage(rewards)
     packs, reference = [], []
     for trace, reward, a in zip(traces, rewards, base):
         packs.append(_store_trace(trace, reward, float(a), config.beta, policy,
-                                  HEAVY_PROVIDER, config.loss_temperature))
+                                  HEAVY_PROVIDER))
         # the bank's key rows, rebuilt from the admit events in file order
         summaries = {(r.team, r.step_index): r.triplet.step_summary for r in trace.decisions()}
         keys = np.array([HEAVY_PROVIDER.embed(summaries[e["team"], e["step"]])
                          for e in trace.events if e["kind"] == "admit"]).reshape(-1, 64)
-        advantages = shaped_advantages(trace, float(a), config.beta, reward.r_total)
+        advantages = shaped_advantages(trace, float(a), config.beta, reward)
         for record, adv in zip(trace.decisions(), advantages):
             if record.decision.fail_closed:
                 continue
