@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ YES = "YES"
 NO = "NO"
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+DECISION_MODES = ("greedy", "sampled")
 
 # Row a is the one-hot vector of action index a (0 = YES, 1 = NO).
 _ONE_HOT = np.eye(2)
@@ -118,37 +121,42 @@ def sample_binary_decision(
     """Turn a 2-logit vector (YES, NO) into a Decision.
 
     Non-finite logits fail closed: the step is rejected and flagged, so a
-    broken controller can never flood the memory bank.
+    broken controller can never flood the memory bank.  The two logits
+    are worked on as Python floats with ``softmax``'s formula and numpy's
+    ``exp`` and ``log``, so the probabilities match ``softmax`` bit for bit.
     """
     if temperature <= 0:
         raise ValidationError("temperature must be > 0")
     logits = np.asarray(logits, dtype=np.float64)
     if logits.shape != (2,):
         raise ValidationError("expected exactly two logits (YES, NO)")
-    if not np.all(np.isfinite(logits)):
+    yes, no = logits.tolist()
+    if not (math.isfinite(yes) and math.isfinite(no)):
         logger.warning("non-finite controller logits %s; failing closed to NO", logits)
-        return Decision(
-            action=NO,
-            prob_yes=0.5,
-            log_prob_action=float(np.log(0.5)),
-            fail_closed=True,
-        )
+        return _FAIL_CLOSED
     if mode == "greedy":
-        probs = softmax(logits, 1.0)
-        action = YES if logits[0] >= logits[1] else NO
+        temperature = 1.0
     elif mode == "sampled":
         if rng is None:
             raise ValidationError("sampled mode requires a random generator")
-        probs = softmax(logits, temperature)
-        action = YES if rng.random() < probs[0] else NO
     else:
         raise ValidationError(f"unknown decision mode {mode!r}")
-    p_action = probs[0] if action == YES else probs[1]
+    yes, no = yes / temperature, no / temperature
+    top = max(yes, no)
+    e_yes, e_no = float(np.exp(yes - top)), float(np.exp(no - top))
+    p_yes, p_no = e_yes / (e_yes + e_no), e_no / (e_yes + e_no)
+    # greedy runs at temperature 1, so ``yes >= no`` compares the raw logits
+    take_yes = yes >= no if mode == "greedy" else rng.random() < p_yes
     return Decision(
-        action=action,
-        prob_yes=float(probs[0]),
-        log_prob_action=float(np.log(p_action)),
+        action=YES if take_yes else NO,
+        prob_yes=p_yes,
+        log_prob_action=float(np.log(p_yes if take_yes else p_no)),
     )
+
+
+_FAIL_CLOSED = Decision(
+    action=NO, prob_yes=0.5, log_prob_action=float(np.log(0.5)), fail_closed=True
+)
 
 
 class AdmissionPolicy:
@@ -300,12 +308,15 @@ def build_context(
     bank: MemoryBank,
     triplet: StepTriplet,
     provider: EmbeddingProvider,
+    snapshot: tuple[list, np.ndarray] | None = None,
 ) -> ControllerContext:
     """Assemble the one-row decision context for the current step.
 
     The memory mean comes from the bank's running key sum, never
     recomputed; the snapshot is taken at decision time, so admissions
-    racing with this call land in the next step's context.
+    racing with this call land in the next step's context.  A caller that
+    has already taken this decision's ``bank.context_snapshot()`` passes it
+    as ``snapshot``.
     """
     if not (triplet.agent_input and triplet.step_summary and triplet.agent_output):
         raise ValidationError("all step triplet fields must be non-empty")
@@ -313,7 +324,7 @@ def build_context(
         raise ConfigurationError(
             f"provider dimension {provider.dimension} != bank dimension {bank.embedding_dim}"
         )
-    entries, key_sum = bank.context_snapshot()
+    entries, key_sum = bank.context_snapshot() if snapshot is None else snapshot
     size = len(entries)
     return ControllerContext(
         queries=embed(provider, query)[None],

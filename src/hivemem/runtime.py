@@ -24,6 +24,7 @@ import numpy as np
 
 from .bank import MemoryBank
 from .controller import (
+    DECISION_MODES,
     NO,
     YES,
     AdmissionPolicy,
@@ -155,8 +156,27 @@ class AdmissionRule(Protocol):
     ) -> tuple[Decision, int]: ...
 
 
+# Most logits rows one LearnedAdmission remembers (about 0.8 KB each at
+# d_e=64); decisions past the cap are computed but not stored.
+DECISION_MEMO_LIMIT = 50_000
+
+
 class LearnedAdmission:
-    """Wraps a trainable policy: build context, evaluate, decide."""
+    """Wraps a trainable policy: snapshot the bank, evaluate, decide.
+
+    The rule remembers the logits row of every decision input it has
+    evaluated: the query, the step triplet, the memory size and the bank's
+    key sum, for one provider.  A repeated input (the same task step under
+    another episode seed, say) skips ``build_context`` and the forward
+    pass.  The decision itself is drawn anew every time, so rng draws,
+    ``fail_closed`` and the trace are as without the memo.  The memo lives
+    as long as the rule, so the policy's parameters must not change while
+    a rule is in use; ``run_episode`` given an ``AdmissionPolicy`` builds
+    a fresh rule per episode, and ``run_variant`` one per call.  A call
+    with another provider empties the memo.  Live mode's team threads share
+    it: a race can only recompute a row, never pair an input with another
+    input's row.
+    """
 
     def __init__(
         self,
@@ -164,17 +184,31 @@ class LearnedAdmission:
         mode: str = "greedy",
         temperature: float = 1.0,
     ):
+        if mode not in DECISION_MODES:
+            raise ValidationError(f"unknown decision mode {mode!r}")
+        if temperature <= 0:
+            raise ValidationError("temperature must be > 0")
         self.policy = policy
         self.mode = mode
         self.temperature = temperature
+        self._provider: EmbeddingProvider | None = None
+        self._logits: dict[tuple, np.ndarray] = {}
 
     def decide_step(self, query, bank, triplet, provider, rng):
-        context = build_context(query, bank, triplet, provider)
-        logits, _ = self.policy.forward(context)
-        decision = sample_binary_decision(
-            logits[0], self.mode, rng=rng, temperature=self.temperature
-        )
-        return decision, int(context.memory_sizes[0])
+        snapshot = bank.context_snapshot()
+        size = len(snapshot[0])
+        if provider is not self._provider:
+            self._provider = provider
+            self._logits.clear()
+        key = (query, triplet, size, snapshot[1].tobytes())
+        logits = self._logits.get(key)
+        if logits is None:
+            context = build_context(query, bank, triplet, provider, snapshot)
+            logits = self.policy.forward(context)[0][0]
+            if len(self._logits) < DECISION_MEMO_LIMIT:
+                self._logits[key] = logits
+        decision = sample_binary_decision(logits, self.mode, rng=rng, temperature=self.temperature)
+        return decision, size
 
 
 class ConstantAdmission:
@@ -213,11 +247,20 @@ def as_admission_rule(
     decision_mode: str = "greedy",
     decision_temperature: float = 1.0,
 ) -> AdmissionRule | None:
-    """Accepts None, an AdmissionPolicy, or a ready-made rule."""
+    """Accepts None, an AdmissionPolicy, or a ready-made rule.
+
+    A ready-made rule decides as it was built to, so it may not come with
+    a decision mode or temperature of its own.
+    """
     if policy is None:
         return None
     if isinstance(policy, AdmissionPolicy):
         return LearnedAdmission(policy, decision_mode, decision_temperature)
+    if decision_mode != "greedy" or decision_temperature != 1.0:
+        raise ValidationError(
+            "decision_mode and decision_temperature apply to an AdmissionPolicy, "
+            f"not to a ready-made {type(policy).__name__}"
+        )
     return policy
 
 

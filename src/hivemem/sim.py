@@ -36,6 +36,7 @@ from .runtime import (
     RetrieveMove,
     StepMove,
     TaskSpec,
+    as_admission_rule,
     run_episode,
 )
 
@@ -462,8 +463,12 @@ def run_variant(
 ) -> tuple[RunMetrics, list[EpisodeTrace]]:
     """Run every (task, seed) pair under one admission policy and score it.
 
-    Learned policies decide greedily.
+    Learned policies decide greedily.  One admission rule serves the whole
+    call, so a learned rule's memo carries repeated decision inputs across
+    episodes (see ``LearnedAdmission``); the policy's parameters must not
+    change during the call.
     """
+    rule = as_admission_rule(policy)
     streams: list[list[dict]] = []
     traces: list[EpisodeTrace] = []
     for task in tasks:
@@ -474,7 +479,7 @@ def run_variant(
                 task.task_spec(),
                 k,
                 backend,
-                policy,
+                rule,
                 provider,
                 MajorityAggregator(),
                 seed=seed,

@@ -42,6 +42,34 @@ def test_tracer_spans_a_learned_greedy_episode():
         assert metrics[f"{name}.calls"] > 0, name
 
 
+def test_tracer_counts_every_decision_but_fewer_forward_passes():
+    # A learned run_variant reuses the logits of repeated decision inputs:
+    # every decision still snapshots the bank and draws its action, while
+    # build_context and the forward pass run only for new inputs.
+    import numpy as np
+
+    tasks = [
+        generate_task(seed=seed, depth=2, width=1, overlap_count=6, distractor_count=6,
+                      step_cap=14, p_fail=0.08)
+        for seed in (1, 2)
+    ]
+    policy = AdmissionPolicy(64, 8)
+    policy.params["w_out"] = np.random.default_rng(0).normal(0, 0.5, (2, 32))
+    tracer = _load_tracing().Tracer()
+    tracer.install(hivemem)
+    try:
+        _, traces = hivemem.sim.run_variant(tasks, policy, 3, [0, 1, 2], HashingEmbedder(64),
+                                            keep_traces=True)
+    finally:
+        tracer.restore()
+    decisions = sum(len(trace.decisions()) for trace in traces)
+    metrics, samples = tracer.layer_metrics(passes=1)
+    assert samples["controller_decisions"] == decisions > 0
+    assert metrics["bank.context_snapshot.calls"] == decisions
+    for name in ("controller.forward", "controller.build_context"):
+        assert 0 < metrics[f"{name}.calls"] < decisions, name
+
+
 def test_tracer_spans_the_replay_gradient():
     from hivemem.training import TrainConfig
 

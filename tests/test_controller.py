@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hivemem.bank import MemoryBank
 from hivemem.controller import (
@@ -15,6 +16,7 @@ from hivemem.controller import (
     log_prob,
     prob_yes_with_grad,
     sample_binary_decision,
+    softmax,
     step_loss_grads,
 )
 from hivemem.errors import ConfigurationError, ValidationError
@@ -112,6 +114,46 @@ def test_low_temperature_matches_greedy():
 def test_fail_closed_on_nonfinite():
     d = sample_binary_decision(np.array([np.nan, 1.0]), "sampled", np.random.default_rng(0))
     assert d.action == NO and d.fail_closed
+
+
+def _bits(decision):
+    return (decision.action, decision.prob_yes.hex(), decision.log_prob_action.hex(),
+            decision.fail_closed)
+
+
+_LOGITS = st.floats(-700.0, 700.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(yes=_LOGITS, no=_LOGITS, tie=st.booleans(), temperature=st.floats(0.05, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_decision_matches_the_softmax_reference_bit_for_bit(yes, no, tie, temperature, seed):
+    logits = np.array([yes, yes if tie else no])
+    for mode in ("greedy", "sampled"):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        probs = softmax(logits, temperature if mode == "sampled" else 1.0)
+        if mode == "greedy":
+            take_yes = logits[0] >= logits[1]
+        else:
+            take_yes = ref_rng.random() < probs[0]
+        p_action = probs[0] if take_yes else probs[1]
+        reference = (YES if take_yes else NO, float(probs[0]).hex(),
+                     float(np.log(p_action)).hex(), False)
+        decision = sample_binary_decision(logits, mode, rng, temperature)
+        assert _bits(decision) == reference
+        assert rng.random() == ref_rng.random()  # the same number of draws
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=st.sampled_from([np.nan, np.inf, -np.inf]), other=st.one_of(_LOGITS, st.just(np.nan)),
+       bad_first=st.booleans(), mode=st.sampled_from(["greedy", "sampled"]))
+def test_nonfinite_logits_fail_closed_without_a_draw(bad, other, bad_first, mode):
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    logits = np.array([bad, other] if bad_first else [other, bad])
+    decision = sample_binary_decision(logits, mode, rng, 1.3)
+    assert decision.action == NO and decision.fail_closed
+    assert decision.prob_yes == 0.5 and decision.log_prob_action == math.log(0.5)
+    assert rng.random() == ref_rng.random()
 
 
 def test_log_prob_at_zero_logits():

@@ -308,3 +308,94 @@ def test_live_bank_events_share_the_vt_clock():
     seconds = [e["t_ns"] / 1e9 for e in bank_events]
     assert all(0.0 <= t <= trace.end_time for t in seconds)
     assert seconds == sorted(seconds)
+
+
+# -- learned admission and its decision memo ---------------------------------
+
+_HEAVY = dict(depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14, p_fail=0.08,
+              pollution_fail_boost=0.25, pollution_recovery_steps=2, pollution_corrupt_rate=0.65)
+
+
+def _mixed_policy():
+    """A policy whose random output layer admits about half of the steps."""
+    import numpy as np
+
+    from hivemem.controller import AdmissionPolicy
+
+    policy = AdmissionPolicy(64, 8, seed=0)
+    policy.params["w_out"] = np.random.default_rng(0).normal(0, 0.5, (2, 32))
+    return policy
+
+
+def _variant_events(policy, tasks, seeds):
+    from hivemem.sim import run_variant
+
+    _, traces = run_variant(tasks, policy, 3, seeds, _PROVIDER, keep_traces=True)
+    return [t.events for t in traces]
+
+
+def test_run_variant_decides_as_separate_episodes_do():
+    tasks = [generate_task(seed=s, **_HEAVY) for s in (1, 2, 3)]
+    seeds = [0, 1, 2, 3]
+    policy = _mixed_policy()
+    variant = _variant_events(policy, tasks, seeds)
+    alone = [run_sim(task, policy, seed=seed).events for task in tasks for seed in seeds]
+    actions = [e["action"] for events in alone for e in events if e["kind"] == "decision"]
+    assert {YES, NO} <= set(actions)
+    # run_variant appends each episode's score event
+    assert [events[:-1] for events in variant] == alone
+
+
+def test_run_variant_skips_the_forward_pass_on_repeated_decisions(monkeypatch):
+    from hivemem.controller import AdmissionPolicy
+    from hivemem.sim import run_variant
+
+    forward = AdmissionPolicy.forward
+    calls = []
+
+    def counted(self, context):
+        calls.append(len(context.queries))
+        return forward(self, context)
+
+    monkeypatch.setattr(AdmissionPolicy, "forward", counted)
+    tasks = [generate_task(seed=s, **_HEAVY) for s in (1, 2)]
+    _, traces = run_variant(tasks, _mixed_policy(), 3, [0, 1, 2], _PROVIDER, keep_traces=True)
+    decisions = sum(len(t.decisions()) for t in traces)
+    assert 0 < len(calls) < decisions
+
+
+def test_decision_memo_does_not_outlive_a_run_variant_call():
+    import copy
+
+    tasks = [generate_task(seed=s, **_HEAVY) for s in (1, 2)]
+    seeds = [0, 1, 2]
+    policy = _mixed_policy()
+    before = _variant_events(policy, tasks, seeds)
+    policy.params["b_out"] += [-0.4, 0.4]  # in place: the same arrays, new values
+    after = _variant_events(policy, tasks, seeds)
+    assert after != before
+    assert after == _variant_events(copy.deepcopy(policy), tasks, seeds)
+
+
+def test_learned_admission_rejects_a_bad_mode_or_temperature_up_front():
+    from hivemem.runtime import LearnedAdmission
+
+    with pytest.raises(ValidationError, match="decision mode"):
+        LearnedAdmission(_mixed_policy(), mode="argmax")
+    with pytest.raises(ValidationError, match="temperature"):
+        LearnedAdmission(_mixed_policy(), mode="sampled", temperature=0.0)
+
+
+@pytest.mark.parametrize("options", [{"decision_mode": "sampled"},
+                                     {"decision_temperature": 0.5}])
+def test_a_ready_made_rule_refuses_decision_options(options):
+    from hivemem.runtime import LearnedAdmission, as_admission_rule
+
+    task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
+    for rule in (LearnedAdmission(_mixed_policy()), ConstantAdmission(YES)):
+        with pytest.raises(ValidationError, match="ready-made"):
+            as_admission_rule(rule, **options)
+        with pytest.raises(ValidationError, match="ready-made"):
+            run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), rule, _PROVIDER,
+                        MajorityAggregator(), seed=0, **options)
+    assert as_admission_rule(None, **options) is None
