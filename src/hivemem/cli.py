@@ -152,7 +152,12 @@ def cmd_report(args) -> int:
             name = Path(spec).name
         metrics_file = Path(path) / "metrics.json"
         if metrics_file.exists():
-            variants[name] = RunMetrics(**json.loads(metrics_file.read_text(encoding="utf-8")))
+            try:
+                variants[name] = RunMetrics(**json.loads(metrics_file.read_text(encoding="utf-8")))
+            except (TypeError, ValueError) as exc:  # unknown keys, a non-object, bad JSON
+                raise ValidationError(
+                    f"bad metrics file {metrics_file}: {type(exc).__name__}: {exc}"
+                ) from exc
         else:
             traces = sorted(Path(path).glob("*.jsonl"))
             if not traces:

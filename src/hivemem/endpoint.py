@@ -24,7 +24,15 @@ import requests
 
 from .controller import StepTriplet
 from .errors import BackendFailure, ConfigurationError, ValidationError
-from .runtime import Candidate, FinalMove, HistoryItem, Move, RetrieveMove, StepMove
+from .runtime import (
+    Candidate,
+    FinalMove,
+    HistoryItem,
+    MajorityAggregator,
+    Move,
+    RetrieveMove,
+    StepMove,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -349,8 +357,6 @@ class LLMAggregator:
         self.call_log: list[dict] = []
 
     def aggregate(self, query: str, candidates: list[Candidate]) -> str:
-        from .runtime import MajorityAggregator
-
         prompt = self.template.render_aggregator(query, candidates)
         try:
             reply = call_chat(

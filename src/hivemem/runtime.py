@@ -171,11 +171,12 @@ class LearnedAdmission:
     pass.  The decision itself is drawn anew every time, so rng draws,
     ``fail_closed`` and the trace are as without the memo.  The memo lives
     as long as the rule, so the policy's parameters must not change while
-    a rule is in use; ``run_episode`` given an ``AdmissionPolicy`` builds
-    a fresh rule per episode, and ``run_variant`` one per call.  A call
-    with another provider empties the memo.  Live mode's team threads share
-    it: a race can only recompute a row, never pair an input with another
-    input's row.
+    a rule is in use.  ``run_episode`` given an ``AdmissionPolicy`` builds
+    a fresh greedy rule per episode, ``run_variant`` one per call, and
+    training one sampled rule per rollout group, before the group's
+    updates.  A call with another provider empties the memo.  Live mode's
+    team threads share it: a race can only recompute a row, never pair an
+    input with another input's row.
     """
 
     def __init__(
@@ -242,25 +243,10 @@ class HeuristicAdmission:
         return (self._yes if self.predicate(triplet) else self._no), len(bank)
 
 
-def as_admission_rule(
-    policy,
-    decision_mode: str = "greedy",
-    decision_temperature: float = 1.0,
-) -> AdmissionRule | None:
-    """Accepts None, an AdmissionPolicy, or a ready-made rule.
-
-    A ready-made rule decides as it was built to, so it may not come with
-    a decision mode or temperature of its own.
-    """
-    if policy is None:
-        return None
+def as_admission_rule(policy) -> AdmissionRule | None:
+    """None, or a ready-made rule, as given; a bare AdmissionPolicy decides greedily."""
     if isinstance(policy, AdmissionPolicy):
-        return LearnedAdmission(policy, decision_mode, decision_temperature)
-    if decision_mode != "greedy" or decision_temperature != 1.0:
-        raise ValidationError(
-            "decision_mode and decision_temperature apply to an AdmissionPolicy, "
-            f"not to a ready-made {type(policy).__name__}"
-        )
+        return LearnedAdmission(policy)
     return policy
 
 
@@ -275,8 +261,6 @@ class StepRecord:
     label: str
     decision: Decision | None
     entry_id: int | None
-    vt_start: float
-    vt_end: float
     mem_size_at_decision: int
 
 
@@ -345,17 +329,20 @@ def run_episode(
     provider: EmbeddingProvider,
     aggregator: Aggregator,
     seed: int = 0,
-    decision_mode: str = "greedy",
-    decision_temperature: float = 1.0,
     mode: str = "deterministic",
 ) -> EpisodeTrace:
     """Run one parallel episode and return the fully populated trace.
 
-    ``policy=None`` disables the memory system entirely (no decisions, no
-    admissions).  In deterministic mode all timing is virtual: move costs
-    advance per-team clocks and the interleaving is fixed by the seed,
-    so two runs with identical inputs produce identical traces including
-    bank sequence numbers.  Controller decisions cost zero virtual time.
+    ``policy`` is None, an ``AdmissionPolicy`` or a ready-made admission
+    rule.  None disables the memory system entirely (no decisions, no
+    admissions).  A bare policy decides greedily under a rule built for
+    this episode.  A ready-made rule decides as it was built to; a
+    ``LearnedAdmission`` keeps its memo across the episodes it is given.
+
+    In deterministic mode all timing is virtual: move costs advance
+    per-team clocks and the interleaving is fixed by the seed, so two
+    runs with identical inputs produce identical traces including bank
+    sequence numbers.  Controller decisions cost zero virtual time.
     In live mode vt is seconds and the bank's ``t_ns`` nanoseconds since
     one ``perf_counter`` origin.
 
@@ -369,7 +356,7 @@ def run_episode(
     if mode not in ("deterministic", "live"):
         raise ValidationError(f"unknown mode {mode!r}")
 
-    rule = as_admission_rule(policy, decision_mode, decision_temperature)
+    rule = as_admission_rule(policy)
     sink = TraceSink()
     now_vt = [0.0]  # deterministic-mode clock cell, read by the bank clock
 
@@ -477,8 +464,6 @@ def run_episode(
                     label=move.label,
                     decision=decision,
                     entry_id=entry_id,
-                    vt_start=now,
-                    vt_end=end,
                     mem_size_at_decision=mem_size,
                 )
             )

@@ -8,9 +8,11 @@ in a rewarded trace, and the policy minimizes the advantage-weighted
 negative log-likelihood plus a sparsity penalty on the admit
 probability.  Rollout trajectories are replayed several times per epoch
 with log-probabilities recomputed against the current parameters;
-actions and advantages stay fixed.  Each trace's decisions are packed
+actions and advantages stay fixed.  Each group's decisions are packed
 into row matrices once per epoch, so a replay update is one batched
-forward and backward pass over its group.
+forward and backward pass over its stored rows.  A group's rollouts
+share one sampled admission rule, whose memo of logits rows is valid
+because the parameters do not change until the group is replayed.
 """
 
 from __future__ import annotations
@@ -38,12 +40,17 @@ from .controller import (
 from .controller import log_prob  # noqa: F401
 from .embeddings import EmbeddingProvider
 from .errors import TrainingDiverged, ValidationError
-from .runtime import EpisodeTrace, MajorityAggregator, run_episode
+from .runtime import EpisodeTrace, LearnedAdmission, MajorityAggregator, StepRecord, run_episode
 from .sim import ScriptedBackend, SimTask
 
 logger = logging.getLogger(__name__)
 
 ScoreFn = Callable[[str], float]
+
+# AdamW's moment decay rates and epsilon, and the global gradient-norm clip.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+CLIP_NORM = 1.0
 
 
 def episode_reward(trace: EpisodeTrace, scorer: ScoreFn) -> float:
@@ -56,14 +63,12 @@ def episode_reward(trace: EpisodeTrace, scorer: ScoreFn) -> float:
     return r_agg + r_first
 
 
-def group_advantage(rewards: Sequence[float], eps: float = 1e-8) -> np.ndarray:
+def group_advantage(rewards: Sequence[float]) -> np.ndarray:
     """Standardize rewards within a group (population standard deviation)."""
     if len(rewards) < 2:
         raise ValidationError("group advantage needs at least 2 rewards")
-    if eps <= 0:
-        raise ValidationError("eps must be > 0")
     r = np.asarray(rewards, dtype=np.float64)
-    return (r - r.mean()) / (r.std() + eps)
+    return (r - r.mean()) / (r.std() + 1e-8)
 
 
 def shaped_advantages(
@@ -85,21 +90,10 @@ def shaped_advantages(
 class AdamW:
     """Adam with decoupled weight decay and global gradient-norm clipping."""
 
-    def __init__(
-        self,
-        policy: AdmissionPolicy,
-        lr: float = 1e-4,
-        weight_decay: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        clip_norm: float = 1.0,
-    ):
+    def __init__(self, policy: AdmissionPolicy, lr: float = 1e-4, weight_decay: float = 0.01):
         self.policy = policy
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.t = 0
         self._m = {k: np.zeros_like(v) for k, v in policy.params.items()}
         self._v = {k: np.zeros_like(v) for k, v in policy.params.items()}
@@ -111,18 +105,16 @@ class AdamW:
     def step(self, grads: dict[str, np.ndarray]) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""
         norm = self.grad_norm(grads)
-        scale = 1.0
-        if self.clip_norm > 0 and norm > self.clip_norm:
-            scale = self.clip_norm / norm
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         for key, param in self.policy.params.items():
             g = grads[key] * scale
             self._m[key] = b1 * self._m[key] + (1 - b1) * g
             self._v[key] = b2 * self._v[key] + (1 - b2) * g * g
             m_hat = self._m[key] / (1 - b1**self.t)
             v_hat = self._v[key] / (1 - b2**self.t)
-            param -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * param)
+            param -= self.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * param)
         return norm
 
 
@@ -152,30 +144,6 @@ class TrainConfig:
         if self.lambda_sparse < 0:
             raise ValidationError("lambda_sparse must be >= 0")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        return cls(**json.loads(text))
-
-
-@dataclass
-class _TracePack:
-    """One trace's trainable decisions, packed once per epoch for replay.
-
-    Fail-closed decisions are left out.  The query row is shared by every
-    decision of the trace.
-    """
-
-    query: np.ndarray          # (d_e,)
-    memory_means: np.ndarray   # (n, d_e), zero where memory was empty
-    memory_sizes: np.ndarray   # (n,)
-    step_means: np.ndarray     # (n, d_e)
-    actions: np.ndarray        # (n,) action index, 0 = YES
-    advantages: np.ndarray     # (n,)
-    logp_collect: np.ndarray   # (n,) at temperature 1, under collection-time params
-
 
 @dataclass
 class TrainReport:
@@ -190,54 +158,68 @@ class TrainReport:
                 fh.write(json.dumps({"kind": "epoch", **row}, sort_keys=True) + "\n")
 
 
-def _rows(packs: list[_TracePack]) -> ControllerContext:
-    """Every decision of ``packs`` as one context, in pack order."""
-    return ControllerContext(
-        queries=np.repeat(
-            np.stack([p.query for p in packs]), [len(p.actions) for p in packs], axis=0
-        ),
-        memory_means=np.concatenate([p.memory_means for p in packs]),
-        memory_sizes=np.concatenate([p.memory_sizes for p in packs]),
-        step_means=np.concatenate([p.step_means for p in packs]),
-    )
+@dataclass
+class _ReplayGroup:
+    """One rollout group's trainable decisions, packed once per epoch.
+
+    Rows run trace by trace, each in ``trace.decisions()`` order.
+    Fail-closed decisions are left out.
+    """
+
+    context: ControllerContext
+    actions: np.ndarray        # (n,) action index, 0 = YES
+    advantages: np.ndarray     # (n,)
+    logp_collect: np.ndarray   # (n,) at temperature 1, under collection-time params
 
 
-def _store_trace(
-    trace: EpisodeTrace,
-    reward: float,
-    a_base: float,
-    beta: float,
+def _store_group(
+    traces: list[EpisodeTrace],
+    rewards: list[float],
+    config: TrainConfig,
     policy: AdmissionPolicy,
     provider: EmbeddingProvider,
-) -> _TracePack:
-    advantages = shaped_advantages(trace, a_base, beta, reward)
-    kept = [
-        (record, adv)
-        for record, adv in zip(trace.decisions(), advantages)
-        if not record.decision.fail_closed  # no meaningful log-prob to train on
-    ]
-    n, d_e = len(kept), provider.dimension
-    sizes = np.array([r.mem_size_at_decision for r, _ in kept], dtype=np.intp)
-    present = sizes > 0
-    # The bank's key rows: each admitted summary's embedding, in entry order.
-    admitted = sorted(
-        (r for r in trace.decisions() if r.entry_id is not None), key=lambda r: r.entry_id
+) -> _ReplayGroup:
+    """Freeze one group's advantages and pack its decisions into rows.
+
+    ``logp_collect`` comes from one forward pass over the whole group; a
+    row's logits do not depend on the rows batched with it.
+    """
+    d_e = provider.dimension
+    kept: list[tuple[StepRecord, float]] = []
+    queries, memory_means = [], []
+    for trace, reward, a_base in zip(traces, rewards, group_advantage(rewards)):
+        advantages = shaped_advantages(trace, float(a_base), config.beta, reward)
+        trace_kept = [
+            (record, adv)
+            for record, adv in zip(trace.decisions(), advantages)
+            if not record.decision.fail_closed  # no meaningful log-prob to train on
+        ]
+        sizes = np.array([r.mem_size_at_decision for r, _ in trace_kept], dtype=np.intp)
+        present = sizes > 0
+        # The bank's key rows: each admitted summary's embedding, in entry order.
+        admitted = sorted(
+            (r for r in trace.decisions() if r.entry_id is not None), key=lambda r: r.entry_id
+        )
+        keys = np.array([embed(provider, r.triplet.step_summary) for r in admitted])
+        means = np.zeros((len(trace_kept), d_e))
+        # cumsum[k - 1] / k is bit for bit the mean of the first k keys
+        means[present] = (
+            np.cumsum(keys.reshape(-1, d_e), axis=0)[sizes[present] - 1] / sizes[present, None]
+        )
+        queries.append(np.repeat(embed(provider, trace.query)[None], len(trace_kept), axis=0))
+        memory_means.append(means)
+        kept.extend(trace_kept)
+    n = len(kept)
+    context = ControllerContext(
+        queries=np.concatenate(queries),
+        memory_means=np.concatenate(memory_means),
+        memory_sizes=np.array([r.mem_size_at_decision for r, _ in kept], dtype=np.intp),
+        step_means=np.array([step_mean(provider, r.triplet) for r, _ in kept]).reshape(n, d_e),
     )
-    keys = np.array([embed(provider, r.triplet.step_summary) for r in admitted]).reshape(-1, d_e)
-    memory_means = np.zeros((n, d_e))
-    # cumsum[k - 1] / k is bit for bit the mean of the first k keys
-    memory_means[present] = np.cumsum(keys, axis=0)[sizes[present] - 1] / sizes[present, None]
-    step_means = np.array([step_mean(provider, r.triplet) for r, _ in kept]).reshape(n, d_e)
-    query = embed(provider, trace.query)
     actions = np.array([action_index(r.decision.action) for r, _ in kept], dtype=np.intp)
-    logits, _ = policy.forward(
-        ControllerContext(np.repeat(query[None], n, axis=0), memory_means, sizes, step_means)
-    )
-    return _TracePack(
-        query=query,
-        memory_means=memory_means,
-        memory_sizes=sizes,
-        step_means=step_means,
+    logits, _ = policy.forward(context)
+    return _ReplayGroup(
+        context=context,
         actions=actions,
         advantages=np.array([adv for _, adv in kept], dtype=np.float64),
         logp_collect=np.log(softmax(logits, 1.0)[np.arange(n), actions]),
@@ -252,6 +234,8 @@ def _rollout_group(
     epoch: int,
     task_index: int,
 ) -> tuple[list[EpisodeTrace], list[float]]:
+    """G sampled rollouts of ``task``, sharing one admission rule, and their rewards."""
+    rule = LearnedAdmission(policy, "sampled", config.sample_temperature)
     traces, rewards = [], []
     scorer = task.scorer()
     for g in range(config.group_size):
@@ -260,15 +244,7 @@ def _rollout_group(
         )
         backend = ScriptedBackend(task, config.k)
         trace = run_episode(
-            task.task_spec(),
-            config.k,
-            backend,
-            policy,
-            provider,
-            MajorityAggregator(),
-            seed=seed,
-            decision_mode="sampled",
-            decision_temperature=config.sample_temperature,
+            task.task_spec(), config.k, backend, rule, provider, MajorityAggregator(), seed=seed
         )
         traces.append(trace)
         rewards.append(episode_reward(trace, scorer.score))
@@ -277,7 +253,7 @@ def _rollout_group(
 
 def _group_loss_and_grads(
     policy: AdmissionPolicy,
-    group: list[_TracePack],
+    group: _ReplayGroup,
     config: TrainConfig,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Policy and sparsity terms of one group's loss, and the loss gradient.
@@ -286,17 +262,14 @@ def _group_loss_and_grads(
     per-decision losses.  One forward and one backward pass over every
     decision of the group.
     """
-    actions = np.concatenate([pack.actions for pack in group])
     p_terms, s_terms, weights, grads = step_loss_grads(
         policy,
-        _rows(group),
-        actions,
-        np.concatenate([pack.advantages for pack in group]),
+        group.context,
+        group.actions,
+        group.advantages,
         config.lambda_sparse,
-        np.full(len(actions), 1.0 / max(1, len(group))),
-        np.concatenate([pack.logp_collect for pack in group])
-        if config.importance_weighting
-        else None,
+        np.full(len(group.actions), 1.0 / config.group_size),
+        group.logp_collect if config.importance_weighting else None,
     )
     # Python sums left to right, not pairwise as np.sum; the epoch rows rely on it
     return sum((weights * p_terms).tolist()), sum((weights * s_terms).tolist()), grads
@@ -329,16 +302,12 @@ def train(
             policy.save(str(ckpt_dir / f"{name}.npz"), provider_name=provider.name)
 
     for epoch in range(config.epochs):
-        groups: list[list[_TracePack]] = []
+        groups: list[_ReplayGroup] = []
         reward_values: list[float] = []
         admit_flags: list[bool] = []
         for task_index, task in enumerate(tasks):
             traces, rewards = _rollout_group(policy, task, provider, config, epoch, task_index)
-            base = group_advantage(rewards)
-            groups.append([
-                _store_trace(trace, reward, float(a), config.beta, policy, provider)
-                for trace, reward, a in zip(traces, rewards, base)
-            ])
+            groups.append(_store_group(traces, rewards, config, policy, provider))
             reward_values.extend(rewards)
             for trace in traces:
                 admit_flags.extend(r.decision.action == YES for r in trace.decisions())

@@ -79,7 +79,7 @@ def full_objective_metrics(trained_full, held_out_tasks):
 def test_c01_math_oracles():
     start = time.perf_counter()
     # group advantage against independent arithmetic
-    adv = group_advantage([2.0, 0.0, 1.0, 1.0, 1.0], eps=1e-8)
+    adv = group_advantage([2.0, 0.0, 1.0, 1.0, 1.0])
     sigma = math.sqrt(0.4)
     expected = [(r - 1.0) / (sigma + 1e-8) for r in (2.0, 0.0, 1.0, 1.0, 1.0)]
     assert np.allclose(adv, expected, atol=1e-9)

@@ -138,6 +138,17 @@ def test_report_from_trace_files(tmp_path):
     assert main(["report", str(tmp_path / "r"), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("body", ['{"episodes": 1, "bogus": 2}', "[1, 2]", "{"])
+def test_report_rejects_a_bad_metrics_file(tmp_path, capsys, body):
+    (tmp_path / "r").mkdir()
+    metrics_file = tmp_path / "r" / "metrics.json"
+    metrics_file.write_text(body)
+    assert main(["report", str(tmp_path / "r"), "--out", str(tmp_path / "rep")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert str(metrics_file) in record["message"]
+
+
 def test_run_llm_backend_against_mock(tmp_path, monkeypatch):
     import threading
     from http.server import ThreadingHTTPServer

@@ -384,18 +384,3 @@ def test_learned_admission_rejects_a_bad_mode_or_temperature_up_front():
         LearnedAdmission(_mixed_policy(), mode="argmax")
     with pytest.raises(ValidationError, match="temperature"):
         LearnedAdmission(_mixed_policy(), mode="sampled", temperature=0.0)
-
-
-@pytest.mark.parametrize("options", [{"decision_mode": "sampled"},
-                                     {"decision_temperature": 0.5}])
-def test_a_ready_made_rule_refuses_decision_options(options):
-    from hivemem.runtime import LearnedAdmission, as_admission_rule
-
-    task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
-    for rule in (LearnedAdmission(_mixed_policy()), ConstantAdmission(YES)):
-        with pytest.raises(ValidationError, match="ready-made"):
-            as_admission_rule(rule, **options)
-        with pytest.raises(ValidationError, match="ready-made"):
-            run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), rule, _PROVIDER,
-                        MajorityAggregator(), seed=0, **options)
-    assert as_admission_rule(None, **options) is None

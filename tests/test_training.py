@@ -18,15 +18,14 @@ from hivemem.controller import (
 )
 from hivemem.embeddings import HashingEmbedder
 from hivemem.errors import TrainingDiverged, ValidationError
-from hivemem.runtime import ConstantAdmission, MajorityAggregator, run_episode
+from hivemem.runtime import ConstantAdmission, LearnedAdmission, MajorityAggregator, run_episode
 from hivemem.sim import ScriptedBackend, generate_task
 from hivemem.training import (
     AdamW,
     TrainConfig,
     _group_loss_and_grads,
     _rollout_group,
-    _rows,
-    _store_trace,
+    _store_group,
     episode_reward,
     group_advantage,
     shaped_advantages,
@@ -110,7 +109,7 @@ def test_group_advantage_identical_rewards():
 
 def test_group_advantage_reference_values():
     # independent arithmetic: mu=1, sigma=sqrt(0.4) (population)
-    adv = group_advantage([2.0, 0.0, 1.0, 1.0, 1.0], eps=1e-8)
+    adv = group_advantage([2.0, 0.0, 1.0, 1.0, 1.0])
     sigma = math.sqrt(0.4)
     expected = [(r - 1.0) / (sigma + 1e-8) for r in (2.0, 0.0, 1.0, 1.0, 1.0)]
     assert np.allclose(adv, expected, atol=1e-9)
@@ -439,12 +438,6 @@ def test_nonfinite_logits_fail_closed_in_rollout():
     assert all(r.decision.fail_closed for r in trace.decisions())
 
 
-def test_config_roundtrip():
-    cfg = TrainConfig(group_size=4, epochs=2, beta=0.5, lambda_sparse=0.01, seed=9)
-    again = TrainConfig.from_json(cfg.to_json())
-    assert again == cfg
-
-
 def test_importance_weighting_flag():
     # replayed passes optionally reweight stale trajectories; both modes run
     for weighted in (False, True):
@@ -493,7 +486,7 @@ def test_adamw_clips_gradient_norm():
     policy = AdmissionPolicy(4, 2, seed=0)
     grads = policy.zero_grads()
     grads["w_query"][:] = 100.0
-    optimizer = AdamW(policy, lr=0.1, weight_decay=0.0, clip_norm=1.0)
+    optimizer = AdamW(policy, lr=0.1, weight_decay=0.0)
     norm = optimizer.step(grads)
     assert norm > 1.0  # reported pre-clip norm
 
@@ -501,29 +494,54 @@ def test_adamw_clips_gradient_norm():
 # -- packed replay ---------------------------------------------------------------
 
 
-def _heavy_group(importance_weighting):
-    """Packs of one sampled HEAVY group (k=3, G=5) and the per-step reference.
-
-    One decision is marked fail-closed, and the parameters move after the
-    packs are taken, as they do between replay passes.  Returns the policy,
-    config, packs, and per kept decision (context, action, advantage,
-    log-prob at collection time).
-    """
-    rng = np.random.default_rng(8)
+def _heavy_policy(rng):
     policy = AdmissionPolicy(64, 32, seed=0)
     for key in policy.params:
         policy.params[key] = rng.normal(0.0, 0.3, policy.params[key].shape)
+    return policy
+
+
+def test_rollout_group_shares_a_rule_without_changing_a_trace(monkeypatch):
+    # one sampled rule for the group's G rollouts decides as a fresh rule per rollout
+    policy = _heavy_policy(np.random.default_rng(8))
+    config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2)
+    task = generate_task(seed=1005, **HEAVY)
+    forwards = []
+    forward = AdmissionPolicy.forward
+    monkeypatch.setattr(AdmissionPolicy, "forward",
+                        lambda self, context: forwards.append(1) or forward(self, context))
+    traces, _ = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
+    shared_forwards = len(forwards)
+    forwards.clear()
+    for g, trace in enumerate(traces):
+        seed = int(np.random.SeedSequence([config.seed, 0, 0, g]).generate_state(1)[0])
+        alone = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
+                            LearnedAdmission(policy, "sampled", config.sample_temperature),
+                            HEAVY_PROVIDER, MajorityAggregator(), seed=seed)
+        assert trace.events == alone.events  # prob_yes and log_prob bit for bit
+    # the shared rule reuses rows from the group's earlier rollouts
+    assert shared_forwards < len(forwards) <= sum(len(t.decisions()) for t in traces)
+
+
+def _heavy_group(importance_weighting):
+    """One sampled HEAVY group (k=3, G=5), packed, and the per-step reference.
+
+    One decision is marked fail-closed, and the parameters move after the
+    group is packed, as they do between replay passes.  Returns the policy,
+    config, the packed group, and per kept decision (context, action,
+    advantage, log-prob at collection time).
+    """
+    rng = np.random.default_rng(8)
+    policy = _heavy_policy(rng)
     config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2,
                          importance_weighting=importance_weighting)
     task = generate_task(seed=1005, **HEAVY)
     traces, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
     record = traces[1].decisions()[2]
     record.decision = dataclasses.replace(record.decision, fail_closed=True)
-    base = group_advantage(rewards)
-    packs, reference = [], []
-    for trace, reward, a in zip(traces, rewards, base):
-        packs.append(_store_trace(trace, reward, float(a), config.beta, policy,
-                                  HEAVY_PROVIDER))
+    group = _store_group(traces, rewards, config, policy, HEAVY_PROVIDER)
+    reference = []
+    for trace, reward, a in zip(traces, rewards, group_advantage(rewards)):
         # the bank's key rows, rebuilt from the admit events in file order
         summaries = {(r.team, r.step_index): r.triplet.step_summary for r in trace.decisions()}
         keys = np.array([HEAVY_PROVIDER.embed(summaries[e["team"], e["step"]])
@@ -544,7 +562,7 @@ def _heavy_group(importance_weighting):
     assert len(reference) == sum(len(t.decisions()) for t in traces) - 1
     for key in policy.params:
         policy.params[key] += rng.normal(0.0, 0.05, policy.params[key].shape)
-    return policy, config, packs, reference
+    return policy, config, group, reference
 
 
 def _reference_loss_and_grads(policy, config, reference):
@@ -566,17 +584,21 @@ def _reference_loss_and_grads(policy, config, reference):
 
 
 def test_packed_group_covers_empty_memory_and_fail_closed_steps():
-    policy, _, packs, reference = _heavy_group(False)
-    assert sum(len(p.actions) for p in packs) == len(reference)
-    empty = np.concatenate([p.memory_sizes for p in packs]) == 0
+    policy, _, group, reference = _heavy_group(False)
+    assert len(group.actions) == len(group.advantages) == len(reference)
+    assert [action_index(action) for _, action, _, _ in reference] == group.actions.tolist()
+    assert [adv for _, _, adv, _ in reference] == group.advantages.tolist()
+    empty = group.context.memory_sizes == 0
     assert empty.any() and not empty.all()
     # rows of the group's forward equal the one-row forwards, bit for bit
-    logits, _ = policy.forward(_rows(packs))
+    logits, _ = policy.forward(group.context)
     for row, (context, *_) in zip(logits, reference):
         assert np.array_equal(row, policy.forward(context)[0][0])
+    # taken from one forward over the group, before the parameters moved
+    assert group.logp_collect.tolist() == [logp for *_, logp in reference]
 
 
-def _packed_loss_and_grads(policy, config, packs, monkeypatch):
+def _packed_loss_and_grads(policy, config, group, monkeypatch):
     """``_group_loss_and_grads``, plus the weighted per-decision terms of the
     one ``step_loss_grads`` call it makes."""
     import hivemem.training as training_mod
@@ -588,16 +610,16 @@ def _packed_loss_and_grads(policy, config, packs, monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(training_mod, "step_loss_grads", recording)
-    policy_term, sparsity_term, grads = _group_loss_and_grads(policy, packs, config)
+    policy_term, sparsity_term, grads = _group_loss_and_grads(policy, group, config)
     ((p_terms, s_terms, weights, _),) = calls
     per_policy, per_sparse = (weights * p_terms).tolist(), (weights * s_terms).tolist()
     return per_policy, per_sparse, policy_term, sparsity_term, grads
 
 
 def test_packed_replay_equals_per_step_loop_bit_for_bit(monkeypatch):
-    policy, config, packs, reference = _heavy_group(False)
+    policy, config, group, reference = _heavy_group(False)
     packed_policy, packed_sparse, policy_term, sparsity_term, grads = _packed_loss_and_grads(
-        policy, config, packs, monkeypatch)
+        policy, config, group, monkeypatch)
     per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
     assert packed_policy == per_policy
     assert packed_sparse == per_sparse
@@ -609,9 +631,9 @@ def test_packed_replay_equals_per_step_loop_bit_for_bit(monkeypatch):
 
 
 def test_packed_replay_with_importance_weights_matches_loop(monkeypatch):
-    policy, config, packs, reference = _heavy_group(True)
+    policy, config, group, reference = _heavy_group(True)
     packed_policy, packed_sparse, _, _, grads = _packed_loss_and_grads(
-        policy, config, packs, monkeypatch)
+        policy, config, group, monkeypatch)
     per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
     # the ratios are not all 1: the parameters moved after collection
     plain = _reference_loss_and_grads(
