@@ -21,7 +21,7 @@ for name, policy in [("no memory", None), ("admit everything", ConstantAdmission
     computations = sum(solve_counts(trace.events).values())
     print(
         f"\n[{name}] score={score:.2f} virtual_runtime={trace.end_time:.0f} "
-        f"steps={trace.step_count()}"
+        f"steps={len(trace.steps)}"
     )
     print(f"  shared-subtask computations across teams: {computations}")
     kinds = [e["kind"] for e in trace.events]

@@ -131,8 +131,20 @@ def training_setup(cfg: dict, out: Path):
     return tasks, policy, HashingEmbedder(policy.embed_dim), config
 
 
+def _read_json_object(path: Path, what: str, build=dict):
+    """``build`` of the JSON object in ``path``; a ValidationError naming the
+    file when it holds no object or ``build`` rejects it."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(value, dict):
+            raise TypeError(f"{type(value).__name__}, not an object")
+        return build(value)
+    except (TypeError, ValueError) as exc:  # ValueError includes bad JSON
+        raise ValidationError(f"bad {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_train(args) -> int:
-    cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _read_json_object(Path(args.config), "training config")
     out = Path(args.out or cfg.get("out", "train_out"))
     out.mkdir(parents=True, exist_ok=True)
     tasks, policy, provider, config = training_setup(cfg, out)
@@ -152,12 +164,7 @@ def cmd_report(args) -> int:
             name = Path(spec).name
         metrics_file = Path(path) / "metrics.json"
         if metrics_file.exists():
-            try:
-                variants[name] = RunMetrics(**json.loads(metrics_file.read_text(encoding="utf-8")))
-            except (TypeError, ValueError) as exc:  # unknown keys, a non-object, bad JSON
-                raise ValidationError(
-                    f"bad metrics file {metrics_file}: {type(exc).__name__}: {exc}"
-                ) from exc
+            variants[name] = _read_json_object(metrics_file, "metrics file", RunMetrics.from_dict)
         else:
             traces = sorted(Path(path).glob("*.jsonl"))
             if not traces:

@@ -17,7 +17,8 @@ import logging
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Protocol, Union
 
 import numpy as np
@@ -35,8 +36,8 @@ from .controller import (
     sample_binary_decision,
 )
 from .embeddings import EmbeddingProvider
-from .errors import EntryNotFoundError, HivememError, ValidationError
-from .tracefile import SCHEMA_VERSION, TraceSink
+from .errors import EntryNotFoundError, HivememError, SchemaError, ValidationError
+from .tracefile import SCHEMA_VERSION, TraceSink, write_events
 
 logger = logging.getLogger(__name__)
 
@@ -266,38 +267,96 @@ class StepRecord:
 
 @dataclass
 class EpisodeTrace:
+    """One episode, read from its events; ``from_events`` builds every trace.
+
+    ``candidates`` and ``team_status`` follow team order, from the
+    ``team_end`` events; the answers and ``end_time`` come from the
+    ``aggregate`` event.  ``steps`` is derived on first use and kept.
+    """
+
     task_id: str
     k: int
     mode: str
     query: str
     seed: int
-    team_steps: list[list[StepRecord]]
     candidates: list[Candidate]
+    team_status: list[str]
     first_team: int | None
     first_answer: str
     aggregate_answer: str
-    events: list[dict]
     end_time: float
-    team_status: list[str] = field(default_factory=list)
+    events: list[dict]
+
+    @classmethod
+    def from_events(cls, events: list[dict]) -> "EpisodeTrace":
+        """The trace of one episode's events: a header first, then one
+        ``team_end`` per team and an ``aggregate`` among the rest."""
+        aggregate = [e for e in events if e["kind"] == "aggregate"]
+        if not events or events[0]["kind"] != "header" or len(aggregate) != 1:
+            raise SchemaError("an episode is a header first and exactly one aggregate event")
+        header, agg = events[0], aggregate[0]
+        ends = _team_ends(events)
+        return cls(
+            header["task_id"], header["k"], header["mode"], header["query"], header["seed"],
+            candidates=_candidates(ends),
+            team_status=[e["status"] for e in ends],
+            first_team=agg["first_team"],
+            first_answer=agg["first_answer"],
+            aggregate_answer=agg["answer"],
+            end_time=agg["vt"],
+            events=events,
+        )
+
+    @cached_property
+    def steps(self) -> list[StepRecord]:
+        """Every step, team-major, joined on (team, step) with the decision
+        and admit events written before it."""
+        decisions: dict[tuple[int, int], dict] = {}
+        entries: dict[tuple[int, int], int] = {}
+        records = []
+        for e in self.events:
+            kind = e["kind"]
+            if kind == "decision":
+                decisions[e["team"], e["step"]] = e
+            elif kind == "admit":
+                entries[e["team"], e["step"]] = e["entry_id"]
+            elif kind == "step":
+                team, step = key = (e["team"], e["step"])
+                triplet = StepTriplet(e["agent_input"], e["step_summary"], e["agent_output"])
+                d = decisions.get(key)
+                decision = None if d is None else Decision(
+                    d["action"], d["prob_yes"], d["log_prob"], d["fail_closed"]
+                )
+                size = 0 if d is None else d["mem_size"]
+                records.append(
+                    StepRecord(team, step, triplet, e["label"], decision, entries.get(key), size)
+                )
+        records.sort(key=lambda r: r.team)  # stable: each team's steps stay in order
+        return records
 
     def decisions(self) -> list[StepRecord]:
         """All step records carrying a decision, team-major order."""
-        return [r for steps in self.team_steps for r in steps if r.decision is not None]
-
-    def step_count(self) -> int:
-        return sum(len(steps) for steps in self.team_steps)
+        return [r for r in self.steps if r.decision is not None]
 
     def write(self, path) -> None:
-        from .tracefile import write_events
-
         write_events(path, self.events)
 
 
-def first_finisher(trace: EpisodeTrace) -> tuple[int | None, str]:
+def _team_ends(events: list[dict]) -> list[dict]:
+    return sorted((e for e in events if e["kind"] == "team_end"), key=lambda e: e["team"])
+
+
+def _candidates(team_ends: list[dict]) -> list[Candidate]:
+    """The answers of the teams that left one."""
+    ends = [e for e in team_ends if e["answer"] is not None]
+    return [Candidate(e["team"], e["answer"], e["vt"]) for e in ends]
+
+
+def first_finisher(candidates: list[Candidate]) -> tuple[int | None, str]:
     """Team that finished first (ties to the lowest index) and its answer."""
-    if not trace.candidates:
+    if not candidates:
         return None, NO_ANSWER
-    best = min(trace.candidates, key=lambda c: (c.finish_time, c.team))
+    best = min(candidates, key=lambda c: (c.finish_time, c.team))
     return best.team, best.answer
 
 
@@ -312,9 +371,6 @@ class _TeamState:
         self.moves = 0
         self.clock = 0.0
         self.done = False
-        self.status = "running"
-        self.candidate: Candidate | None = None
-        self.records: list[StepRecord] = []
 
 
 def _memory_injection(summary: str, value: str) -> str:
@@ -331,7 +387,9 @@ def run_episode(
     seed: int = 0,
     mode: str = "deterministic",
 ) -> EpisodeTrace:
-    """Run one parallel episode and return the fully populated trace.
+    """Run one parallel episode; returns ``EpisodeTrace.from_events`` of its events.
+
+    The events are the only record the run keeps (see ``tracefile``).
 
     ``policy`` is None, an ``AdmissionPolicy`` or a ready-made admission
     rule.  None disables the memory system entirely (no decisions, no
@@ -344,7 +402,8 @@ def run_episode(
     runs with identical inputs produce identical traces including bank
     sequence numbers.  Controller decisions cost zero virtual time.
     In live mode vt is seconds and the bank's ``t_ns`` nanoseconds since
-    one ``perf_counter`` origin.
+    one ``perf_counter`` origin, and a move is stamped when the backend's
+    reply arrives.
 
     A backend failure ends its team with a failure candidate; any other
     error raised while running a team (an unknown move, say) propagates
@@ -358,26 +417,19 @@ def run_episode(
 
     rule = as_admission_rule(policy)
     sink = TraceSink()
+    live = mode == "live"
     now_vt = [0.0]  # deterministic-mode clock cell, read by the bank clock
 
-    if mode == "deterministic":
-        clock_ns = lambda: int(now_vt[0] * 1_000_000)  # noqa: E731
-    else:  # the origin of vt, so bank events and vt share one clock
+    if live:  # the origin of vt, so bank events and vt share one clock
         t0 = time.perf_counter()
         elapsed = lambda: time.perf_counter() - t0  # noqa: E731
         clock_ns = lambda: int(elapsed() * 1e9)  # noqa: E731
+    else:
+        clock_ns = lambda: int(now_vt[0] * 1_000_000)  # noqa: E731
     bank = MemoryBank(provider.dimension, event_sink=sink, clock_ns=clock_ns)
 
-    sink(
-        {
-            "kind": "header",
-            "schema": SCHEMA_VERSION,
-            "task_id": task.task_id,
-            "k": k,
-            "mode": mode,
-            "cap": task.step_cap,
-        }
-    )
+    sink({"kind": "header", "schema": SCHEMA_VERSION, "task_id": task.task_id, "k": k,
+          "mode": mode, "cap": task.step_cap, "query": task.query, "seed": seed})
 
     root = np.random.SeedSequence(seed)
     team_seeds, decision_seeds = root.spawn(2)
@@ -385,6 +437,13 @@ def run_episode(
     decision_rngs = [np.random.default_rng(s) for s in decision_seeds.spawn(k)]
     states = [_TeamState(i + 1) for i in range(k)]
     move_limit = task.step_cap * MOVE_LIMIT_FACTOR
+
+    def end_team(state: _TeamState, status: str, answer: str | None, vt: float) -> float:
+        """Stop a team; ``answer`` None leaves no candidate.  Costs no time."""
+        state.done = True
+        sink({"kind": "team_end", "team": state.team, "step": state.steps, "status": status,
+              "answer": answer, "vt": vt})
+        return 0.0
 
     def advance(state: _TeamState, now: float) -> float:
         """Execute one move for a team at time ``now``; returns its cost.
@@ -395,79 +454,44 @@ def run_episode(
         team = state.team
         state.moves += 1
         if state.moves > move_limit:
-            state.done = True
-            state.status = "move_limit"
             logger.warning("team %d exceeded the move limit; stopping without a candidate", team)
-            return 0.0
+            return end_team(state, "move_limit", None, now)
         visible = bank.list_keys()
         try:
             move = backend.next_move(team, task.query, state.history, visible, team_rngs[team - 1])
         except Exception:
             logger.exception("backend failure on team %d; recording failure candidate", team)
-            failed_at = now if mode == "deterministic" else elapsed()
-            state.candidate = Candidate(team, NO_ANSWER, failed_at)
-            state.done = True
-            state.status = "failed"
-            return 0.0
+            return end_team(state, "failed", NO_ANSWER, elapsed() if live else now)
         if not isinstance(move, (StepMove, RetrieveMove, FinalMove)):
             raise ValidationError(f"backend returned unknown move {move!r}")
-        end = now + move.cost if mode == "deterministic" else elapsed()
+        end = elapsed() if live else now + move.cost
 
         if isinstance(move, StepMove):
-            if state.steps >= task.step_cap:
-                state.done = True
-                state.status = "cap_exhausted"
-                return 0.0
+            if state.steps >= task.step_cap:  # not taken, so it costs nothing
+                return end_team(state, "cap_exhausted", None, end if live else now)
             state.steps += 1
-            decision = None
-            entry_id = None
-            mem_size = len(visible)
+            triplet = move.triplet
             if rule is not None:
                 decision, mem_size = rule.decide_step(
-                    task.query, bank, move.triplet, provider, decision_rngs[team - 1]
+                    task.query, bank, triplet, provider, decision_rngs[team - 1]
                 )
-                sink(
-                    {
-                        "kind": "decision",
-                        "team": team,
-                        "step": state.steps,
-                        "action": decision.action,
-                        "prob_yes": decision.prob_yes,
-                        "log_prob": decision.log_prob_action,
-                        "fail_closed": decision.fail_closed,
-                    }
-                )
+                sink({"kind": "decision", "team": team, "step": state.steps,
+                      "action": decision.action, "prob_yes": decision.prob_yes,
+                      "log_prob": decision.log_prob_action,
+                      "fail_closed": decision.fail_closed, "mem_size": mem_size})
                 if decision.action == YES:
                     # training rebuilds the bank's keys this same way
-                    entry_id = bank.admit(
-                        move.triplet.step_summary,
-                        move.triplet.agent_output,
-                        embed(provider, move.triplet.step_summary),
+                    bank.admit(
+                        triplet.step_summary,
+                        triplet.agent_output,
+                        embed(provider, triplet.step_summary),
                         source_team=team,
                         source_step=state.steps,
                     )
-            sink(
-                {
-                    "kind": "step",
-                    "team": team,
-                    "step": state.steps,
-                    "label": move.label,
-                    "vt_start": now,
-                    "vt_end": end,
-                }
-            )
-            state.records.append(
-                StepRecord(
-                    team=team,
-                    step_index=state.steps,
-                    triplet=move.triplet,
-                    label=move.label,
-                    decision=decision,
-                    entry_id=entry_id,
-                    mem_size_at_decision=mem_size,
-                )
-            )
-            state.history.append(HistoryItem("step", move.triplet.agent_output))
+            sink({"kind": "step", "team": team, "step": state.steps, "label": move.label,
+                  "vt_start": now, "vt_end": end, "agent_input": triplet.agent_input,
+                  "step_summary": triplet.step_summary, "agent_output": triplet.agent_output})
+            state.history.append(HistoryItem("step", triplet.agent_output))
             return move.cost
 
         if isinstance(move, RetrieveMove):
@@ -479,41 +503,14 @@ def run_episode(
                 state.history.append(
                     HistoryItem("failed_step", f"retrieval of entry {move.entry_id} failed")
                 )
-                sink(
-                    {
-                        "kind": "failed_retrieve",
-                        "team": team,
-                        "entry_id": move.entry_id,
-                        "vt": now,
-                    }
-                )
+                sink({"kind": "failed_retrieve", "team": team, "entry_id": move.entry_id,
+                      "vt": end})
             return move.cost
 
-        state.candidate = Candidate(team, move.answer, end)
-        state.done = True
-        state.status = "final"
-        sink(
-            {
-                "kind": "final",
-                "team": team,
-                "step": state.steps,
-                "answer": move.answer,
-                "vt": end,
-            }
-        )
+        end_team(state, "final", move.answer, end)
         return move.cost
 
-    if mode == "deterministic":
-        while True:
-            pending = [s for s in states if not s.done]
-            if not pending:
-                break
-            state = min(pending, key=lambda s: (s.clock, s.team))
-            now_vt[0] = state.clock
-            cost = advance(state, state.clock)
-            state.clock += cost
-        end_time = max(s.clock for s in states)
-    else:
+    if live:
         errors: list[Exception] = []
 
         def team_loop(state: _TeamState) -> None:
@@ -532,42 +529,30 @@ def run_episode(
         if errors:
             raise errors[0]
         end_time = elapsed()
+    else:
+        while True:
+            pending = [s for s in states if not s.done]
+            if not pending:
+                break
+            state = min(pending, key=lambda s: (s.clock, s.team))
+            now_vt[0] = state.clock
+            cost = advance(state, state.clock)
+            state.clock += cost
+        end_time = max(s.clock for s in states)
 
-    candidates = [s.candidate for s in states if s.candidate is not None]
-    trace = EpisodeTrace(
-        task_id=task.task_id,
-        k=k,
-        mode=mode,
-        query=task.query,
-        seed=seed,
-        team_steps=[s.records for s in states],
-        candidates=candidates,
-        first_team=None,
-        first_answer=NO_ANSWER,
-        aggregate_answer=NO_ANSWER,
-        events=[],
-        end_time=end_time,
-        team_status=[s.status for s in states],
-    )
-    trace.first_team, trace.first_answer = first_finisher(trace)
-
+    candidates = _candidates(_team_ends(sink.events))
+    first_team, first_answer = first_finisher(candidates)
+    answer = NO_ANSWER
     agg_error: Exception | None = None
     if candidates:
         try:
-            trace.aggregate_answer = aggregator.aggregate(task.query, candidates)
+            answer = aggregator.aggregate(task.query, candidates)
         except Exception as exc:  # surfaced after the trace is finalized
             agg_error = exc
             logger.exception("aggregation failed for task %s", task.task_id)
-    sink(
-        {
-            "kind": "aggregate",
-            "answer": trace.aggregate_answer,
-            "first_team": trace.first_team,
-            "first_answer": trace.first_answer,
-            "vt": end_time,
-        }
-    )
-    trace.events = sink.events
+    sink({"kind": "aggregate", "answer": answer, "first_team": first_team,
+          "first_answer": first_answer, "vt": end_time})
+    trace = EpisodeTrace.from_events(sink.events)
     if agg_error is not None:
         raise AggregationError(str(agg_error), trace) from agg_error
     return trace

@@ -1,16 +1,26 @@
-"""Line-delimited episode trace files (schema version 1).
+"""Line-delimited episode trace files (schema version 2).
 
 One JSON object per line.  Event kinds and their required fields:
 
-  header          schema, task_id, k, mode, cap
-  step            team, step, label, vt_start, vt_end
-  decision        team, step, action, prob_yes, log_prob, fail_closed
+  header          schema, task_id, k, mode, cap, query, seed
+  step            team, step, label, vt_start, vt_end,
+                  agent_input, step_summary, agent_output
+  decision        team, step, action, prob_yes, log_prob, fail_closed, mem_size
   admit           seq, entry_id, team, step, t_ns          (exactly these)
   retrieve        seq, entry_id, team, step, t_ns          (exactly these)
   failed_retrieve team, entry_id, vt
-  final           team, step, answer, vt
+  team_end        team, step, status, answer, vt
   aggregate       answer, first_team, first_answer, vt
   score           agg_score, first_score                   (eval extension)
+
+The events are the whole episode: ``EpisodeTrace.from_events`` rebuilds
+its trace from them.  A step's ``decision`` and ``admit`` lines come
+before its ``step`` line; ``mem_size`` is the size of the memory snapshot
+the decision saw.  Every team ends with one ``team_end`` whose ``status``
+is ``final``, ``failed``, ``cap_exhausted`` or ``move_limit``; its
+``answer`` is the team's candidate answer (``""`` for ``failed``), or
+null when the team leaves no candidate.  A schema-1 file fails on its
+header, which lacks ``query`` and ``seed``.
 
 ``admit``/``retrieve`` lines are emitted by the memory bank itself and
 carry only the six fields above, so external tools can recompute memory
@@ -33,16 +43,19 @@ from typing import Iterable
 
 from .errors import SchemaError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
-    "header": ("schema", "task_id", "k", "mode", "cap"),
-    "step": ("team", "step", "label", "vt_start", "vt_end"),
-    "decision": ("team", "step", "action", "prob_yes", "log_prob", "fail_closed"),
+    "header": ("schema", "task_id", "k", "mode", "cap", "query", "seed"),
+    "step": (
+        "team", "step", "label", "vt_start", "vt_end", "agent_input", "step_summary",
+        "agent_output",
+    ),
+    "decision": ("team", "step", "action", "prob_yes", "log_prob", "fail_closed", "mem_size"),
     "admit": ("seq", "entry_id", "team", "step", "t_ns"),
     "retrieve": ("seq", "entry_id", "team", "step", "t_ns"),
     "failed_retrieve": ("team", "entry_id", "vt"),
-    "final": ("team", "step", "answer", "vt"),
+    "team_end": ("team", "step", "status", "answer", "vt"),
     "aggregate": ("answer", "first_team", "first_answer", "vt"),
     "score": ("agg_score", "first_score"),
 }

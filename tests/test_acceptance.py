@@ -427,9 +427,7 @@ def test_c10_endpoint_adapter(tmp_path, monkeypatch):
         trace = run_episode(TaskSpec("t", "q", step_cap=4), 1, backend, None, PROVIDER,
                             MajorityAggregator(), seed=0, mode="live")
         assert trace.candidates and trace.candidates[0].answer == "done"
-        assert any(
-            r.label == "malformed" for steps in trace.team_steps for r in steps
-        )
+        assert any(r.label == "malformed" for r in trace.steps)
         assert isinstance(parse_action("RETRIEVE:abc"), Malformed)
 
         # retries and backoff obey configuration

@@ -105,6 +105,16 @@ def test_train_rejects_a_config_in_another_schema(tmp_path, capsys):
     assert record["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("body", ["{", "[1]"])
+def test_train_rejects_a_config_that_is_no_json_object(tmp_path, capsys, body):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(body)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert str(cfg_path) in record["message"]
+
+
 def test_eval_add_all(tmp_path):
     out = tmp_path / "eval"
     code = main([
@@ -138,7 +148,11 @@ def test_report_from_trace_files(tmp_path):
     assert main(["report", str(tmp_path / "r"), "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("body", ['{"episodes": 1, "bogus": 2}', "[1, 2]", "{"])
+@pytest.mark.parametrize("body", [
+    '{"episodes": 1, "bogus": 2}', "[1, 2]", "{",
+    '{"episodes": "x", "mean_runtime": "slow"}', '{"episodes": true}', '{"mean_score": [1.0]}',
+    '{"runtime_samples": [1.0, "2"]}',
+])
 def test_report_rejects_a_bad_metrics_file(tmp_path, capsys, body):
     (tmp_path / "r").mkdir()
     metrics_file = tmp_path / "r" / "metrics.json"
@@ -155,8 +169,18 @@ def test_run_llm_backend_against_mock(tmp_path, monkeypatch):
 
     import tests.test_endpoint as te
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), te._MockHandler)
-    server.script = [(200, "FINAL:blue")] * 8
+    class StepOnce(te._MockHandler):
+        """The first action request gets a STEP; every later one a FINAL."""
+
+        def reply_for(self, body):
+            if len(body["messages"]) == 3:  # the step's summary request
+                return 200, "looked at the sky"
+            with self.server.lock:
+                stepped, self.server.stepped = self.server.stepped, True
+            return 200, "FINAL:blue" if stepped else "STEP:look at the sky"
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StepOnce)
+    server.lock, server.stepped = threading.Lock(), False
     server.requests = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -171,11 +195,19 @@ def test_run_llm_backend_against_mock(tmp_path, monkeypatch):
         ])
         assert code == 0
         assert (out / "metrics.json").exists()
-        assert b"sk-cli-test" not in (out / "episode_00000.jsonl").read_bytes()
+        episode = (out / "episode_00000.jsonl").read_bytes()
+        assert b"sk-cli-test" not in episode
+        events = [json.loads(line) for line in episode.splitlines()]
+        assert events[0]["query"] == "what color is the sky"
+        (step,) = [e for e in events if e["kind"] == "step"]
+        assert (step["agent_input"], step["step_summary"], step["agent_output"]) == (
+            "look at the sky", "looked at the sky", "STEP:look at the sky"
+        )
         calls = (out / "calls.jsonl").read_bytes()
         assert b"sk-cli-test" not in calls
         rows = [json.loads(line) for line in calls.splitlines()]
-        assert len(rows) == len(server.requests) == 3  # two teams, then the aggregator
+        # a step and its summary, two finals, then the aggregator
+        assert len(rows) == len(server.requests) == 5
         assert all(row["status"] == 200 for row in rows)
     finally:
         server.shutdown()

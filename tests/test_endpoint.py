@@ -35,7 +35,7 @@ class _MockHandler(BaseHTTPRequestHandler):
         self.server.requests.append(
             {"path": self.path, "body": body, "auth": self.headers.get("Authorization", "")}
         )
-        status, payload = self.server.script.pop(0) if self.server.script else (200, "FINAL:done")
+        status, payload = self.reply_for(body)
         if status != 200:
             self.send_response(status)
             self.end_headers()
@@ -47,6 +47,10 @@ class _MockHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    def reply_for(self, body):
+        """(status, completion) for a request: the server's script, in order."""
+        return self.server.script.pop(0) if self.server.script else (200, "FINAL:done")
 
     def log_message(self, *args):  # keep test output clean
         pass

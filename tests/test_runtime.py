@@ -1,21 +1,25 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hivemem.controller import NO, YES, StepTriplet
 from hivemem.errors import ValidationError
 from hivemem.runtime import (
     Candidate,
     ConstantAdmission,
+    EpisodeTrace,
     FinalMove,
     MajorityAggregator,
     RetrieveMove,
     StepMove,
     TaskSpec,
+    as_admission_rule,
     first_finisher,
     run_episode,
 )
-from hivemem.sim import ScriptedBackend, generate_task, solve_counts
+from hivemem.sim import VARIANT_NAMES, ScriptedBackend, generate_task, solve_counts, variant_policy
+from hivemem.tracefile import read_events
 
 
 def run_sim(task, policy, seed=0, k=3, mode="deterministic"):
@@ -76,21 +80,16 @@ def test_always_yes_exactly_once_noise_free():
 
 
 def test_first_finisher_minimal_time():
-    trace_like = type("T", (), {})()
-    trace_like.candidates = [Candidate(1, "a", 9.0), Candidate(2, "b", 7.0), Candidate(3, "c", 8.0)]
-    assert first_finisher(trace_like) == (2, "b")
+    candidates = [Candidate(1, "a", 9.0), Candidate(2, "b", 7.0), Candidate(3, "c", 8.0)]
+    assert first_finisher(candidates) == (2, "b")
 
 
 def test_first_finisher_tie_breaks_low_team():
-    trace_like = type("T", (), {})()
-    trace_like.candidates = [Candidate(2, "b", 7.0), Candidate(1, "a", 7.0)]
-    assert first_finisher(trace_like) == (1, "a")
+    assert first_finisher([Candidate(2, "b", 7.0), Candidate(1, "a", 7.0)]) == (1, "a")
 
 
 def test_first_finisher_no_candidates():
-    trace_like = type("T", (), {})()
-    trace_like.candidates = []
-    assert first_finisher(trace_like) == (None, "")
+    assert first_finisher([]) == (None, "")
 
 
 def test_majority_aggregator():
@@ -118,8 +117,8 @@ def test_step_cap_safety():
     task = generate_task(seed=5, depth=3, width=3, overlap_count=12, distractor_count=0,
                          step_cap=5, p_fail=0.3)
     trace = run_sim(task, None, seed=2)
-    for steps in trace.team_steps:
-        assert len(steps) <= 5
+    for team in (1, 2, 3):
+        assert len([r for r in trace.steps if r.team == team]) <= 5
 
 
 def test_decision_coverage():
@@ -171,10 +170,14 @@ def test_backend_failure_records_failure_candidate():
 
     spec = TaskSpec("t", "q", step_cap=5)
     trace = run_episode(spec, 3, Exploding(), None, _PROVIDER, MajorityAggregator(), seed=0)
-    assert trace.team_status[1] == "failed"
+    assert trace.team_status == ["final", "failed", "final"]
     by_team = {c.team: c for c in trace.candidates}
     assert by_team[2].answer == ""
     assert by_team[1].answer == "answer-1"
+    ends = [e for e in trace.events if e["kind"] == "team_end"]
+    assert {e["team"]: (e["status"], e["answer"]) for e in ends} == {
+        1: ("final", "answer-1"), 2: ("failed", ""), 3: ("final", "answer-3")
+    }
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "live"])
@@ -242,7 +245,9 @@ def test_cap_exhausted_team_yields_no_candidate():
     assert trace.candidates == []
     assert trace.first_team is None
     assert trace.aggregate_answer == ""
-    assert all(s == "cap_exhausted" for s in trace.team_status)
+    assert trace.team_status == ["cap_exhausted", "cap_exhausted"]
+    ends = [e for e in trace.events if e["kind"] == "team_end"]
+    assert [(e["team"], e["step"], e["answer"]) for e in ends] == [(1, 3, None), (2, 3, None)]
 
 
 def test_aggregator_failure_surfaced_with_trace():
@@ -292,10 +297,31 @@ def test_live_moves_are_stamped_when_the_reply_arrives():
     assert trace.first_team == 2
     finish = {c.team: c.finish_time for c in trace.candidates}
     assert finish[2] < 0.3 <= finish[1] <= trace.end_time
-    finals = {e["team"]: e["vt"] for e in trace.events if e["kind"] == "final"}
+    finals = {e["team"]: e["vt"] for e in trace.events if e["kind"] == "team_end"}
     assert finals == finish
     (step,) = [e for e in trace.events if e["kind"] == "step"]
     assert step["vt_start"] <= step["vt_end"] <= finish[2]
+
+
+@pytest.mark.parametrize("mode, earliest", [("deterministic", 1.0), ("live", 0.2)])
+def test_failed_retrieve_is_stamped_at_the_moves_end(mode, earliest):
+    import time
+
+    class SlowBadRetriever:
+        """Asks for a missing entry after 0.2 s, then answers."""
+
+        def next_move(self, team, query, history, visible_keys, rng):
+            if not history:
+                time.sleep(0.2)
+                return RetrieveMove(999)  # costs 1.0 in virtual time
+            return FinalMove("done")
+
+    trace = run_episode(TaskSpec("t", "q", step_cap=5), 1, SlowBadRetriever(), None, _PROVIDER,
+                        MajorityAggregator(), seed=0, mode=mode)
+    (failed,) = [e for e in trace.events if e["kind"] == "failed_retrieve"]
+    assert earliest <= failed["vt"] <= trace.end_time
+    if mode == "deterministic":
+        assert failed["vt"] == 1.0
 
 
 def test_live_bank_events_share_the_vt_clock():
@@ -384,3 +410,99 @@ def test_learned_admission_rejects_a_bad_mode_or_temperature_up_front():
         LearnedAdmission(_mixed_policy(), mode="argmax")
     with pytest.raises(ValidationError, match="temperature"):
         LearnedAdmission(_mixed_policy(), mode="sampled", temperature=0.0)
+
+
+# -- the event stream is the episode ----------------------------------------
+
+
+class _Spy:
+    """Backend and admission rule in one, noting each step a team takes.
+
+    After ``fault_after`` moves team 1 turns faulty: it raises (``failed``),
+    steps forever (``cap_exhausted``) or retrieves a missing entry forever
+    (``move_limit``).  Deterministic mode only: a rule call follows its
+    team's move at once.
+    """
+
+    def __init__(self, backend, rule, fault=None, fault_after=0):
+        self.backend, self.rule = backend, as_admission_rule(rule)
+        self.fault, self.fault_after = fault, fault_after
+        self.steps: dict[int, list[list]] = {}  # team -> [triplet, label, decision, size, entry]
+        self.admits = 0
+        self.moves = 0
+
+    def next_move(self, team, *args):
+        if team == 1:
+            self.moves += 1
+        if team == 1 and self.fault and self.moves > self.fault_after:
+            if self.fault == "raise":
+                raise RuntimeError("backend down")
+            move = StepMove(StepTriplet("in", "stuck", "out"), label="stuck")
+            if self.fault == "retrieve":
+                move = RetrieveMove(999)
+        else:
+            move = self.backend.next_move(team, *args)
+        if isinstance(move, StepMove):
+            self.steps.setdefault(team, []).append([move.triplet, move.label, None, 0, None])
+            self.team = team
+        return move
+
+    def decide_step(self, *args):
+        decision, size = self.rule.decide_step(*args)
+        row = self.steps[self.team][-1]
+        row[2:4] = decision, size
+        if decision.action == YES:
+            self.admits += 1
+            row[4] = self.admits
+        return decision, size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANT_NAMES),
+    task_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    fault=st.sampled_from([None, "raise", "step", "retrieve"]),
+    fault_after=st.integers(0, 20),
+)
+def test_a_trace_file_rebuilds_its_trace(
+    tmp_path_factory, variant, task_seed, seed, k, fault, fault_after
+):
+    task = generate_task(seed=task_seed, **_HEAVY)
+    rule = variant_policy(variant, _mixed_policy())
+    spy = _Spy(ScriptedBackend(task, k), rule, fault, fault_after)
+    trace = run_episode(task.task_spec(), k, spy, None if rule is None else spy, _PROVIDER,
+                        MajorityAggregator(), seed=seed)
+    path = tmp_path_factory.getbasetemp() / "episode.jsonl"
+    trace.write(path)
+    rebuilt = EpisodeTrace.from_events(read_events(path))
+
+    assert rebuilt == trace
+    assert (rebuilt.query, rebuilt.seed, rebuilt.k) == (task.task_spec().query, seed, k)
+    assert len(rebuilt.team_status) == k
+    if fault is not None and fault_after < spy.moves:
+        ending = {"raise": "failed", "step": "cap_exhausted", "retrieve": "move_limit"}[fault]
+        assert rebuilt.team_status[0] == ending
+    # the step records are the steps the teams took, team-major
+    taken = []
+    for team, status in enumerate(rebuilt.team_status, start=1):
+        rows = spy.steps.get(team, [])
+        if status == "cap_exhausted":
+            rows = rows[:-1]  # the step past the cap is not taken
+        taken += [(team, i, *row) for i, row in enumerate(rows, start=1)]
+    records = [(r.team, r.step_index, r.triplet, r.label, r.decision, r.mem_size_at_decision,
+                r.entry_id) for r in rebuilt.steps]
+    assert records == taken
+    assert rebuilt.steps == trace.steps
+    answer = MajorityAggregator().aggregate(rebuilt.query, rebuilt.candidates)
+    assert answer == rebuilt.aggregate_answer == trace.aggregate_answer
+
+
+def test_from_events_needs_a_header_and_one_aggregate():
+    from hivemem.errors import SchemaError
+
+    trace = run_sim(generate_task(seed=1, **_HEAVY), None)
+    for events in ([], trace.events[1:], trace.events[:-1], trace.events + trace.events[-1:]):
+        with pytest.raises(SchemaError):
+            EpisodeTrace.from_events(events)

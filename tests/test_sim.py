@@ -90,10 +90,9 @@ def test_memory_disabled_computations_scale_with_k(provider):
     trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), None, provider,
                         MajorityAggregator(), seed=2)
     per_team = {t: 0 for t in (1, 2, 3)}
-    for steps in trace.team_steps:
-        for r in steps:
-            if r.label.startswith(("solve:", "private:")):
-                per_team[r.team] += 1
+    for r in trace.steps:
+        if r.label.startswith(("solve:", "private:")):
+            per_team[r.team] += 1
     assert len(set(per_team.values())) == 1
     total = sum(per_team.values())
     assert total == 3 * per_team[1]

@@ -170,13 +170,26 @@ def test_metrics_idempotent_through_files(tmp_path, provider):
 def test_schema_error_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        json.dumps({"kind": "header", "schema": 1, "task_id": "t", "k": 1,
-                    "mode": "deterministic", "cap": 30})
+        json.dumps({"kind": "header", "schema": 2, "task_id": "t", "k": 1,
+                    "mode": "deterministic", "cap": 30, "query": "q", "seed": 0})
         + "\n" + json.dumps({"kind": "bogus"}) + "\n"
     )
     with pytest.raises(SchemaError) as exc:
         list(read_events(path))
     assert "line 2" in str(exc.value)
+
+
+def test_schema_1_file_fails_on_its_header(tmp_path):
+    # a version-1 header lacks the query and seed that version 2 requires
+    header = {"kind": "header", "schema": 1, "task_id": "t", "k": 1,
+              "mode": "deterministic", "cap": 30}
+    final = {"kind": "final", "team": 1, "step": 0, "answer": "a", "vt": 0.0}
+    path = tmp_path / "v1.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in (header, final)))
+    with pytest.raises(SchemaError) as exc:
+        read_events(path)
+    assert exc.value.line_number == 1
+    assert "header event missing fields ['query', 'seed']" in str(exc.value)
 
 
 def test_schema_missing_field(tmp_path):
@@ -188,13 +201,14 @@ def test_schema_missing_field(tmp_path):
 
 
 KINDS = {
-    "header": ("schema", "task_id", "k", "mode", "cap"),
-    "step": ("team", "step", "label", "vt_start", "vt_end"),
-    "decision": ("team", "step", "action", "prob_yes", "log_prob", "fail_closed"),
+    "header": ("schema", "task_id", "k", "mode", "cap", "query", "seed"),
+    "step": ("team", "step", "label", "vt_start", "vt_end", "agent_input", "step_summary",
+             "agent_output"),
+    "decision": ("team", "step", "action", "prob_yes", "log_prob", "fail_closed", "mem_size"),
     "admit": ("seq", "entry_id", "team", "step", "t_ns"),
     "retrieve": ("seq", "entry_id", "team", "step", "t_ns"),
     "failed_retrieve": ("team", "entry_id", "vt"),
-    "final": ("team", "step", "answer", "vt"),
+    "team_end": ("team", "step", "status", "answer", "vt"),
     "aggregate": ("answer", "first_team", "first_answer", "vt"),
     "score": ("agg_score", "first_score"),
 }
@@ -224,7 +238,7 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider):
     stale = run_episode(tasks[0].task_spec(), 3, StaleFirstRetrieve(tasks[0], 3),
                         ConstantAdmission("YES"), provider, MajorityAggregator(), seed=0)
     streams.append(stale.events)
-    streams.append([{"kind": "final", "team": 1, "step": 2, "vt": 0.1,
+    streams.append([{"kind": "team_end", "team": 1, "step": 2, "status": "final", "vt": 0.1,
                      "answer": 'na\u00efve {"x": [1]}\n\\ \u2713'}])
     assert {e["kind"] for events in streams for e in events} == set(KINDS)
     for n, events in enumerate(streams):
