@@ -19,12 +19,12 @@ for name, policy in [("no memory", None), ("admit everything", ConstantAdmission
     )
     score = task.scorer().score(trace.aggregate_answer)
     computations = sum(solve_counts(trace.events).values())
+    kinds = [e["kind"] for e in trace.events]
     print(
         f"\n[{name}] score={score:.2f} virtual_runtime={trace.end_time:.0f} "
-        f"steps={len(trace.steps)}"
+        f"steps={kinds.count('step')}"
     )
     print(f"  shared-subtask computations across teams: {computations}")
-    kinds = [e["kind"] for e in trace.events]
     print(f"  bank: {kinds.count('admit')} entries, {kinds.count('retrieve')} retrievals")
     print(f"  first finisher: team {trace.first_team} at t={min(c.finish_time for c in trace.candidates):.0f}")
 

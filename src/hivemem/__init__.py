@@ -51,7 +51,6 @@ from .sim import (
     SimScorer,
     SimTask,
     generate_task,
-    run_matrix,
     run_variant,
     variant_policy,
 )

@@ -18,7 +18,6 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Protocol, Union
 
 import numpy as np
@@ -255,23 +254,12 @@ def as_admission_rule(policy) -> AdmissionRule | None:
 
 
 @dataclass
-class StepRecord:
-    team: int
-    step_index: int
-    triplet: StepTriplet
-    label: str
-    decision: Decision | None
-    entry_id: int | None
-    mem_size_at_decision: int
-
-
-@dataclass
 class EpisodeTrace:
     """One episode, read from its events; ``from_events`` builds every trace.
 
     ``candidates`` and ``team_status`` follow team order, from the
     ``team_end`` events; the answers and ``end_time`` come from the
-    ``aggregate`` event.  ``steps`` is derived on first use and kept.
+    ``aggregate`` event.
     """
 
     task_id: str
@@ -307,39 +295,13 @@ class EpisodeTrace:
             events=events,
         )
 
-    @cached_property
-    def steps(self) -> list[StepRecord]:
-        """Every step, team-major, joined on (team, step) with the decision
-        and admit events written before it."""
-        decisions: dict[tuple[int, int], dict] = {}
-        entries: dict[tuple[int, int], int] = {}
-        records = []
-        for e in self.events:
-            kind = e["kind"]
-            if kind == "decision":
-                decisions[e["team"], e["step"]] = e
-            elif kind == "admit":
-                entries[e["team"], e["step"]] = e["entry_id"]
-            elif kind == "step":
-                team, step = key = (e["team"], e["step"])
-                triplet = StepTriplet(e["agent_input"], e["step_summary"], e["agent_output"])
-                d = decisions.get(key)
-                decision = None if d is None else Decision(
-                    d["action"], d["prob_yes"], d["log_prob"], d["fail_closed"]
-                )
-                size = 0 if d is None else d["mem_size"]
-                records.append(
-                    StepRecord(team, step, triplet, e["label"], decision, entries.get(key), size)
-                )
-        records.sort(key=lambda r: r.team)  # stable: each team's steps stay in order
-        return records
-
-    def decisions(self) -> list[StepRecord]:
-        """All step records carrying a decision, team-major order."""
-        return [r for r in self.steps if r.decision is not None]
-
     def write(self, path) -> None:
         write_events(path, self.events)
+
+
+def decision_events(events: list[dict]) -> list[dict]:
+    """An episode's ``decision`` events, team-major, each team's in step order."""
+    return sorted((e for e in events if e["kind"] == "decision"), key=lambda e: e["team"])
 
 
 def _team_ends(events: list[dict]) -> list[dict]:
@@ -439,14 +401,14 @@ def run_episode(
     move_limit = task.step_cap * MOVE_LIMIT_FACTOR
 
     def end_team(state: _TeamState, status: str, answer: str | None, vt: float) -> float:
-        """Stop a team; ``answer`` None leaves no candidate.  Costs no time."""
+        """Stop a team at ``vt`` and return it; ``answer`` None leaves no candidate."""
         state.done = True
         sink({"kind": "team_end", "team": state.team, "step": state.steps, "status": status,
               "answer": answer, "vt": vt})
-        return 0.0
+        return vt
 
     def advance(state: _TeamState, now: float) -> float:
-        """Execute one move for a team at time ``now``; returns its cost.
+        """Execute one move for a team at time ``now``; returns when it ends.
 
         A virtual move ends ``cost`` after ``now``; a live one when the
         backend's reply arrives.
@@ -492,7 +454,7 @@ def run_episode(
                   "vt_start": now, "vt_end": end, "agent_input": triplet.agent_input,
                   "step_summary": triplet.step_summary, "agent_output": triplet.agent_output})
             state.history.append(HistoryItem("step", triplet.agent_output))
-            return move.cost
+            return end
 
         if isinstance(move, RetrieveMove):
             try:
@@ -505,10 +467,9 @@ def run_episode(
                 )
                 sink({"kind": "failed_retrieve", "team": team, "entry_id": move.entry_id,
                       "vt": end})
-            return move.cost
+            return end
 
-        end_team(state, "final", move.answer, end)
-        return move.cost
+        return end_team(state, "final", move.answer, end)
 
     if live:
         errors: list[Exception] = []
@@ -517,7 +478,6 @@ def run_episode(
             try:
                 while not state.done:
                     advance(state, elapsed())
-                    state.clock = elapsed()
             except Exception as exc:  # re-raised once every team has stopped
                 errors.append(exc)
 
@@ -536,8 +496,7 @@ def run_episode(
                 break
             state = min(pending, key=lambda s: (s.clock, s.team))
             now_vt[0] = state.clock
-            cost = advance(state, state.clock)
-            state.clock += cost
+            state.clock = advance(state, state.clock)
         end_time = max(s.clock for s in states)
 
     candidates = _candidates(_team_ends(sink.events))

@@ -19,6 +19,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .runtime import (
     StepMove,
     TaskSpec,
     as_admission_rule,
+    decision_events,
     run_episode,
 )
 
@@ -453,6 +455,16 @@ def variant_policy(name: str, trained=None):
     raise ValidationError(f"unknown variant {name!r}")
 
 
+def score_event(trace: EpisodeTrace, score: Callable[[str], float]) -> dict:
+    """The ``score`` event of an episode: its aggregate answer's score and
+    its first finisher's, both in [0, 1] for a ``SimScorer``."""
+    return {
+        "kind": "score",
+        "agg_score": float(score(trace.aggregate_answer)),
+        "first_score": float(score(trace.first_answer)),
+    }
+
+
 def run_variant(
     tasks: list[SimTask],
     policy,
@@ -484,31 +496,11 @@ def run_variant(
                 MajorityAggregator(),
                 seed=seed,
             )
-            trace.events.append(
-                {
-                    "kind": "score",
-                    "agg_score": scorer.score(trace.aggregate_answer),
-                    "first_score": scorer.score(trace.first_answer),
-                }
-            )
+            trace.events.append(score_event(trace, scorer.score))
             streams.append(trace.events)
             if keep_traces:
                 traces.append(trace)
     return metrics_from_event_streams(streams), traces
-
-
-def run_matrix(
-    tasks: list[SimTask],
-    policies: dict[str, object],
-    k: int,
-    seeds: list[int],
-    provider,
-) -> dict[str, RunMetrics]:
-    """Compare admission strategies over a common task/seed grid."""
-    return {
-        name: run_variant(tasks, policy, k, seeds, provider)[0]
-        for name, policy in policies.items()
-    }
 
 
 def solve_counts(events: list[dict]) -> dict[str, int]:
@@ -523,10 +515,12 @@ def solve_counts(events: list[dict]) -> dict[str, int]:
 
 def prob_yes_by_label(traces: list[EpisodeTrace]) -> dict[str, list[float]]:
     """Controller admit probabilities grouped by step class (solve, lure,
-    private, retry, recovery); ground-truth labels come from the backend."""
+    private, retry, recovery); ground-truth labels come from the backend
+    and reach each decision through its ``step`` event."""
     out: dict[str, list[float]] = {}
     for trace in traces:
-        for record in trace.decisions():
-            label_class = record.label.split(":", 1)[0]
-            out.setdefault(label_class, []).append(record.decision.prob_yes)
+        labels = {(e["team"], e["step"]): e["label"] for e in trace.events if e["kind"] == "step"}
+        for d in decision_events(trace.events):
+            label_class = labels[d["team"], d["step"]].split(":", 1)[0]
+            out.setdefault(label_class, []).append(d["prob_yes"])
     return out

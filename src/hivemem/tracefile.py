@@ -11,7 +11,7 @@ One JSON object per line.  Event kinds and their required fields:
   failed_retrieve team, entry_id, vt
   team_end        team, step, status, answer, vt
   aggregate       answer, first_team, first_answer, vt
-  score           agg_score, first_score                   (eval extension)
+  score           agg_score, first_score   (appended by evaluation and training)
 
 The events are the whole episode: ``EpisodeTrace.from_events`` rebuilds
 its trace from them.  A step's ``decision`` and ``admit`` lines come

@@ -1,18 +1,21 @@
 """Stepwise policy-gradient training for the admission controller.
 
-Episodes are rewarded by the aggregated answer's score plus the first
+The update step reads only each rollout's events, as ``read_events``
+gives them back from a trace file.  An episode is rewarded by its
+``score`` event: the aggregated answer's score plus the first
 finisher's score.  Rewards are standardized within groups of G
-rollouts of the same task, each admission decision gets its trace's
+rollouts of the same task, each admission decision gets its episode's
 base advantage plus a usage bonus when its entry was actually retrieved
-in a rewarded trace, and the policy minimizes the advantage-weighted
+in a rewarded episode, and the policy minimizes the advantage-weighted
 negative log-likelihood plus a sparsity penalty on the admit
 probability.  Rollout trajectories are replayed several times per epoch
 with log-probabilities recomputed against the current parameters;
 actions and advantages stay fixed.  Each group's decisions are packed
-into row matrices once per epoch, so a replay update is one batched
-forward and backward pass over its stored rows.  A group's rollouts
-share one sampled admission rule, whose memo of logits rows is valid
-because the parameters do not change until the group is replayed.
+into row matrices once per epoch, from the ``decision``, ``step`` and
+``admit`` events, so a replay update is one batched forward and
+backward pass over its stored rows.  A group's rollouts share one
+sampled admission rule, whose memo of logits rows is valid because the
+parameters do not change until the group is replayed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .controller import (
     YES,
     AdmissionPolicy,
     ControllerContext,
+    StepTriplet,
     action_index,
     embed,
     softmax,
@@ -40,12 +44,10 @@ from .controller import (
 from .controller import log_prob  # noqa: F401
 from .embeddings import EmbeddingProvider
 from .errors import TrainingDiverged, ValidationError
-from .runtime import EpisodeTrace, LearnedAdmission, MajorityAggregator, StepRecord, run_episode
-from .sim import ScriptedBackend, SimTask
+from .runtime import LearnedAdmission, MajorityAggregator, decision_events, run_episode
+from .sim import ScriptedBackend, SimTask, score_event
 
 logger = logging.getLogger(__name__)
-
-ScoreFn = Callable[[str], float]
 
 # AdamW's moment decay rates and epsilon, and the global gradient-norm clip.
 ADAM_BETAS = (0.9, 0.999)
@@ -53,10 +55,13 @@ ADAM_EPS = 1e-8
 CLIP_NORM = 1.0
 
 
-def episode_reward(trace: EpisodeTrace, scorer: ScoreFn) -> float:
-    """The aggregated answer's score plus the first finisher's score."""
-    r_agg = float(scorer(trace.aggregate_answer))
-    r_first = float(scorer(trace.first_answer))
+def episode_reward(events: list[dict]) -> float:
+    """The aggregated answer's score plus the first finisher's, from the
+    episode's one ``score`` event."""
+    scores = [e for e in events if e["kind"] == "score"]
+    if len(scores) != 1:
+        raise ValidationError(f"an episode is rewarded by one score event, not {len(scores)}")
+    r_agg, r_first = scores[0]["agg_score"], scores[0]["first_score"]
     for name, value in (("aggregate", r_agg), ("first-finisher", r_first)):
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"{name} score {value} outside [0, 1]")
@@ -72,19 +77,28 @@ def group_advantage(rewards: Sequence[float]) -> np.ndarray:
 
 
 def shaped_advantages(
-    trace: EpisodeTrace, a_base: float, beta: float, r_total: float
+    events: list[dict], a_base: float, beta: float, r_total: float
 ) -> list[float]:
     """Per-decision advantages: a_base, plus beta for admitted-and-used
-    steps of a positively rewarded trace.  Order matches trace.decisions().
+    steps of a positively rewarded episode.  Order matches
+    ``decision_events(events)``.
 
-    An admitted step's entry is used when the trace has a ``retrieve``
-    event for it, from any team, the admitting team included.
+    A step is admitted-and-used when its ``admit`` entry has a
+    ``retrieve`` event, from any team, the admitting team included.
     """
     if not math.isfinite(a_base):
         raise ValidationError("a_base must be finite")
-    used = {e["entry_id"] for e in trace.events if e["kind"] == "retrieve"}
+    retrieved = {e["entry_id"] for e in events if e["kind"] == "retrieve"}
+    used = {
+        (e["team"], e["step"])
+        for e in events
+        if e["kind"] == "admit" and e["entry_id"] in retrieved
+    }
     bonus = beta if r_total > 0 else 0.0
-    return [a_base + (bonus if r.entry_id in used else 0.0) for r in trace.decisions()]
+    return [
+        a_base + (bonus if (d["team"], d["step"]) in used else 0.0)
+        for d in decision_events(events)
+    ]
 
 
 class AdamW:
@@ -148,7 +162,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     epochs: list[dict]
-    param_count: int
     config: dict
 
     def write(self, path: str | Path) -> None:
@@ -162,7 +175,7 @@ class TrainReport:
 class _ReplayGroup:
     """One rollout group's trainable decisions, packed once per epoch.
 
-    Rows run trace by trace, each in ``trace.decisions()`` order.
+    Rows run episode by episode, each in ``decision_events`` order.
     Fail-closed decisions are left out.
     """
 
@@ -173,7 +186,7 @@ class _ReplayGroup:
 
 
 def _store_group(
-    traces: list[EpisodeTrace],
+    streams: list[list[dict]],
     rewards: list[float],
     config: TrainConfig,
     policy: AdmissionPolicy,
@@ -181,47 +194,57 @@ def _store_group(
 ) -> _ReplayGroup:
     """Freeze one group's advantages and pack its decisions into rows.
 
-    ``logp_collect`` comes from one forward pass over the whole group; a
-    row's logits do not depend on the rows batched with it.
+    Each stream is one rollout's events.  A decision is joined with its
+    ``step`` event on (team, step); the bank's key rows are rebuilt from
+    the ``admit`` events in file order.  ``logp_collect`` comes from one
+    forward pass over the whole group; a row's logits do not depend on
+    the rows batched with it.
     """
     d_e = provider.dimension
-    kept: list[tuple[StepRecord, float]] = []
+    kept: list[tuple[dict, dict, float]] = []  # decision event, its step event, advantage
     queries, memory_means = [], []
-    for trace, reward, a_base in zip(traces, rewards, group_advantage(rewards)):
-        advantages = shaped_advantages(trace, float(a_base), config.beta, reward)
-        trace_kept = [
-            (record, adv)
-            for record, adv in zip(trace.decisions(), advantages)
-            if not record.decision.fail_closed  # no meaningful log-prob to train on
+    for events, reward, a_base in zip(streams, rewards, group_advantage(rewards)):
+        steps = {(e["team"], e["step"]): e for e in events if e["kind"] == "step"}
+        advantages = shaped_advantages(events, float(a_base), config.beta, reward)
+        episode_kept = [
+            (d, adv)
+            for d, adv in zip(decision_events(events), advantages)
+            if not d["fail_closed"]  # no meaningful log-prob to train on
         ]
-        sizes = np.array([r.mem_size_at_decision for r, _ in trace_kept], dtype=np.intp)
+        sizes = np.array([d["mem_size"] for d, _ in episode_kept], dtype=np.intp)
         present = sizes > 0
         # The bank's key rows: each admitted summary's embedding, in entry order.
-        admitted = sorted(
-            (r for r in trace.decisions() if r.entry_id is not None), key=lambda r: r.entry_id
-        )
-        keys = np.array([embed(provider, r.triplet.step_summary) for r in admitted])
-        means = np.zeros((len(trace_kept), d_e))
+        keys = np.array([
+            embed(provider, steps[e["team"], e["step"]]["step_summary"])
+            for e in events
+            if e["kind"] == "admit"
+        ])
+        means = np.zeros((len(episode_kept), d_e))
         # cumsum[k - 1] / k is bit for bit the mean of the first k keys
         means[present] = (
             np.cumsum(keys.reshape(-1, d_e), axis=0)[sizes[present] - 1] / sizes[present, None]
         )
-        queries.append(np.repeat(embed(provider, trace.query)[None], len(trace_kept), axis=0))
+        queries.append(
+            np.repeat(embed(provider, events[0]["query"])[None], len(episode_kept), axis=0)
+        )
         memory_means.append(means)
-        kept.extend(trace_kept)
+        kept.extend((d, steps[d["team"], d["step"]], adv) for d, adv in episode_kept)
     n = len(kept)
+    triplets = [
+        StepTriplet(s["agent_input"], s["step_summary"], s["agent_output"]) for _, s, _ in kept
+    ]
     context = ControllerContext(
         queries=np.concatenate(queries),
         memory_means=np.concatenate(memory_means),
-        memory_sizes=np.array([r.mem_size_at_decision for r, _ in kept], dtype=np.intp),
-        step_means=np.array([step_mean(provider, r.triplet) for r, _ in kept]).reshape(n, d_e),
+        memory_sizes=np.array([d["mem_size"] for d, _, _ in kept], dtype=np.intp),
+        step_means=np.array([step_mean(provider, t) for t in triplets]).reshape(n, d_e),
     )
-    actions = np.array([action_index(r.decision.action) for r, _ in kept], dtype=np.intp)
+    actions = np.array([action_index(d["action"]) for d, _, _ in kept], dtype=np.intp)
     logits, _ = policy.forward(context)
     return _ReplayGroup(
         context=context,
         actions=actions,
-        advantages=np.array([adv for _, adv in kept], dtype=np.float64),
+        advantages=np.array([adv for _, _, adv in kept], dtype=np.float64),
         logp_collect=np.log(softmax(logits, 1.0)[np.arange(n), actions]),
     )
 
@@ -233,10 +256,11 @@ def _rollout_group(
     config: TrainConfig,
     epoch: int,
     task_index: int,
-) -> tuple[list[EpisodeTrace], list[float]]:
-    """G sampled rollouts of ``task``, sharing one admission rule, and their rewards."""
+) -> tuple[list[list[dict]], list[float]]:
+    """The events of G sampled rollouts of ``task``, sharing one admission
+    rule, each ending in its ``score`` event; and their rewards."""
     rule = LearnedAdmission(policy, "sampled", config.sample_temperature)
-    traces, rewards = [], []
+    streams, rewards = [], []
     scorer = task.scorer()
     for g in range(config.group_size):
         seed = int(
@@ -246,9 +270,10 @@ def _rollout_group(
         trace = run_episode(
             task.task_spec(), config.k, backend, rule, provider, MajorityAggregator(), seed=seed
         )
-        traces.append(trace)
-        rewards.append(episode_reward(trace, scorer.score))
-    return traces, rewards
+        trace.events.append(score_event(trace, scorer.score))
+        streams.append(trace.events)
+        rewards.append(episode_reward(trace.events))
+    return streams, rewards
 
 
 def _group_loss_and_grads(
@@ -295,7 +320,7 @@ def train(
     if ckpt_dir:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
-    report = TrainReport(epochs=[], param_count=policy.param_count, config=asdict(config))
+    report = TrainReport(epochs=[], config=asdict(config))
 
     def checkpoint(name: str) -> None:
         if ckpt_dir:
@@ -306,11 +331,11 @@ def train(
         reward_values: list[float] = []
         admit_flags: list[bool] = []
         for task_index, task in enumerate(tasks):
-            traces, rewards = _rollout_group(policy, task, provider, config, epoch, task_index)
-            groups.append(_store_group(traces, rewards, config, policy, provider))
+            streams, rewards = _rollout_group(policy, task, provider, config, epoch, task_index)
+            groups.append(_store_group(streams, rewards, config, policy, provider))
             reward_values.extend(rewards)
-            for trace in traces:
-                admit_flags.extend(r.decision.action == YES for r in trace.decisions())
+            for events in streams:
+                admit_flags.extend(d["action"] == YES for d in decision_events(events))
 
         pass_losses: list[float] = []
         pass_policy: list[float] = []

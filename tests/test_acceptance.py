@@ -92,7 +92,7 @@ def test_c01_math_oracles():
     trace = run_episode(task.task_spec(), K, ScriptedBackend(task, K),
                         ConstantAdmission(YES), PROVIDER, MajorityAggregator(), seed=1)
     a_base, beta = -0.31, 0.25
-    values = shaped_advantages(trace, a_base, beta, r_total=1.2)
+    values = shaped_advantages(trace.events, a_base, beta, r_total=1.2)
     for v in values:
         assert v == pytest.approx(a_base) or v == pytest.approx(a_base + beta)
     assert any(v == pytest.approx(a_base + beta) for v in values)
@@ -427,7 +427,7 @@ def test_c10_endpoint_adapter(tmp_path, monkeypatch):
         trace = run_episode(TaskSpec("t", "q", step_cap=4), 1, backend, None, PROVIDER,
                             MajorityAggregator(), seed=0, mode="live")
         assert trace.candidates and trace.candidates[0].answer == "done"
-        assert any(r.label == "malformed" for r in trace.steps)
+        assert any(e["kind"] == "step" and e["label"] == "malformed" for e in trace.events)
         assert isinstance(parse_action("RETRIEVE:abc"), Malformed)
 
         # retries and backoff obey configuration

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hivemem.controller import NO, YES, StepTriplet
+from hivemem.controller import NO, YES, Decision, StepTriplet
 from hivemem.errors import ValidationError
 from hivemem.runtime import (
     Candidate,
@@ -118,7 +118,7 @@ def test_step_cap_safety():
                          step_cap=5, p_fail=0.3)
     trace = run_sim(task, None, seed=2)
     for team in (1, 2, 3):
-        assert len([r for r in trace.steps if r.team == team]) <= 5
+        assert len([e for e in trace.events if e["kind"] == "step" and e["team"] == team]) <= 5
 
 
 def test_decision_coverage():
@@ -386,7 +386,7 @@ def test_run_variant_skips_the_forward_pass_on_repeated_decisions(monkeypatch):
     monkeypatch.setattr(AdmissionPolicy, "forward", counted)
     tasks = [generate_task(seed=s, **_HEAVY) for s in (1, 2)]
     _, traces = run_variant(tasks, _mixed_policy(), 3, [0, 1, 2], _PROVIDER, keep_traces=True)
-    decisions = sum(len(t.decisions()) for t in traces)
+    decisions = sum(e["kind"] == "decision" for t in traces for e in t.events)
     assert 0 < len(calls) < decisions
 
 
@@ -484,17 +484,28 @@ def test_a_trace_file_rebuilds_its_trace(
     if fault is not None and fault_after < spy.moves:
         ending = {"raise": "failed", "step": "cap_exhausted", "retrieve": "move_limit"}[fault]
         assert rebuilt.team_status[0] == ending
-    # the step records are the steps the teams took, team-major
+    # the step, decision and admit events are the steps the teams took
     taken = []
     for team, status in enumerate(rebuilt.team_status, start=1):
         rows = spy.steps.get(team, [])
         if status == "cap_exhausted":
             rows = rows[:-1]  # the step past the cap is not taken
         taken += [(team, i, *row) for i, row in enumerate(rows, start=1)]
-    records = [(r.team, r.step_index, r.triplet, r.label, r.decision, r.mem_size_at_decision,
-                r.entry_id) for r in rebuilt.steps]
-    assert records == taken
-    assert rebuilt.steps == trace.steps
+    events = rebuilt.events
+    decisions = {(e["team"], e["step"]): e for e in events if e["kind"] == "decision"}
+    entries = {(e["team"], e["step"]): e["entry_id"] for e in events if e["kind"] == "admit"}
+    recorded = []
+    for e in sorted((e for e in events if e["kind"] == "step"), key=lambda e: e["team"]):
+        key = (e["team"], e["step"])
+        d = decisions.get(key)
+        decision = None if d is None else Decision(
+            d["action"], d["prob_yes"], d["log_prob"], d["fail_closed"]
+        )
+        triplet = StepTriplet(e["agent_input"], e["step_summary"], e["agent_output"])
+        size = 0 if d is None else d["mem_size"]
+        recorded.append((*key, triplet, e["label"], decision, size, entries.get(key)))
+    assert recorded == taken
+    assert len(decisions) == sum(row[4] is not None for row in taken)
     answer = MajorityAggregator().aggregate(rebuilt.query, rebuilt.candidates)
     assert answer == rebuilt.aggregate_answer == trace.aggregate_answer
 

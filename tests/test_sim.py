@@ -11,7 +11,6 @@ from hivemem.sim import (
     canonical_key,
     generate_task,
     llm_proxy_rule,
-    run_matrix,
     run_variant,
     solve_counts,
     variant_policy,
@@ -90,9 +89,9 @@ def test_memory_disabled_computations_scale_with_k(provider):
     trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), None, provider,
                         MajorityAggregator(), seed=2)
     per_team = {t: 0 for t in (1, 2, 3)}
-    for r in trace.steps:
-        if r.label.startswith(("solve:", "private:")):
-            per_team[r.team] += 1
+    for e in trace.events:
+        if e["kind"] == "step" and e["label"].startswith(("solve:", "private:")):
+            per_team[e["team"]] += 1
     assert len(set(per_team.values())) == 1
     total = sum(per_team.values())
     assert total == 3 * per_team[1]
@@ -144,13 +143,10 @@ def test_own_lure_is_recognized(provider):
 def test_distractor_free_add_all_is_fastest(provider):
     tasks = [generate_task(seed=20 + i, depth=2, width=1, overlap_count=6,
                            distractor_count=0, p_fail=0.1) for i in range(10)]
-    results = run_matrix(
-        tasks,
-        {"no-memory": None, "add-all": variant_policy("add-all"), "llm-proxy": llm_proxy_rule()},
-        k=3,
-        seeds=[0, 1],
-        provider=provider,
-    )
+    results = {
+        name: run_variant(tasks, variant_policy(name), k=3, seeds=[0, 1], provider=provider)[0]
+        for name in ("no-memory", "add-all", "llm-proxy")
+    }
     assert results["add-all"].mean_runtime <= results["llm-proxy"].mean_runtime
     assert results["add-all"].mean_runtime < results["no-memory"].mean_runtime
 
@@ -160,26 +156,20 @@ def test_distractor_heavy_add_all_hurts_score(provider):
                            step_cap=14, p_fail=0.08, pollution_fail_boost=0.2,
                            pollution_recovery_steps=1, pollution_corrupt_rate=0.45)
              for i in range(10)]
-    results = run_matrix(
-        tasks,
-        {"no-memory": None, "add-all": variant_policy("add-all")},
-        k=3,
-        seeds=[3, 4],
-        provider=provider,
-    )
+    results = {
+        name: run_variant(tasks, variant_policy(name), k=3, seeds=[3, 4], provider=provider)[0]
+        for name in ("no-memory", "add-all")
+    }
     assert results["add-all"].mean_score < results["no-memory"].mean_score
 
 
 def test_zero_overlap_all_variants_tie_on_steps(provider):
     tasks = [generate_task(seed=90 + i, depth=2, width=2, overlap_count=0,
                            distractor_count=0, p_fail=0.1) for i in range(6)]
-    results = run_matrix(
-        tasks,
-        {"no-memory": None, "add-all": variant_policy("add-all"), "llm-proxy": llm_proxy_rule()},
-        k=3,
-        seeds=[0, 1],
-        provider=provider,
-    )
+    results = {
+        name: run_variant(tasks, variant_policy(name), k=3, seeds=[0, 1], provider=provider)[0]
+        for name in ("no-memory", "add-all", "llm-proxy")
+    }
     step_means = {name: m.mean_steps for name, m in results.items()}
     assert max(step_means.values()) - min(step_means.values()) == 0
     runtimes = {name: m.mean_runtime for name, m in results.items()}

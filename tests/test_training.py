@@ -18,8 +18,15 @@ from hivemem.controller import (
 )
 from hivemem.embeddings import HashingEmbedder
 from hivemem.errors import TrainingDiverged, ValidationError
-from hivemem.runtime import ConstantAdmission, LearnedAdmission, MajorityAggregator, run_episode
-from hivemem.sim import ScriptedBackend, generate_task
+from hivemem.runtime import (
+    ConstantAdmission,
+    LearnedAdmission,
+    MajorityAggregator,
+    decision_events,
+    run_episode,
+)
+from hivemem.sim import ScriptedBackend, generate_task, score_event
+from hivemem.tracefile import read_events, write_events
 from hivemem.training import (
     AdamW,
     TrainConfig,
@@ -78,26 +85,39 @@ def sim_trace(policy=None, seed=0, distractors=0, p_fail=0.1):
 # -- rewards -----------------------------------------------------------------
 
 
+def scored(trace, score):
+    """The trace's events followed by its ``score`` event under ``score``."""
+    return [*trace.events, score_event(trace, score)]
+
+
 def test_episode_reward_full_marks():
     _, trace = sim_trace(ConstantAdmission(YES))
-    assert episode_reward(trace, lambda answer: 1.0) == 2.0
+    assert episode_reward(scored(trace, lambda answer: 1.0)) == 2.0
 
 
 def test_episode_reward_zero():
     _, trace = sim_trace()
-    assert episode_reward(trace, lambda answer: 0.0) == 0.0
+    assert episode_reward(scored(trace, lambda answer: 0.0)) == 0.0
 
 
 def test_episode_reward_partial_credit():
     _, trace = sim_trace()
     scores = iter([0.6, 0.4])  # aggregate then first-finisher
-    assert episode_reward(trace, lambda answer: next(scores)) == pytest.approx(1.0)
+    assert episode_reward(scored(trace, lambda answer: next(scores))) == pytest.approx(1.0)
 
 
 def test_episode_reward_rejects_out_of_range_scorer():
     _, trace = sim_trace()
     with pytest.raises(ValidationError):
-        episode_reward(trace, lambda answer: 1.5)
+        episode_reward(scored(trace, lambda answer: 1.5))
+
+
+def test_episode_reward_needs_one_score_event():
+    _, trace = sim_trace()
+    events = scored(trace, lambda answer: 1.0)
+    for stream in (trace.events, events + events[-1:]):
+        with pytest.raises(ValidationError, match="score event"):
+            episode_reward(stream)
 
 
 # -- group advantage ----------------------------------------------------------
@@ -157,23 +177,23 @@ def used_steps(trace):
 
 def test_shaped_advantage_bonus_applied():
     trace = _trace_with_usage()
-    advantages = shaped_advantages(trace, a_base=-0.5, beta=0.25, r_total=0.8)
+    advantages = shaped_advantages(trace.events, a_base=-0.5, beta=0.25, r_total=0.8)
     used = used_steps(trace)
-    for record, adv in zip(trace.decisions(), advantages):
-        assert adv == pytest.approx(-0.25 if (record.team, record.step_index) in used else -0.5)
+    for d, adv in zip(decision_events(trace.events), advantages):
+        assert adv == pytest.approx(-0.25 if (d["team"], d["step"]) in used else -0.5)
     assert any(a == pytest.approx(-0.25) for a in advantages)
 
 
 def test_shaped_advantage_no_bonus_without_reward():
     trace = _trace_with_usage()
-    advantages = shaped_advantages(trace, a_base=-0.5, beta=0.25, r_total=0.0)
+    advantages = shaped_advantages(trace.events, a_base=-0.5, beta=0.25, r_total=0.0)
     assert all(a == pytest.approx(-0.5) for a in advantages)
 
 
 def test_shaped_advantage_values_restricted():
     trace = _trace_with_usage()
     a_base = 0.37
-    advantages = shaped_advantages(trace, a_base=a_base, beta=0.25, r_total=1.0)
+    advantages = shaped_advantages(trace.events, a_base=a_base, beta=0.25, r_total=1.0)
     for a in advantages:
         assert a == pytest.approx(a_base) or a == pytest.approx(a_base + 0.25)
 
@@ -185,7 +205,7 @@ def test_shaped_advantage_unretrieved_entry_gets_base():
                         ConstantAdmission(YES), PROVIDER, MajorityAggregator(), seed=0)
     assert any(e["kind"] == "admit" for e in trace.events)
     assert not any(e["kind"] == "retrieve" for e in trace.events)
-    advantages = shaped_advantages(trace, a_base=0.1, beta=0.25, r_total=1.0)
+    advantages = shaped_advantages(trace.events, a_base=0.1, beta=0.25, r_total=1.0)
     assert all(a == pytest.approx(0.1) for a in advantages)
 
 
@@ -201,10 +221,10 @@ def test_shaped_advantage_pays_own_team_retrievals():
                and e["team"] == a["team"] for e in trace.events)
     }
     assert len(own_used) >= 2 and len(admits) > len(own_used)
-    advantages = shaped_advantages(trace, a_base=0.5, beta=0.25, r_total=2.0)
+    advantages = shaped_advantages(trace.events, a_base=0.5, beta=0.25, r_total=2.0)
     assert len(advantages) == len(admits)
-    for record, adv in zip(trace.decisions(), advantages):
-        assert adv == (0.75 if (record.team, record.step_index) in own_used else 0.5)
+    for d, adv in zip(decision_events(trace.events), advantages):
+        assert adv == (0.75 if (d["team"], d["step"]) in own_used else 0.5)
 
 
 # -- losses --------------------------------------------------------------------
@@ -435,7 +455,7 @@ def test_nonfinite_logits_fail_closed_in_rollout():
     trace = run_episode(task.task_spec(), 2, ScriptedBackend(task, 2), policy, PROVIDER,
                         MajorityAggregator(), seed=0)
     assert not any(e["kind"] == "admit" for e in trace.events)
-    assert all(r.decision.fail_closed for r in trace.decisions())
+    assert all(d["fail_closed"] for d in decision_events(trace.events))
 
 
 def test_importance_weighting_flag():
@@ -510,56 +530,56 @@ def test_rollout_group_shares_a_rule_without_changing_a_trace(monkeypatch):
     forward = AdmissionPolicy.forward
     monkeypatch.setattr(AdmissionPolicy, "forward",
                         lambda self, context: forwards.append(1) or forward(self, context))
-    traces, _ = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
+    streams, _ = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
     shared_forwards = len(forwards)
     forwards.clear()
-    for g, trace in enumerate(traces):
+    for g, events in enumerate(streams):
         seed = int(np.random.SeedSequence([config.seed, 0, 0, g]).generate_state(1)[0])
         alone = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
                             LearnedAdmission(policy, "sampled", config.sample_temperature),
                             HEAVY_PROVIDER, MajorityAggregator(), seed=seed)
-        assert trace.events == alone.events  # prob_yes and log_prob bit for bit
+        # prob_yes and log_prob bit for bit, and the score event the rollout appends
+        assert events == [*alone.events, score_event(alone, task.scorer().score)]
     # the shared rule reuses rows from the group's earlier rollouts
-    assert shared_forwards < len(forwards) <= sum(len(t.decisions()) for t in traces)
+    assert shared_forwards < len(forwards) <= sum(len(decision_events(e)) for e in streams)
 
 
 def _heavy_group(importance_weighting):
     """One sampled HEAVY group (k=3, G=5), packed, and the per-step reference.
 
-    One decision is marked fail-closed, and the parameters move after the
-    group is packed, as they do between replay passes.  Returns the policy,
-    config, the packed group, and per kept decision (context, action,
-    advantage, log-prob at collection time).
+    One decision event is marked fail-closed, and the parameters move after
+    the group is packed, as they do between replay passes.  Returns the
+    policy, config, the packed group, and per kept decision (context,
+    action, advantage, log-prob at collection time), built from the events.
     """
     rng = np.random.default_rng(8)
     policy = _heavy_policy(rng)
     config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2,
                          importance_weighting=importance_weighting)
     task = generate_task(seed=1005, **HEAVY)
-    traces, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
-    record = traces[1].decisions()[2]
-    record.decision = dataclasses.replace(record.decision, fail_closed=True)
-    group = _store_group(traces, rewards, config, policy, HEAVY_PROVIDER)
+    streams, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
+    decision_events(streams[1])[2]["fail_closed"] = True
+    group = _store_group(streams, rewards, config, policy, HEAVY_PROVIDER)
     reference = []
-    for trace, reward, a in zip(traces, rewards, group_advantage(rewards)):
+    for events, reward, a in zip(streams, rewards, group_advantage(rewards)):
+        steps = {(e["team"], e["step"]): e for e in events if e["kind"] == "step"}
         # the bank's key rows, rebuilt from the admit events in file order
-        summaries = {(r.team, r.step_index): r.triplet.step_summary for r in trace.decisions()}
-        keys = np.array([HEAVY_PROVIDER.embed(summaries[e["team"], e["step"]])
-                         for e in trace.events if e["kind"] == "admit"]).reshape(-1, 64)
-        advantages = shaped_advantages(trace, float(a), config.beta, reward)
-        for record, adv in zip(trace.decisions(), advantages):
-            if record.decision.fail_closed:
+        keys = np.array([HEAVY_PROVIDER.embed(steps[e["team"], e["step"]]["step_summary"])
+                         for e in events if e["kind"] == "admit"]).reshape(-1, 64)
+        advantages = shaped_advantages(events, float(a), config.beta, reward)
+        for d, adv in zip(decision_events(events), advantages):
+            if d["fail_closed"]:
                 continue
-            t = record.triplet
+            step = steps[d["team"], d["step"]]
             context = pooled_context(
-                HEAVY_PROVIDER.embed(trace.query),
-                keys[: record.mem_size_at_decision],
-                np.stack([HEAVY_PROVIDER.embed(x) for x in
-                          (t.agent_input, t.step_summary, t.agent_output)]),
+                HEAVY_PROVIDER.embed(events[0]["query"]),
+                keys[: d["mem_size"]],
+                np.stack([HEAVY_PROVIDER.embed(step[x]) for x in
+                          ("agent_input", "step_summary", "agent_output")]),
             )
-            action = record.decision.action
+            action = d["action"]
             reference.append((context, action, adv, log_prob(policy, context, action)[0]))
-    assert len(reference) == sum(len(t.decisions()) for t in traces) - 1
+    assert len(reference) == sum(len(decision_events(e)) for e in streams) - 1
     for key in policy.params:
         policy.params[key] += rng.normal(0.0, 0.05, policy.params[key].shape)
     return policy, config, group, reference
@@ -596,6 +616,34 @@ def test_packed_group_covers_empty_memory_and_fail_closed_steps():
         assert np.array_equal(row, policy.forward(context)[0][0])
     # taken from one forward over the group, before the parameters moved
     assert group.logp_collect.tolist() == [logp for *_, logp in reference]
+
+
+def test_a_group_read_back_from_trace_files_packs_the_same_rows(tmp_path):
+    # the update step reads only events: files written and read back pack
+    # the group the in-memory rollouts pack, fail-closed mark included
+    policy = _heavy_policy(np.random.default_rng(8))
+    policy.params["b_out"] += [1.0, -1.0]  # admits more, so lures make rewards differ
+    config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2)
+    task = generate_task(seed=1005, **HEAVY)
+    streams, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
+    decision_events(streams[1])[2]["fail_closed"] = True
+    read_back = []
+    for g, events in enumerate(streams):
+        write_events(tmp_path / f"rollout_{g}.jsonl", events)
+        read_back.append(read_events(tmp_path / f"rollout_{g}.jsonl"))
+    assert read_back == streams
+    read_rewards = [episode_reward(events) for events in read_back]
+    assert read_rewards == rewards and len(set(rewards)) > 1
+    group = _store_group(streams, rewards, config, policy, HEAVY_PROVIDER)
+    from_files = _store_group(read_back, read_rewards, config, policy, HEAVY_PROVIDER)
+    for name in ("queries", "memory_means", "memory_sizes", "step_means"):
+        packed, reread = getattr(group.context, name), getattr(from_files.context, name)
+        assert packed.dtype == reread.dtype and np.array_equal(packed, reread), name
+    for name in ("actions", "advantages", "logp_collect"):
+        packed, reread = getattr(group, name), getattr(from_files, name)
+        assert packed.dtype == reread.dtype and np.array_equal(packed, reread), name
+    assert len(group.actions) == sum(len(decision_events(e)) for e in streams) - 1
+    assert (group.context.memory_sizes > 0).any() and (group.advantages != 0).any()
 
 
 def _packed_loss_and_grads(policy, config, group, monkeypatch):
