@@ -5,17 +5,17 @@ Three teams race the same derivation task under a deterministic
 virtual-time scheduler, so runtimes are exact and reproducible.
 """
 
-from hivemem import ConstantAdmission, HashingEmbedder, MajorityAggregator, run_episode
-from hivemem.sim import ScriptedBackend, generate_task, solve_counts
+from hivemem import HashingEmbedder, MajorityAggregator, run_episode
+from hivemem.sim import ScriptedBackend, generate_task, solve_counts, variant_policy
 
 provider = HashingEmbedder(dimension=32)
 task = generate_task(seed=11, depth=2, width=1, overlap_count=6, distractor_count=0, p_fail=0.1)
 print(f"task {task.task_id}: shared chains {task.shared_chains}")
 
-for name, policy in [("no memory", None), ("admit everything", ConstantAdmission("YES"))]:
+for name, rule in [("no memory", None), ("admit everything", variant_policy("add-all"))]:
     backend = ScriptedBackend(task, k=3)
     trace = run_episode(
-        task.task_spec(), 3, backend, policy, provider, MajorityAggregator(), seed=5
+        task.task_spec(), 3, backend, rule, provider, MajorityAggregator(), seed=5
     )
     score = task.scorer().score(trace.aggregate_answer)
     computations = sum(solve_counts(trace.events).values())

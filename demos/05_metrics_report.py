@@ -9,8 +9,8 @@ external plotting.
 import tempfile
 from pathlib import Path
 
-from hivemem import ConstantAdmission, HashingEmbedder, compute_metrics, report
-from hivemem.sim import generate_task, run_variant
+from hivemem import HashingEmbedder, compute_metrics, report
+from hivemem.sim import generate_task, run_variant, variant_policy
 
 provider = HashingEmbedder(dimension=32)
 tasks = [
@@ -20,8 +20,8 @@ tasks = [
 
 out = Path(tempfile.mkdtemp(prefix="hivemem_report_"))
 variants = {}
-for name, policy in [("no_memory", None), ("add_all", ConstantAdmission("YES"))]:
-    metrics, traces = run_variant(tasks, policy, 3, [0, 1, 2], provider, keep_traces=True)
+for name, rule in [("no_memory", None), ("add_all", variant_policy("add-all"))]:
+    metrics, traces = run_variant(tasks, rule, 3, [0, 1, 2], provider, keep_traces=True)
 
     # persist and recompute: the numbers must survive the round trip exactly
     trace_dir = out / name

@@ -34,7 +34,6 @@ from .metrics import RunMetrics, compute_metrics, report
 from .runtime import (
     AgentBackend,
     Candidate,
-    ConstantAdmission,
     EpisodeTrace,
     FinalMove,
     HeuristicAdmission,

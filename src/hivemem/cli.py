@@ -38,15 +38,16 @@ def _make_tasks(args) -> list[SimTask]:
 
 
 def _load_policy(args, provider):
+    """The admission rule ``--policy`` names; None for ``no-memory``."""
     if args.policy == "learned":
         if not args.checkpoint:
             raise ValidationError("--policy learned requires --checkpoint")
         policy, _ = AdmissionPolicy.load(args.checkpoint, expected_embed_dim=provider.dimension)
-        return policy
+        return variant_policy("learned", policy)
     return variant_policy(args.policy)
 
 
-def _run_llm(args, provider, policy) -> int:
+def _run_llm(args, provider, rule) -> int:
     from .endpoint import EndpointConfig, LLMAggregator, LLMBackend
     from .metrics import metrics_from_event_streams
     from .runtime import AggregationError, TaskSpec, run_episode
@@ -64,7 +65,7 @@ def _run_llm(args, provider, policy) -> int:
         for i in range(args.episodes):
             path = out / f"episode_{i:05d}.jsonl"
             try:
-                trace = run_episode(task, args.k, backend, policy, provider, aggregator,
+                trace = run_episode(task, args.k, backend, rule, provider, aggregator,
                                     seed=args.seed + i, mode="live")
             except AggregationError as exc:  # the teams finished; keep their episode
                 exc.trace.write(path)
@@ -84,13 +85,13 @@ def _run_llm(args, provider, policy) -> int:
 
 def _run_episodes(args, write_traces: bool) -> int:
     provider = HashingEmbedder(args.embed_dim)
-    policy = _load_policy(args, provider)
+    rule = _load_policy(args, provider)
     if getattr(args, "backend", "sim") == "llm":  # only ``run`` has --backend
-        return _run_llm(args, provider, policy)
+        return _run_llm(args, provider, rule)
     tasks = _make_tasks(args)
     seeds = list(range(args.seed, args.seed + args.episodes))
     metrics, traces = run_variant(
-        tasks, policy, args.k, seeds, provider, keep_traces=write_traces
+        tasks, rule, args.k, seeds, provider, keep_traces=write_traces
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

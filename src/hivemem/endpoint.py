@@ -67,11 +67,10 @@ class EndpointConfig:
         return value
 
     @classmethod
-    def from_env(cls, **overrides) -> "EndpointConfig":
+    def from_env(cls) -> "EndpointConfig":
         return cls(
             base_url=os.environ.get("HIVEMEM_ENDPOINT_URL", "http://localhost:8000/v1"),
             model=os.environ.get("HIVEMEM_MODEL", "default"),
-            **overrides,
         )
 
 
@@ -197,7 +196,6 @@ def call_chat(
     config: EndpointConfig,
     messages: list[dict],
     sleep_fn=time.sleep,
-    session: requests.Session | None = None,
     call_log: list[dict] | None = None,
 ) -> str:
     """POST to /chat/completions with retry/backoff; returns the completion.
@@ -217,7 +215,6 @@ def call_chat(
         "messages": messages,
         "temperature": config.temperature,
     }
-    http = session or requests
     last_error: str = ""
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
@@ -225,7 +222,7 @@ def call_chat(
         started = time.perf_counter()
         status = None
         try:
-            response = http.post(
+            response = requests.post(
                 url,
                 json=payload,
                 headers={"Authorization": f"Bearer {credential}"},

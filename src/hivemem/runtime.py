@@ -171,12 +171,11 @@ class LearnedAdmission:
     pass.  The decision itself is drawn anew every time, so rng draws,
     ``fail_closed`` and the trace are as without the memo.  The memo lives
     as long as the rule, so the policy's parameters must not change while
-    a rule is in use.  ``run_episode`` given an ``AdmissionPolicy`` builds
-    a fresh greedy rule per episode, ``run_variant`` one per call, and
-    training one sampled rule per rollout group, before the group's
-    updates.  A call with another provider empties the memo.  Live mode's
-    team threads share it: a race can only recompute a row, never pair an
-    input with another input's row.
+    a rule is in use.  ``run_variant`` given an ``AdmissionPolicy`` builds
+    one greedy rule per call, and training one sampled rule per rollout
+    group, before the group's updates.  A call with another provider
+    empties the memo.  Live mode's team threads share it: a race can only
+    recompute a row, never pair an input with another input's row.
     """
 
     def __init__(
@@ -212,27 +211,14 @@ class LearnedAdmission:
         return decision, size
 
 
-class ConstantAdmission:
-    """Admit-everything / admit-nothing reference rules.
-
-    Reports probability 1.0 or 0.0 and log-prob 0.0 (the taken action is
-    certain); traces produced under constant rules are never trained on.
-    """
-
-    def __init__(self, action: str):
-        if action not in (YES, NO):
-            raise ValidationError("action must be YES or NO")
-        self.action = action
-        self._decision = Decision(
-            action=action, prob_yes=1.0 if action == YES else 0.0, log_prob_action=0.0
-        )
-
-    def decide_step(self, query, bank, triplet, provider, rng):
-        return self._decision, len(bank)
-
-
 class HeuristicAdmission:
-    """Admit iff a predicate on the step triplet holds (LLM-judge proxy)."""
+    """Admit iff a predicate on the step triplet holds: the one fixed rule.
+
+    ``lambda t: True`` admits everything and ``lambda t: False`` nothing;
+    a predicate on the triplet stands in for an LLM judge.  Reports
+    probability 1.0 or 0.0 and log-prob 0.0 (the taken action is certain);
+    traces produced under fixed rules are never trained on.
+    """
 
     def __init__(self, predicate: Callable[[StepTriplet], bool]):
         self.predicate = predicate
@@ -241,13 +227,6 @@ class HeuristicAdmission:
 
     def decide_step(self, query, bank, triplet, provider, rng):
         return (self._yes if self.predicate(triplet) else self._no), len(bank)
-
-
-def as_admission_rule(policy) -> AdmissionRule | None:
-    """None, or a ready-made rule, as given; a bare AdmissionPolicy decides greedily."""
-    if isinstance(policy, AdmissionPolicy):
-        return LearnedAdmission(policy)
-    return policy
 
 
 # -- episode trace -----------------------------------------------------------
@@ -343,7 +322,7 @@ def run_episode(
     task: TaskSpec,
     k: int,
     backend: AgentBackend,
-    policy,
+    rule: AdmissionRule | None,
     provider: EmbeddingProvider,
     aggregator: Aggregator,
     seed: int = 0,
@@ -353,31 +332,38 @@ def run_episode(
 
     The events are the only record the run keeps (see ``tracefile``).
 
-    ``policy`` is None, an ``AdmissionPolicy`` or a ready-made admission
-    rule.  None disables the memory system entirely (no decisions, no
-    admissions).  A bare policy decides greedily under a rule built for
-    this episode.  A ready-made rule decides as it was built to; a
+    ``rule`` decides every step (see ``AdmissionRule``); a
     ``LearnedAdmission`` keeps its memo across the episodes it is given.
+    None disables the memory system entirely (no decisions, no
+    admissions).  Anything else, a bare ``AdmissionPolicy`` say, is a
+    ``ValidationError`` before the first move.
 
     In deterministic mode all timing is virtual: move costs advance
     per-team clocks and the interleaving is fixed by the seed, so two
     runs with identical inputs produce identical traces including bank
-    sequence numbers.  Controller decisions cost zero virtual time.
+    sequence numbers.  Controller decisions cost zero virtual time.  An
+    admitted entry is visible from the start of the move that admits it,
+    not from its end: a team whose clock lies inside that move already
+    sees it.  Moving it to the end would change every pinned trace.
     In live mode vt is seconds and the bank's ``t_ns`` nanoseconds since
     one ``perf_counter`` origin, and a move is stamped when the backend's
     reply arrives.
 
-    A backend failure ends its team with a failure candidate; any other
-    error raised while running a team (an unknown move, say) propagates
-    in both modes.  Live mode re-raises the first such error once every
-    team thread has stopped.
+    Errors have one contract in both modes.  A backend failure (an
+    ``Exception`` from ``next_move``) ends its team with a failure
+    candidate.  Anything else raised while running a team (an unknown
+    move, a ``SystemExit`` from the backend) stops the episode: no team
+    starts another move, and the error propagates with no trace.  Live
+    mode lets each other team finish its move in flight, then re-raises
+    the first error once every team thread has stopped.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if mode not in ("deterministic", "live"):
         raise ValidationError(f"unknown mode {mode!r}")
+    if rule is not None and not callable(getattr(rule, "decide_step", None)):
+        raise ValidationError(f"rule must be an admission rule or None, not {type(rule).__name__}")
 
-    rule = as_admission_rule(policy)
     sink = TraceSink()
     live = mode == "live"
     now_vt = [0.0]  # deterministic-mode clock cell, read by the bank clock
@@ -472,13 +458,13 @@ def run_episode(
         return end_team(state, "final", move.answer, end)
 
     if live:
-        errors: list[Exception] = []
+        errors: list[BaseException] = []
 
         def team_loop(state: _TeamState) -> None:
             try:
-                while not state.done:
+                while not state.done and not errors:  # one error stops every team
                     advance(state, elapsed())
-            except Exception as exc:  # re-raised once every team has stopped
+            except BaseException as exc:  # re-raised once every team has stopped
                 errors.append(exc)
 
         threads = [threading.Thread(target=team_loop, args=(s,)) for s in states]

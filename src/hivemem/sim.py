@@ -23,21 +23,21 @@ from typing import Callable
 
 import numpy as np
 
-from .controller import YES, StepTriplet
+from .controller import AdmissionPolicy, StepTriplet
 from .errors import ValidationError
 from .metrics import RunMetrics, metrics_from_event_streams
 from .runtime import (
-    ConstantAdmission,
+    AdmissionRule,
     EpisodeTrace,
     FinalMove,
     HeuristicAdmission,
     HistoryItem,
+    LearnedAdmission,
     MajorityAggregator,
     Move,
     RetrieveMove,
     StepMove,
     TaskSpec,
-    as_admission_rule,
     decision_events,
     run_episode,
 )
@@ -441,17 +441,19 @@ def llm_proxy_rule() -> HeuristicAdmission:
     return HeuristicAdmission(lambda t: t.step_summary.startswith(CANONICAL_PREFIX))
 
 
-def variant_policy(name: str, trained=None):
+def variant_policy(name: str, trained: AdmissionPolicy | None = None) -> AdmissionRule | None:
+    """The admission rule of a variant; ``no-memory`` has none, ``learned``
+    decides greedily under ``trained``."""
     if name == "no-memory":
         return None
     if name == "add-all":
-        return ConstantAdmission(YES)
+        return HeuristicAdmission(lambda t: True)
     if name == "llm-proxy":
         return llm_proxy_rule()
     if name == "learned":
         if trained is None:
             raise ValidationError("the learned variant needs a trained policy")
-        return trained
+        return LearnedAdmission(trained)
     raise ValidationError(f"unknown variant {name!r}")
 
 
@@ -467,20 +469,22 @@ def score_event(trace: EpisodeTrace, score: Callable[[str], float]) -> dict:
 
 def run_variant(
     tasks: list[SimTask],
-    policy,
+    rule: AdmissionRule | AdmissionPolicy | None,
     k: int,
     seeds: list[int],
     provider,
     keep_traces: bool = False,
 ) -> tuple[RunMetrics, list[EpisodeTrace]]:
-    """Run every (task, seed) pair under one admission policy and score it.
+    """Run every (task, seed) pair under one admission rule and score it.
 
-    Learned policies decide greedily.  One admission rule serves the whole
-    call, so a learned rule's memo carries repeated decision inputs across
-    episodes (see ``LearnedAdmission``); the policy's parameters must not
-    change during the call.
+    A bare ``AdmissionPolicy`` decides greedily under a rule built for
+    this call.  One rule serves the whole call, so a learned rule's memo
+    carries repeated decision inputs across episodes (see
+    ``LearnedAdmission``); the policy's parameters must not change during
+    the call.
     """
-    rule = as_admission_rule(policy)
+    if isinstance(rule, AdmissionPolicy):
+        rule = LearnedAdmission(rule)
     streams: list[list[dict]] = []
     traces: list[EpisodeTrace] = []
     for task in tasks:

@@ -26,7 +26,7 @@ from hivemem.controller import (
 from hivemem.embeddings import HashingEmbedder
 from hivemem.errors import EntryNotFoundError
 from hivemem.metrics import metrics_from_event_streams
-from hivemem.runtime import ConstantAdmission, MajorityAggregator, run_episode
+from hivemem.runtime import HeuristicAdmission, MajorityAggregator, run_episode
 from hivemem.sim import ScriptedBackend, generate_task, prob_yes_by_label, run_variant, variant_policy
 from hivemem.tracefile import TraceSink
 from hivemem.training import TrainConfig, group_advantage, shaped_advantages, train
@@ -90,7 +90,7 @@ def test_c01_math_oracles():
     task = generate_task(seed=51, depth=2, width=1, overlap_count=6,
                          distractor_count=0, p_fail=0.0)
     trace = run_episode(task.task_spec(), K, ScriptedBackend(task, K),
-                        ConstantAdmission(YES), PROVIDER, MajorityAggregator(), seed=1)
+                        variant_policy("add-all"), PROVIDER, MajorityAggregator(), seed=1)
     a_base, beta = -0.31, 0.25
     values = shaped_advantages(trace.events, a_base, beta, r_total=1.2)
     for v in values:
@@ -159,7 +159,7 @@ def test_c03_baseline_equivalence():
         disabled = run_episode(task.task_spec(), K, ScriptedBackend(task, K), None,
                                PROVIDER, MajorityAggregator(), seed=i)
         always_no = run_episode(task.task_spec(), K, ScriptedBackend(task, K),
-                                ConstantAdmission(NO), PROVIDER, MajorityAggregator(), seed=i)
+                                HeuristicAdmission(lambda t: False), PROVIDER, MajorityAggregator(), seed=i)
         assert json.dumps(strip(disabled.events), sort_keys=True) == json.dumps(
             strip(always_no.events), sort_keys=True
         )
@@ -174,7 +174,7 @@ def test_c04_redundancy_reduction():
         for i in range(200)
     ]
     none_metrics, _ = run_variant(tasks, None, K, [7], PROVIDER)
-    yes_metrics, _ = run_variant(tasks, ConstantAdmission(YES), K, [7], PROVIDER)
+    yes_metrics, _ = run_variant(tasks, variant_policy("add-all"), K, [7], PROVIDER)
 
     assert abs(yes_metrics.mean_score - none_metrics.mean_score) <= 0.01
     reduction = 1.0 - yes_metrics.mean_runtime / none_metrics.mean_runtime
@@ -275,7 +275,7 @@ def test_c07_metrics_correctness():
     # add-all traces report memories_saved == 100.0 by construction
     task = generate_task(seed=77, depth=2, width=1, overlap_count=4,
                          distractor_count=0, p_fail=0.1)
-    addall, _ = run_variant([task], ConstantAdmission(YES), K, [0, 1, 2], PROVIDER)
+    addall, _ = run_variant([task], variant_policy("add-all"), K, [0, 1, 2], PROVIDER)
     assert addall.memories_saved_pct == 100.0
     assert time.perf_counter() - start < 60.0
 

@@ -12,7 +12,7 @@ import hivemem
 from hivemem.controller import AdmissionPolicy
 from hivemem.embeddings import HashingEmbedder
 from hivemem.runtime import MajorityAggregator, run_episode
-from hivemem.sim import ScriptedBackend, generate_task
+from hivemem.sim import ScriptedBackend, generate_task, variant_policy
 
 _TRACING = Path(__file__).resolve().parent.parent / "hivebench" / "tracing.py"
 
@@ -32,8 +32,9 @@ def test_tracer_spans_a_learned_greedy_episode():
         task = generate_task(seed=9, depth=2, width=1, overlap_count=4,
                              distractor_count=0, p_fail=0.1)
         provider = HashingEmbedder(64)
-        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), AdmissionPolicy(64, 8),
-                    provider, MajorityAggregator(), seed=0)
+        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
+                    variant_policy("learned", AdmissionPolicy(64, 8)), provider,
+                    MajorityAggregator(), seed=0)
     finally:
         tracer.restore()
     assert AdmissionPolicy.forward is forward
@@ -104,12 +105,12 @@ def test_tracer_sees_every_trace_file_write_and_read(tmp_path):
     from collections import Counter
 
     from hivemem.metrics import compute_metrics, metrics_from_event_streams
-    from hivemem.runtime import ConstantAdmission, EpisodeTrace
+    from hivemem.runtime import EpisodeTrace
 
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4,
                          distractor_count=0, p_fail=0.1)
     traces = [
-        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), ConstantAdmission("YES"),
+        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), variant_policy("add-all"),
                     HashingEmbedder(64), MajorityAggregator(), seed=seed)
         for seed in (0, 1)
     ]

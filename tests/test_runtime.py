@@ -7,14 +7,14 @@ from hivemem.controller import NO, YES, Decision, StepTriplet
 from hivemem.errors import ValidationError
 from hivemem.runtime import (
     Candidate,
-    ConstantAdmission,
     EpisodeTrace,
     FinalMove,
+    HeuristicAdmission,
+    LearnedAdmission,
     MajorityAggregator,
     RetrieveMove,
     StepMove,
     TaskSpec,
-    as_admission_rule,
     first_finisher,
     run_episode,
 )
@@ -43,7 +43,7 @@ def test_task_spec_validation():
 
 def test_single_team_completes_without_cross_sharing():
     task = generate_task(seed=1, depth=2, width=2, overlap_count=4, distractor_count=0, p_fail=0.1)
-    trace = run_sim(task, ConstantAdmission(YES), seed=3, k=1)
+    trace = run_sim(task, variant_policy("add-all"), seed=3, k=1)
     assert trace.candidates and trace.candidates[0].answer
     assert task.scorer().score(trace.aggregate_answer) == 1.0
     admit_team = {e["entry_id"]: e["team"] for e in trace.events if e["kind"] == "admit"}
@@ -56,7 +56,7 @@ def test_always_no_equals_memory_disabled():
     task = generate_task(seed=2, depth=2, width=1, overlap_count=6, distractor_count=2, p_fail=0.15)
     for seed in range(5):
         disabled = run_sim(task, None, seed=seed)
-        always_no = run_sim(task, ConstantAdmission(NO), seed=seed)
+        always_no = run_sim(task, HeuristicAdmission(lambda t: False), seed=seed)
         strip = lambda evs: [e for e in evs if e["kind"] != "decision"]  # noqa: E731
         assert json.dumps(strip(disabled.events)) == json.dumps(strip(always_no.events))
         assert not any(e["kind"] == "admit" for e in always_no.events)
@@ -64,7 +64,7 @@ def test_always_no_equals_memory_disabled():
 
 def test_always_yes_shares_overlap_work():
     task = generate_task(seed=3, depth=2, width=2, overlap_count=4, distractor_count=0, p_fail=0.1)
-    trace = run_sim(task, ConstantAdmission(YES), seed=1)
+    trace = run_sim(task, variant_policy("add-all"), seed=1)
     counts = solve_counts(trace.events)
     total = sum(counts.values())
     assert 4 <= total <= 12
@@ -73,7 +73,7 @@ def test_always_yes_shares_overlap_work():
 
 def test_always_yes_exactly_once_noise_free():
     task = generate_task(seed=4, depth=2, width=2, overlap_count=4, distractor_count=0, p_fail=0.0)
-    trace = run_sim(task, ConstantAdmission(YES), seed=1)
+    trace = run_sim(task, variant_policy("add-all"), seed=1)
     counts = solve_counts(trace.events)
     assert sorted(counts) == sorted(task.shared_nodes())
     assert set(counts.values()) == {1}
@@ -123,7 +123,7 @@ def test_step_cap_safety():
 
 def test_decision_coverage():
     task = generate_task(seed=6, depth=2, width=1, overlap_count=4, distractor_count=2, p_fail=0.1)
-    trace = run_sim(task, ConstantAdmission(YES), seed=4)
+    trace = run_sim(task, variant_policy("add-all"), seed=4)
     step_events = [e for e in trace.events if e["kind"] == "step"]
     decision_events = [e for e in trace.events if e["kind"] == "decision"]
     admit_events = [e for e in trace.events if e["kind"] == "admit"]
@@ -139,8 +139,8 @@ def test_decision_coverage():
 
 def test_determinism_identical_traces():
     task = generate_task(seed=7, depth=2, width=1, overlap_count=6, distractor_count=3, p_fail=0.15)
-    a = run_sim(task, ConstantAdmission(YES), seed=11)
-    b = run_sim(task, ConstantAdmission(YES), seed=11)
+    a = run_sim(task, variant_policy("add-all"), seed=11)
+    b = run_sim(task, variant_policy("add-all"), seed=11)
     assert json.dumps(a.events, sort_keys=True) == json.dumps(b.events, sort_keys=True)
 
 
@@ -155,7 +155,7 @@ def test_monotone_key_availability():
                 seen.append({eid for eid, _ in visible_keys})
             return super().next_move(team, query, history, visible_keys, rng)
 
-    run_episode(task.task_spec(), 3, Spy(task, 3), ConstantAdmission(YES), _PROVIDER,
+    run_episode(task.task_spec(), 3, Spy(task, 3), variant_policy("add-all"), _PROVIDER,
                 MajorityAggregator(), seed=5)
     for earlier, later in zip(seen, seen[1:]):
         assert earlier <= later
@@ -191,19 +191,75 @@ def test_team_error_raises_in_both_modes(mode):
 
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
     with pytest.raises(ValidationError, match="unknown move"):
-        run_episode(task.task_spec(), 3, UnknownMoveOnTeam2(task, 3), ConstantAdmission(YES),
+        run_episode(task.task_spec(), 3, UnknownMoveOnTeam2(task, 3), variant_policy("add-all"),
                     _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "live"])
+def test_a_backend_system_exit_propagates_in_both_modes(mode):
+    # a thread swallows SystemExit unless the scheduler re-raises it
+    class ExitOnTeam2(ScriptedBackend):
+        def next_move(self, team, query, history, visible_keys, rng):
+            if team == 2:
+                raise SystemExit(3)
+            return super().next_move(team, query, history, visible_keys, rng)
+
+    task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
+    with pytest.raises(SystemExit):
+        run_episode(task.task_spec(), 3, ExitOnTeam2(task, 3), variant_policy("add-all"),
+                    _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "live"])
+def test_a_team_error_stops_every_team_at_its_next_move(mode):
+    import time
+
+    calls = {1: 0, 2: 0}
+
+    class SlowTeamOneBadTeamTwo(ScriptedBackend):
+        """Team 1 takes 20 ms a move; team 2's first move is no move."""
+
+        def next_move(self, team, query, history, visible_keys, rng):
+            calls[team] += 1
+            if team == 2:
+                return "not a move"
+            time.sleep(0.02)
+            return super().next_move(team, query, history, visible_keys, rng)
+
+    task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
+    with pytest.raises(ValidationError, match="unknown move"):
+        run_episode(task.task_spec(), 2, SlowTeamOneBadTeamTwo(task, 2), variant_policy("add-all"),
+                    _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
+    assert calls[2] == 1
+    assert 1 <= calls[1] <= 3
+
+
+def test_run_episode_rejects_a_bare_policy_before_any_move():
+    from hivemem.controller import AdmissionPolicy
+
+    class CountingBackend(ScriptedBackend):
+        calls = 0
+
+        def next_move(self, *args):
+            CountingBackend.calls += 1
+            return super().next_move(*args)
+
+    task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
+    for mode in ("deterministic", "live"):
+        with pytest.raises(ValidationError, match="admission rule"):
+            run_episode(task.task_spec(), 3, CountingBackend(task, 3), AdmissionPolicy(64, 8),
+                        _PROVIDER, MajorityAggregator(), seed=0, mode=mode)
+    assert CountingBackend.calls == 0
 
 
 def test_reference_rules_report_certain_decisions():
     from hivemem.bank import MemoryBank
-    from hivemem.runtime import HeuristicAdmission
 
     bank = MemoryBank(_PROVIDER.dimension)
     bank.admit("earlier", "out", _PROVIDER.embed("earlier"), 1, 1)
     rules = {
-        YES: ConstantAdmission(YES),
-        NO: ConstantAdmission(NO),
+        YES: variant_policy("add-all"),
+        NO: HeuristicAdmission(lambda t: False),
         "heuristic": HeuristicAdmission(lambda t: t.step_summary.startswith("keep")),
     }
     for summary in ("keep this", "drop this", "keep that"):
@@ -270,7 +326,7 @@ def test_aggregator_failure_surfaced_with_trace():
 
 def test_live_mode_smoke():
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
-    trace = run_sim(task, ConstantAdmission(YES), seed=3, mode="live")
+    trace = run_sim(task, variant_policy("add-all"), seed=3, mode="live")
     assert task.scorer().score(trace.aggregate_answer) == 1.0
     assert trace.mode == "live"
     step_events = [e for e in trace.events if e["kind"] == "step"]
@@ -326,7 +382,7 @@ def test_failed_retrieve_is_stamped_at_the_moves_end(mode, earliest):
 
 def test_live_bank_events_share_the_vt_clock():
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
-    trace = run_sim(task, ConstantAdmission(YES), seed=3, mode="live")
+    trace = run_sim(task, variant_policy("add-all"), seed=3, mode="live")
     bank_events = sorted(
         (e for e in trace.events if e["kind"] in ("admit", "retrieve")), key=lambda e: e["seq"]
     )
@@ -365,7 +421,8 @@ def test_run_variant_decides_as_separate_episodes_do():
     seeds = [0, 1, 2, 3]
     policy = _mixed_policy()
     variant = _variant_events(policy, tasks, seeds)
-    alone = [run_sim(task, policy, seed=seed).events for task in tasks for seed in seeds]
+    alone = [run_sim(task, LearnedAdmission(policy), seed=seed).events
+             for task in tasks for seed in seeds]
     actions = [e["action"] for events in alone for e in events if e["kind"] == "decision"]
     assert {YES, NO} <= set(actions)
     # run_variant appends each episode's score event
@@ -404,8 +461,6 @@ def test_decision_memo_does_not_outlive_a_run_variant_call():
 
 
 def test_learned_admission_rejects_a_bad_mode_or_temperature_up_front():
-    from hivemem.runtime import LearnedAdmission
-
     with pytest.raises(ValidationError, match="decision mode"):
         LearnedAdmission(_mixed_policy(), mode="argmax")
     with pytest.raises(ValidationError, match="temperature"):
@@ -425,7 +480,7 @@ class _Spy:
     """
 
     def __init__(self, backend, rule, fault=None, fault_after=0):
-        self.backend, self.rule = backend, as_admission_rule(rule)
+        self.backend, self.rule = backend, rule
         self.fault, self.fault_after = fault, fault_after
         self.steps: dict[int, list[list]] = {}  # team -> [triplet, label, decision, size, entry]
         self.admits = 0

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hivemem.controller import YES
 from hivemem.errors import ValidationError
-from hivemem.runtime import ConstantAdmission, MajorityAggregator, run_episode
+from hivemem.runtime import MajorityAggregator, run_episode
 from hivemem.sim import (
     ScriptedBackend,
     SimScorer,
@@ -77,7 +76,7 @@ def test_zero_overlap_yields_zero_savings(provider):
     spec = task.task_spec()
     none_trace = run_episode(spec, 3, ScriptedBackend(task, 3), None, provider,
                              MajorityAggregator(), seed=1)
-    yes_trace = run_episode(spec, 3, ScriptedBackend(task, 3), ConstantAdmission(YES), provider,
+    yes_trace = run_episode(spec, 3, ScriptedBackend(task, 3), variant_policy("add-all"), provider,
                             MajorityAggregator(), seed=1)
     assert none_trace.end_time == yes_trace.end_time
     assert not any(e["kind"] == "retrieve" for e in yes_trace.events)
@@ -102,7 +101,7 @@ def test_retrieval_cheaper_than_solve(provider):
     spec = task.task_spec()
     t_none = run_episode(spec, 3, ScriptedBackend(task, 3), None, provider,
                          MajorityAggregator(), seed=1)
-    t_yes = run_episode(spec, 3, ScriptedBackend(task, 3), ConstantAdmission(YES), provider,
+    t_yes = run_episode(spec, 3, ScriptedBackend(task, 3), variant_policy("add-all"), provider,
                         MajorityAggregator(), seed=1)
     assert t_yes.end_time < t_none.end_time
 
@@ -111,7 +110,7 @@ def test_score_invariant_without_distractors(provider):
     task = generate_task(seed=8, depth=2, width=1, overlap_count=6, distractor_count=0, p_fail=0.1)
     scorer = task.scorer()
     scores = []
-    for policy in (None, ConstantAdmission(YES), llm_proxy_rule()):
+    for policy in (None, variant_policy("add-all"), llm_proxy_rule()):
         trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), policy, provider,
                             MajorityAggregator(), seed=3)
         scores.append(scorer.score(trace.aggregate_answer))
@@ -126,7 +125,7 @@ def test_lure_pollution_spreads_only_when_admitted(provider):
     assert all(none_backend.plan(t).pollution == 0 for t in (1, 2, 3))
 
     yes_backend = ScriptedBackend(task, 3)
-    run_episode(task.task_spec(), 3, yes_backend, ConstantAdmission(YES), provider,
+    run_episode(task.task_spec(), 3, yes_backend, variant_policy("add-all"), provider,
                 MajorityAggregator(), seed=4)
     assert sum(yes_backend.plan(t).pollution for t in (1, 2, 3)) > 0
 
@@ -135,7 +134,7 @@ def test_own_lure_is_recognized(provider):
     task = generate_task(seed=10, depth=1, width=1, overlap_count=3, distractor_count=3,
                          p_fail=0.0)
     backend = ScriptedBackend(task, 1)
-    run_episode(task.task_spec(), 1, backend, ConstantAdmission(YES), provider,
+    run_episode(task.task_spec(), 1, backend, variant_policy("add-all"), provider,
                 MajorityAggregator(), seed=0)
     assert backend.plan(1).pollution == 0
 

@@ -147,8 +147,8 @@ def test_zero_admits_flagged():
 
 
 def test_metrics_idempotent_through_files(tmp_path, provider):
-    from hivemem.runtime import ConstantAdmission, MajorityAggregator, run_episode
-    from hivemem.sim import ScriptedBackend, generate_task
+    from hivemem.runtime import MajorityAggregator, run_episode
+    from hivemem.sim import ScriptedBackend, generate_task, variant_policy
 
     streams = []
     paths = []
@@ -156,7 +156,7 @@ def test_metrics_idempotent_through_files(tmp_path, provider):
         task = generate_task(seed=80 + i, depth=2, width=1, overlap_count=4,
                              distractor_count=1, p_fail=0.1)
         trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
-                            ConstantAdmission("YES"), provider, MajorityAggregator(), seed=i)
+                            variant_policy("add-all"), provider, MajorityAggregator(), seed=i)
         trace.events.append({"kind": "score", "agg_score": 1.0, "first_score": 1.0})
         streams.append(trace.events)
         path = tmp_path / f"ep{i}.jsonl"
@@ -215,7 +215,7 @@ KINDS = {
 
 
 def test_writer_bytes_match_per_event_dumps(tmp_path, provider):
-    from hivemem.runtime import ConstantAdmission, MajorityAggregator, RetrieveMove, run_episode
+    from hivemem.runtime import MajorityAggregator, RetrieveMove, run_episode
     from hivemem.sim import ScriptedBackend, generate_task, run_variant, variant_policy
 
     class StaleFirstRetrieve(ScriptedBackend):
@@ -236,7 +236,7 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider):
                                 keep_traces=True)
         streams += [t.events for t in traces]
     stale = run_episode(tasks[0].task_spec(), 3, StaleFirstRetrieve(tasks[0], 3),
-                        ConstantAdmission("YES"), provider, MajorityAggregator(), seed=0)
+                        variant_policy("add-all"), provider, MajorityAggregator(), seed=0)
     streams.append(stale.events)
     streams.append([{"kind": "team_end", "team": 1, "step": 2, "status": "final", "vt": 0.1,
                      "answer": 'na\u00efve {"x": [1]}\n\\ \u2713'}])

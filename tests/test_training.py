@@ -19,13 +19,12 @@ from hivemem.controller import (
 from hivemem.embeddings import HashingEmbedder
 from hivemem.errors import TrainingDiverged, ValidationError
 from hivemem.runtime import (
-    ConstantAdmission,
     LearnedAdmission,
     MajorityAggregator,
     decision_events,
     run_episode,
 )
-from hivemem.sim import ScriptedBackend, generate_task, score_event
+from hivemem.sim import ScriptedBackend, generate_task, score_event, variant_policy
 from hivemem.tracefile import read_events, write_events
 from hivemem.training import (
     AdamW,
@@ -91,7 +90,7 @@ def scored(trace, score):
 
 
 def test_episode_reward_full_marks():
-    _, trace = sim_trace(ConstantAdmission(YES))
+    _, trace = sim_trace(variant_policy("add-all"))
     assert episode_reward(scored(trace, lambda answer: 1.0)) == 2.0
 
 
@@ -163,7 +162,7 @@ def _trace_with_usage():
     task = generate_task(seed=51, depth=2, width=1, overlap_count=6,
                          distractor_count=0, p_fail=0.0)
     trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
-                        ConstantAdmission(YES), PROVIDER, MajorityAggregator(), seed=1)
+                        variant_policy("add-all"), PROVIDER, MajorityAggregator(), seed=1)
     assert any(e["kind"] == "retrieve" for e in trace.events)
     return trace
 
@@ -202,7 +201,7 @@ def test_shaped_advantage_unretrieved_entry_gets_base():
     task = generate_task(seed=52, depth=1, width=1, overlap_count=1,
                          distractor_count=0, p_fail=0.0)
     trace = run_episode(task.task_spec(), 1, ScriptedBackend(task, 1),
-                        ConstantAdmission(YES), PROVIDER, MajorityAggregator(), seed=0)
+                        variant_policy("add-all"), PROVIDER, MajorityAggregator(), seed=0)
     assert any(e["kind"] == "admit" for e in trace.events)
     assert not any(e["kind"] == "retrieve" for e in trace.events)
     advantages = shaped_advantages(trace.events, a_base=0.1, beta=0.25, r_total=1.0)
@@ -213,7 +212,7 @@ def test_shaped_advantage_pays_own_team_retrievals():
     # k=1, so every retrieval is by the admitting team: the bonus still applies
     task = generate_task(seed=1005, **HEAVY)
     trace = run_episode(task.task_spec(), 1, ScriptedBackend(task, 1),
-                        ConstantAdmission(YES), HEAVY_PROVIDER, MajorityAggregator(), seed=0)
+                        variant_policy("add-all"), HEAVY_PROVIDER, MajorityAggregator(), seed=0)
     admits = [e for e in trace.events if e["kind"] == "admit"]
     own_used = {
         (a["team"], a["step"]) for a in admits
@@ -452,8 +451,8 @@ def test_nonfinite_logits_fail_closed_in_rollout():
     policy.params["w_out"][:] = np.nan
     task = generate_task(seed=71, depth=1, width=1, overlap_count=2,
                          distractor_count=0, p_fail=0.0)
-    trace = run_episode(task.task_spec(), 2, ScriptedBackend(task, 2), policy, PROVIDER,
-                        MajorityAggregator(), seed=0)
+    trace = run_episode(task.task_spec(), 2, ScriptedBackend(task, 2), LearnedAdmission(policy),
+                        PROVIDER, MajorityAggregator(), seed=0)
     assert not any(e["kind"] == "admit" for e in trace.events)
     assert all(d["fail_closed"] for d in decision_events(trace.events))
 
