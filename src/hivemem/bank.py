@@ -40,7 +40,8 @@ class MemoryBank:
     ``event_sink``, when given, receives one dict per admit/retrieve with
     exactly the fields (kind, seq, entry_id, team, step, t_ns); it is
     called while the lock is held so the emitted order matches the
-    linearization order, and must therefore be cheap.
+    linearization order, and must therefore be cheap: a plain list's
+    ``append`` serves, and team threads may append to the same list.
     """
 
     def __init__(

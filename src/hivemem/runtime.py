@@ -7,12 +7,14 @@ the bank; teams may retrieve any visible entry; every team eventually
 emits a candidate answer and an aggregator picks the final one.
 
 Two schedulers share one loop body: a deterministic virtual-time
-round-robin (teams advance in cost order, ties by team index) used by
-tests and simulation, and real threads for live endpoint-backed runs.
+scheduler used by tests and simulation, which keeps the teams in a heap
+and always moves the team with the lowest clock (ties to the lowest team
+index), and real threads for live endpoint-backed runs.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import threading
 import time
@@ -36,7 +38,7 @@ from .controller import (
 )
 from .embeddings import EmbeddingProvider
 from .errors import EntryNotFoundError, HivememError, SchemaError, ValidationError
-from .tracefile import SCHEMA_VERSION, TraceSink, write_events
+from .tracefile import SCHEMA_VERSION, write_events
 
 logger = logging.getLogger(__name__)
 
@@ -364,7 +366,8 @@ def run_episode(
     if rule is not None and not callable(getattr(rule, "decide_step", None)):
         raise ValidationError(f"rule must be an admission rule or None, not {type(rule).__name__}")
 
-    sink = TraceSink()
+    events: list[dict] = []  # list.append is atomic: live teams and the bank share it
+    sink = events.append
     live = mode == "live"
     now_vt = [0.0]  # deterministic-mode clock cell, read by the bank clock
 
@@ -476,16 +479,18 @@ def run_episode(
             raise errors[0]
         end_time = elapsed()
     else:
-        while True:
-            pending = [s for s in states if not s.done]
-            if not pending:
-                break
-            state = min(pending, key=lambda s: (s.clock, s.team))
-            now_vt[0] = state.clock
-            state.clock = advance(state, state.clock)
+        heap = [(s.clock, s.team, s) for s in states]  # already in heap order
+        while heap:
+            clock, team, state = heap[0]
+            now_vt[0] = clock
+            state.clock = advance(state, clock)
+            if state.done:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (state.clock, team, state))
         end_time = max(s.clock for s in states)
 
-    candidates = _candidates(_team_ends(sink.events))
+    candidates = _candidates(_team_ends(events))
     first_team, first_answer = first_finisher(candidates)
     answer = NO_ANSWER
     agg_error: Exception | None = None
@@ -497,7 +502,7 @@ def run_episode(
             logger.exception("aggregation failed for task %s", task.task_id)
     sink({"kind": "aggregate", "answer": answer, "first_team": first_team,
           "first_answer": first_answer, "vt": end_time})
-    trace = EpisodeTrace.from_events(sink.events)
+    trace = EpisodeTrace.from_events(events)
     if agg_error is not None:
         raise AggregationError(str(agg_error), trace) from agg_error
     return trace

@@ -416,18 +416,14 @@ class ScriptedBackend:
         self, st: _TeamPlan, node: str, visible_keys: list[tuple[int, str]]
     ) -> RetrieveMove | None:
         """Memory-reuse rule: retrieve the earliest unconsumed entry whose
-        key matches the needed subtask, instead of solving it."""
+        key matches the needed subtask, instead of solving it.  The keys
+        come ordered by id, so the first match is the earliest."""
         wanted = canonical_key(node)
-        options = [
-            eid
-            for eid, summary in visible_keys
-            if summary == wanted and eid not in st.consumed_ids
-        ]
-        if not options:
-            return None
-        eid = min(options)
-        st.consumed_ids.add(eid)
-        return RetrieveMove(eid, cost=self.task.retrieve_cost)
+        for eid, summary in visible_keys:
+            if summary == wanted and eid not in st.consumed_ids:
+                st.consumed_ids.add(eid)
+                return RetrieveMove(eid, cost=self.task.retrieve_cost)
+        return None
 
 
 # -- variant comparison ------------------------------------------------------

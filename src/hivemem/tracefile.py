@@ -26,18 +26,19 @@ header, which lacks ``query`` and ``seed``.
 carry only the six fields above, so external tools can recompute memory
 statistics bit-exactly from the file alone.
 
-A file is written with one encode per event and one write.  It is read
-with one parse of its non-blank lines joined into a JSON array when every
-such line starts with ``{``, ends with ``}`` and holds no other brace, as
-written files do; that parse then gives each line's own object.  Any other
-file, or one that parse rejects, is read line by line, which names the
-first bad line.
+A file is written with one encode of the whole event list and one write:
+the encoded list is split into lines at the ``"}, {"`` between events when
+that string occurs nowhere else, and is otherwise encoded one event at a
+time.  It is read with one parse of its non-blank lines joined into a
+JSON array when every such line starts with ``{``, ends with ``}`` and
+holds no other brace, as written files do; that parse then gives each
+line's own object.  Any other file, or one that parse rejects, is read
+line by line, which names the first bad line.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 from typing import Iterable
 
@@ -65,23 +66,6 @@ _REQUIRED_SETS = {kind: frozenset(fields) for kind, fields in _REQUIRED_FIELDS.i
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-class TraceSink:
-    """Thread-safe append-only event channel (single writer to the list)."""
-
-    def __init__(self) -> None:
-        self._events: list[dict] = []
-        self._lock = threading.Lock()
-
-    def __call__(self, event: dict) -> None:
-        with self._lock:
-            self._events.append(event)
-
-    @property
-    def events(self) -> list[dict]:
-        with self._lock:
-            return list(self._events)
-
-
 def validate_event(event: dict, line_number: int | None = None) -> dict:
     kind = event.get("kind")
     required = _REQUIRED_SETS.get(kind) if isinstance(kind, str) else None
@@ -94,8 +78,19 @@ def validate_event(event: dict, line_number: int | None = None) -> dict:
 
 
 def write_events(path: str | Path, events: Iterable[dict]) -> None:
-    """Write one ``json.dumps(event, sort_keys=True)`` line per event."""
-    text = "".join([_ENCODER.encode(event) + "\n" for event in events])
+    """Write one ``json.dumps(event, sort_keys=True)`` line per event.
+
+    The encoded list joins the events, each as it encodes alone, with
+    ``"}, {"``, a string that cannot overlap itself: when it occurs just
+    n - 1 times, those joins are the line breaks; else each event is
+    encoded alone (the empty list too).
+    """
+    events = list(events)
+    text = _ENCODER.encode(events)[1:-1]
+    if text.count("}, {") == len(events) - 1:
+        text = text.replace("}, {", "}\n{") + "\n"
+    else:
+        text = "".join([_ENCODER.encode(event) + "\n" for event in events])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

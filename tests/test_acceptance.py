@@ -28,7 +28,6 @@ from hivemem.errors import EntryNotFoundError
 from hivemem.metrics import metrics_from_event_streams
 from hivemem.runtime import HeuristicAdmission, MajorityAggregator, run_episode
 from hivemem.sim import ScriptedBackend, generate_task, prob_yes_by_label, run_variant, variant_policy
-from hivemem.tracefile import TraceSink
 from hivemem.training import TrainConfig, group_advantage, shaped_advantages, train
 
 PROVIDER = HashingEmbedder(64)
@@ -285,8 +284,8 @@ def test_c08_concurrency_linearizability():
     rng = np.random.default_rng(123)
     violations = 0
     for schedule in range(10_000):
-        sink = TraceSink()
-        bank = MemoryBank(2, event_sink=sink)
+        events = []
+        bank = MemoryBank(2, event_sink=events.append)
         n_threads = int(rng.integers(2, 4))
         plans = []
         for t in range(n_threads):
@@ -365,7 +364,7 @@ def test_c08_concurrency_linearizability():
                 successful += 1
                 if rec[2] != bank.get_entry(rec[1]).output:
                     ok = False
-        log = [e for e in sink.events if e["kind"] == "retrieve"]
+        log = [e for e in events if e["kind"] == "retrieve"]
         if len(log) != successful:
             ok = False
         for event in log:

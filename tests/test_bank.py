@@ -5,7 +5,6 @@ import pytest
 
 from hivemem.bank import MemoryBank
 from hivemem.errors import ConfigurationError, EntryNotFoundError, ValidationError
-from hivemem.tracefile import TraceSink
 
 
 def emb(dim=4, fill=0.5):
@@ -16,8 +15,8 @@ def make_bank(dim=4, sink=None):
     return MemoryBank(dim, event_sink=sink)
 
 
-def retrievals(sink):
-    return [e for e in sink.events if e["kind"] == "retrieve"]
+def retrievals(events):
+    return [e for e in events if e["kind"] == "retrieve"]
 
 
 def test_first_admission():
@@ -68,11 +67,11 @@ def test_list_keys_results_are_independent_snapshots():
 
 
 def test_retrieve_roundtrip_and_log():
-    sink = TraceSink()
-    bank = make_bank(sink=sink)
+    events = []
+    bank = make_bank(sink=events.append)
     bank.admit("fact A", "raw A", emb(), 1, 1)
     assert bank.retrieve(1, consumer_team=2, consumer_step=5) == "raw A"
-    log = retrievals(sink)
+    log = retrievals(events)
     assert len(log) == 1
     assert (log[0]["entry_id"], log[0]["team"], log[0]["step"]) == (1, 2, 5)
 
@@ -86,20 +85,20 @@ def test_retrieve_unknown_id():
 
 
 def test_retrieve_idempotent_reads():
-    sink = TraceSink()
-    bank = make_bank(sink=sink)
+    events = []
+    bank = make_bank(sink=events.append)
     bank.admit("a", "x", emb(), 1, 1)
     assert bank.retrieve(1, 2, 1) == bank.retrieve(1, 3, 1)
-    assert len(retrievals(sink)) == 2
+    assert len(retrievals(events)) == 2
 
 
 def test_retrieval_causality():
-    sink = TraceSink()
-    bank = make_bank(sink=sink)
+    events = []
+    bank = make_bank(sink=events.append)
     bank.admit("a", "x", emb(), 1, 1)
     bank.retrieve(1, 2, 1)
     entry = bank.entries[0]
-    record = retrievals(sink)[0]
+    record = retrievals(events)[0]
     assert record["seq"] > entry.admit_seq
 
 

@@ -17,9 +17,12 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    temp = tmp_path / "temp"  # the demo's TMPDIR, which it must leave empty
+    temp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(temp))
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert list(temp.iterdir()) == []

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hivemem.controller import NO, YES, Decision, StepTriplet
 from hivemem.errors import ValidationError
@@ -142,6 +142,49 @@ def test_determinism_identical_traces():
     a = run_sim(task, variant_policy("add-all"), seed=11)
     b = run_sim(task, variant_policy("add-all"), seed=11)
     assert json.dumps(a.events, sort_keys=True) == json.dumps(b.events, sort_keys=True)
+
+
+class _FixedCosts:
+    """Each team takes its own list of step costs in order, then answers."""
+
+    def __init__(self, costs):
+        self.costs = costs
+        self.calls = []
+
+    def next_move(self, team, query, history, visible_keys, rng):
+        self.calls.append(team)
+        done = sum(item.kind == "step" for item in history)
+        if done == len(self.costs[team - 1]):
+            return FinalMove(f"team {team}", cost=5.0)
+        triplet = StepTriplet(f"in {team}.{done}", f"key {team}.{done}", f"out {team}.{done}")
+        return StepMove(triplet, cost=self.costs[team - 1][done])
+
+
+def _model_move_order(costs):
+    """Teams in the order they move: lowest clock first, ties to the lowest team."""
+    clocks = [0.0] * len(costs)
+    left = [len(c) + 1 for c in costs]  # the steps, then the final answer
+    order = []
+    while any(left):
+        team = min((clocks[i], i) for i in range(len(costs)) if left[i])[1]
+        order.append(team + 1)
+        if left[team] > 1:
+            clocks[team] += costs[team][len(costs[team]) + 1 - left[team]]
+        left[team] -= 1
+    return order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=6), min_size=1,
+                max_size=4))
+@example([[2.0, 1.0, 3.0, 0.0, 2.0], [1.0, 2.0, 2.0, 1.0, 1.0], [3.0, 0.0, 1.0, 2.0, 2.0]])
+def test_deterministic_scheduler_moves_the_lowest_clock_then_the_lowest_team(costs):
+    backend = _FixedCosts(costs)
+    task = TaskSpec("order", "q", step_cap=10)
+    trace = run_episode(task, len(costs), backend, variant_policy("add-all"), _PROVIDER,
+                        MajorityAggregator())
+    assert backend.calls == _model_move_order(costs)
+    assert trace.end_time == max(sum(c) for c in costs) + 5.0  # the final answer costs 5
 
 
 def test_monotone_key_availability():

@@ -16,7 +16,8 @@ from hivemem.metrics import (
     render_table,
     report,
 )
-from hivemem.tracefile import TraceSink, read_events, validate_event, write_events
+from hivemem.bank import MemoryBank
+from hivemem.tracefile import read_events, validate_event, write_events
 
 
 def synth_episode(rng, teams=3):
@@ -359,23 +360,71 @@ def test_read_events_names_first_bad_line_of_files_that_parse_joined(tmp_path, t
     assert message in str(exc.value)
 
 
+def _assert_written_as_dumps(path, events):
+    write_events(path, events)
+    expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert read_events(path) == events
+
+
+_SEPARATOR_EVENTS = [
+    {"kind": "team_end", "team": 1, "step": 2, "status": "final", "vt": 0.1,
+     "answer": 'a}, {"kind": "score"}'},
+    {"kind": "score", "agg_score": 1.0, "first_score": 0.0, "extra": [{}, {"b": 1}]},
+    {"kind": "score", "agg_score": 0.5, "first_score": 0.5},
+]
+
+
+@pytest.mark.parametrize("events", [
+    [],
+    [{"kind": "score", "agg_score": 1.0, "first_score": 0.5}],
+    _SEPARATOR_EVENTS,  # "}, {" inside events: encoded one event at a time
+    _SEPARATOR_EVENTS[:1],
+], ids=["empty", "single", "separator_inside", "separator_inside_single"])
+def test_writer_edge_cases_match_per_event_dumps(tmp_path, events):
+    _assert_written_as_dumps(tmp_path / "edge.jsonl", events)
+
+
+# Pieces of the encoded separator, so strings often hold "}, {" itself.
+_BRACES = st.lists(st.sampled_from(["{", "}", ",", " ", "}, {", '"', "\\", "\n"]), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=_event_lists(_BRACES.map("".join)))
+def test_writer_matches_per_event_dumps_on_brace_heavy_strings(tmp_path_factory, events):
+    _assert_written_as_dumps(tmp_path_factory.getbasetemp() / "braces.jsonl", events)
+
+
 def test_validate_event_accepts_known_kinds():
     validate_event({"kind": "score", "agg_score": 1.0, "first_score": 0.5})
 
 
 def test_trace_sink_thread_safe_append():
+    import sys
     import threading
 
-    sink = TraceSink()
-    threads = [
-        threading.Thread(target=lambda i=i: [sink({"kind": "x", "i": i}) for _ in range(100)])
-        for i in range(4)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(sink.events) == 400
+    events = []
+    bank = MemoryBank(2, event_sink=events.append)
+    bank.admit("a", "x", np.ones(2), 1, 1)
+    events.clear()
+
+    def retrieve_many(team):
+        for step in range(1, 101):
+            bank.retrieve(1, team, step)
+
+    threads = [threading.Thread(target=retrieve_many, args=(team,)) for team in range(1, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(events) == 400
+    assert [e["seq"] for e in events] == list(range(2, 402))  # in linearization order
 
 
 def test_fd_bin_count_matches_manual():
