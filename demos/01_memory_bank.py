@@ -27,11 +27,12 @@ print("\nvisible keys:")
 for entry_id, summary in bank.list_keys():
     print(f"  {entry_id}: {summary}")
 
-# Team 2 decides entry 1 is useful and injects its value.
-value = bank.retrieve(1, consumer_team=2, consumer_step=4)
-print(f"\nteam 2 retrieved entry 1 -> {value!r}")
+# Team 2 decides entry 1 is useful and injects its key and value.
+summary, value = bank.retrieve(1, consumer_team=2, consumer_step=4)
+print(f"\nteam 2 retrieved entry 1 ({summary!r}) -> {value!r}")
 
 # The event log feeds the training signal: which admissions paid off?
+# The bank keeps no other record of who admitted an entry, or when.
 print("\nusage per admitted step, read from the event log:")
 for admit in (e for e in events if e["kind"] == "admit"):
     consumers = sorted(

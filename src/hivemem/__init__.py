@@ -7,7 +7,7 @@ the controller is trained by stepwise policy gradients with
 group-relative, usage-aware, sparsity-regularized credit assignment.
 """
 
-from .bank import MemoryBank, MemoryEntry
+from .bank import MemoryBank
 from .controller import (
     NO,
     YES,

@@ -1,8 +1,11 @@
 """Global shared memory bank: an append-only, linearizable key-value store.
 
-One bank is instantiated per task episode.  Agent teams see only the
-summary keys; full outputs are returned on explicit retrieval, and every
-admit/retrieve is emitted as an event with a global sequence number, so
+One bank is instantiated per task episode.  It keeps only what readers
+use: the (entry_id, summary) keys, the outputs, and the running sum of
+the key embeddings.  Agent teams see only the summary keys; full outputs
+are returned on explicit retrieval.  Every admit/retrieve is emitted as
+an event with a global sequence number, and the ``admit`` event is the
+one record of which team admitted an entry, at which step and when, so
 concurrent schedules can be replayed and verified after the fact.  The
 controller sees the keys only through their running sum.
 """
@@ -11,22 +14,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, EntryNotFoundError, ValidationError
-
-
-@dataclass(frozen=True)
-class MemoryEntry:
-    entry_id: int
-    summary: str
-    output: str
-    source_team: int
-    source_step: int
-    admit_seq: int
 
 
 class MemoryBank:
@@ -53,8 +45,8 @@ class MemoryBank:
         if embedding_dim < 1:
             raise ConfigurationError("embedding_dim must be >= 1")
         self.embedding_dim = embedding_dim
-        self._entries: list[MemoryEntry] = []
         self._keys: list[tuple[int, str]] = []  # (entry_id, summary) per entry
+        self._outputs: list[str] = []  # parallel to _keys
         # Sum of the key embeddings in admission order; replaced, never
         # updated in place, so a snapshot's sum stays as it was.
         self._key_sum = np.zeros(embedding_dim)
@@ -65,13 +57,7 @@ class MemoryBank:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
-
-    @property
-    def entries(self) -> list[MemoryEntry]:
-        """Snapshot of all entries in admission order."""
-        with self._lock:
-            return list(self._entries)
+            return len(self._keys)
 
     def admit(
         self,
@@ -93,29 +79,22 @@ class MemoryBank:
             )
         with self._lock:
             self._seq += 1
-            entry = MemoryEntry(
-                entry_id=len(self._entries) + 1,
-                summary=summary,
-                output=output,
-                source_team=source_team,
-                source_step=source_step,
-                admit_seq=self._seq,
-            )
-            self._key_sum = self._key_sum + emb if self._entries else emb.copy()
-            self._entries.append(entry)
-            self._keys.append((entry.entry_id, summary))
+            entry_id = len(self._keys) + 1
+            self._key_sum = self._key_sum + emb if self._keys else emb.copy()
+            self._keys.append((entry_id, summary))
+            self._outputs.append(output)
             if self._event_sink is not None:
                 self._event_sink(
                     {
                         "kind": "admit",
-                        "seq": entry.admit_seq,
-                        "entry_id": entry.entry_id,
+                        "seq": self._seq,
+                        "entry_id": entry_id,
                         "team": source_team,
                         "step": source_step,
                         "t_ns": self._clock_ns(),
                     }
                 )
-            return entry.entry_id
+            return entry_id
 
     def list_keys(self) -> list[tuple[int, str]]:
         """Point-in-time snapshot of (entry_id, summary), ordered by id."""
@@ -128,14 +107,14 @@ class MemoryBank:
             self._seq += 1
             return self._seq, list(self._keys)
 
-    def retrieve(self, entry_id: int, consumer_team: int, consumer_step: int) -> str:
-        """Return the stored output verbatim and emit a ``retrieve`` event.
+    def retrieve(self, entry_id: int, consumer_team: int, consumer_step: int) -> tuple[str, str]:
+        """Return the entry's (summary, output) verbatim and emit a ``retrieve`` event.
 
         Unknown ids raise :class:`EntryNotFoundError`; callers treat that
         as a failed step (agent-issued ids may be stale or hallucinated).
         """
         with self._lock:
-            if not 1 <= entry_id <= len(self._entries):
+            if not 1 <= entry_id <= len(self._keys):
                 raise EntryNotFoundError(f"no entry with id {entry_id}")
             self._seq += 1
             if self._event_sink is not None:
@@ -149,20 +128,16 @@ class MemoryBank:
                         "t_ns": self._clock_ns(),
                     }
                 )
-            return self._entries[entry_id - 1].output
+            return self._keys[entry_id - 1][1], self._outputs[entry_id - 1]
 
-    def context_snapshot(self) -> tuple[list[MemoryEntry], np.ndarray]:
-        """Consistent (entries, key embedding sum) pair for the controller.
+    def context_snapshot(self) -> tuple[list[tuple[int, str]], np.ndarray]:
+        """Consistent (keys, key embedding sum) pair for the controller.
 
-        The sum, of shape (embedding_dim,), adds the admitted embeddings
-        one by one in entry order, starting from the first; it is zero
-        for an empty bank.  Later admissions leave it unchanged.
+        The keys are the (entry_id, summary) pairs in entry order, as
+        ``list_keys`` gives them; their ``len`` is the memory size.  The
+        sum, of shape (embedding_dim,), adds the admitted embeddings one
+        by one in entry order, starting from the first; it is zero for an
+        empty bank.  Later admissions leave both unchanged.
         """
         with self._lock:
-            return list(self._entries), self._key_sum
-
-    def get_entry(self, entry_id: int) -> MemoryEntry:
-        with self._lock:
-            if not 1 <= entry_id <= len(self._entries):
-                raise EntryNotFoundError(f"no entry with id {entry_id}")
-            return self._entries[entry_id - 1]
+            return list(self._keys), self._key_sum

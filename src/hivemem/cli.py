@@ -22,7 +22,7 @@ from .training import TrainConfig, train
 
 def _make_tasks(args) -> list[SimTask]:
     if args.task_file:
-        return [SimTask.from_json(Path(args.task_file).read_text(encoding="utf-8"))]
+        return [_read_json_object(Path(args.task_file), "task file", lambda f: SimTask(**f))]
     return [
         generate_task(
             seed=args.task_seed + i,

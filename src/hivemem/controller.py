@@ -324,8 +324,8 @@ def build_context(
         raise ConfigurationError(
             f"provider dimension {provider.dimension} != bank dimension {bank.embedding_dim}"
         )
-    entries, key_sum = bank.context_snapshot() if snapshot is None else snapshot
-    size = len(entries)
+    keys, key_sum = bank.context_snapshot() if snapshot is None else snapshot
+    size = len(keys)
     return ControllerContext(
         queries=embed(provider, query)[None],
         memory_means=(key_sum / max(size, 1))[None],

@@ -316,10 +316,6 @@ class _TeamState:
         self.done = False
 
 
-def _memory_injection(summary: str, value: str) -> str:
-    return f"[shared memory result] {summary}: {value}"
-
-
 def run_episode(
     task: TaskSpec,
     k: int,
@@ -447,9 +443,9 @@ def run_episode(
 
         if isinstance(move, RetrieveMove):
             try:
-                value = bank.retrieve(move.entry_id, team, state.steps)
-                summary = bank.get_entry(move.entry_id).summary
-                state.history.append(HistoryItem("memory", _memory_injection(summary, value)))
+                summary, output = bank.retrieve(move.entry_id, team, state.steps)
+                text = f"[shared memory result] {summary}: {output}"
+                state.history.append(HistoryItem("memory", text))
             except EntryNotFoundError:
                 state.history.append(
                     HistoryItem("failed_step", f"retrieval of entry {move.entry_id} failed")

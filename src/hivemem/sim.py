@@ -60,11 +60,10 @@ def _digest(*parts) -> str:
 class SimScorer:
     """Weighted fraction of correct ``field=value`` pairs, in [0, 1]."""
 
-    def __init__(self, answer_key: dict[str, str], binary: bool = False):
+    def __init__(self, answer_key: dict[str, str]):
         if not answer_key:
             raise ValidationError("answer key must have at least one field")
         self.answer_key = dict(answer_key)
-        self.binary = binary
 
     def score(self, answer: str) -> float:
         got: dict[str, str] = {}
@@ -73,10 +72,7 @@ class SimScorer:
                 k, v = part.split("=", 1)
                 got[k.strip()] = v.strip()
         correct = sum(1 for k, v in self.answer_key.items() if got.get(k) == v)
-        frac = correct / len(self.answer_key)
-        if self.binary:
-            return 1.0 if frac == 1.0 else 0.0
-        return frac
+        return correct / len(self.answer_key)
 
 
 @dataclass
@@ -101,6 +97,10 @@ class SimTask:
     pollution_fail_boost: float = 0.2
     pollution_corrupt_rate: float = 0.35
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p_fail < 1.0:
+            raise ValidationError("p_fail must be in [0, 1)")
+
     @property
     def task_id(self) -> str:
         return (
@@ -121,8 +121,8 @@ class SimTask:
     def task_spec(self) -> TaskSpec:
         return TaskSpec(task_id=self.task_id, query=self.query, step_cap=self.step_cap)
 
-    def scorer(self, binary: bool = False) -> SimScorer:
-        return SimScorer(self.answer_key, binary=binary)
+    def scorer(self) -> SimScorer:
+        return SimScorer(self.answer_key)
 
     def private_nodes(self, team: int) -> list[str]:
         return [
@@ -185,7 +185,7 @@ def generate_task(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD15C]))
     targets = [shared[int(rng.integers(len(shared)))] for _ in range(distractor_count)]
 
-    task = SimTask(
+    return SimTask(
         seed=seed,
         depth=depth,
         width=width,
@@ -197,9 +197,6 @@ def generate_task(
         answer_key=answer_key,
         **economics,
     )
-    if not 0.0 <= task.p_fail < 1.0:
-        raise ValidationError("p_fail must be in [0, 1)")
-    return task
 
 
 class _TeamPlan:

@@ -19,6 +19,10 @@ def retrievals(events):
     return [e for e in events if e["kind"] == "retrieve"]
 
 
+def admits(events):
+    return [e for e in events if e["kind"] == "admit"]
+
+
 def test_first_admission():
     bank = make_bank()
     eid = bank.admit("fact A", "raw A", emb(), source_team=1, source_step=2)
@@ -27,12 +31,14 @@ def test_first_admission():
 
 
 def test_sequential_admits_monotonic():
-    bank = make_bank()
+    events = []
+    bank = make_bank(sink=events.append)
     e1 = bank.admit("a", "x", emb(), 1, 1)
     e2 = bank.admit("b", "y", emb(), 2, 1)
     assert (e1, e2) == (1, 2)
-    entries = bank.entries
-    assert entries[0].admit_seq < entries[1].admit_seq
+    first, second = admits(events)
+    assert (first["entry_id"], second["entry_id"]) == (1, 2)
+    assert first["seq"] < second["seq"]
 
 
 def test_admit_validation_errors():
@@ -70,7 +76,8 @@ def test_retrieve_roundtrip_and_log():
     events = []
     bank = make_bank(sink=events.append)
     bank.admit("fact A", "raw A", emb(), 1, 1)
-    assert bank.retrieve(1, consumer_team=2, consumer_step=5) == "raw A"
+    bank.admit("fact B", "raw B", emb(), 1, 2)
+    assert bank.retrieve(1, consumer_team=2, consumer_step=5) == ("fact A", "raw A")
     log = retrievals(events)
     assert len(log) == 1
     assert (log[0]["entry_id"], log[0]["team"], log[0]["step"]) == (1, 2, 5)
@@ -88,7 +95,7 @@ def test_retrieve_idempotent_reads():
     events = []
     bank = make_bank(sink=events.append)
     bank.admit("a", "x", emb(), 1, 1)
-    assert bank.retrieve(1, 2, 1) == bank.retrieve(1, 3, 1)
+    assert bank.retrieve(1, 2, 1) == bank.retrieve(1, 3, 1) == ("a", "x")
     assert len(retrievals(events)) == 2
 
 
@@ -97,9 +104,10 @@ def test_retrieval_causality():
     bank = make_bank(sink=events.append)
     bank.admit("a", "x", emb(), 1, 1)
     bank.retrieve(1, 2, 1)
-    entry = bank.entries[0]
+    (admit,) = admits(events)
     record = retrievals(events)[0]
-    assert record["seq"] > entry.admit_seq
+    assert record["entry_id"] == admit["entry_id"]
+    assert record["seq"] > admit["seq"]
 
 
 def test_cache_alignment(provider):
@@ -107,17 +115,17 @@ def test_cache_alignment(provider):
     texts = [f"fact number {i}" for i in range(10)]
     for i, t in enumerate(texts):
         bank.admit(t, f"out {i}", provider.embed(t), 1, i + 1)
-    entries, key_sum = bank.context_snapshot()
-    assert [e.summary for e in entries] == texts
+    keys, key_sum = bank.context_snapshot()
+    assert keys == [(i, t) for i, t in enumerate(texts, 1)] == bank.list_keys()
     assert key_sum.shape == (provider.dimension,)
-    assert np.allclose(key_sum, sum(provider.embed(e.summary) for e in entries))
+    assert np.allclose(key_sum, sum(provider.embed(summary) for _, summary in keys))
 
 
 def test_snapshot_key_sum_adds_keys_in_admission_order(provider):
     rng = np.random.default_rng(0)
     bank = MemoryBank(provider.dimension)
-    entries, key_sum = bank.context_snapshot()
-    assert entries == [] and np.array_equal(key_sum, np.zeros(provider.dimension))
+    snapshot_keys, key_sum = bank.context_snapshot()
+    assert snapshot_keys == [] and np.array_equal(key_sum, np.zeros(provider.dimension))
     first = rng.normal(size=provider.dimension)
     bank.admit("a raw key", "out", first, 1, 1)
     keys = [first.copy()]
@@ -128,9 +136,9 @@ def test_snapshot_key_sum_adds_keys_in_admission_order(provider):
         keys.append(provider.embed(text))
         bank.admit(text, "out", keys[-1], 1, i)
         snapshots.append(bank.context_snapshot())
-    for n, (entries, key_sum) in enumerate(snapshots, 1):
+    for n, (snapshot_keys, key_sum) in enumerate(snapshots, 1):
         # bit for bit, although later admits happened after the snapshot
-        assert len(entries) == n
+        assert len(snapshot_keys) == n
         assert np.array_equal(key_sum, np.add.reduce(np.stack(keys[:n]), axis=0))
 
 
@@ -146,13 +154,16 @@ def test_event_sink_fields():
 
 
 def test_concurrent_admits_complete():
-    bank = make_bank()
+    events = []
+    bank = make_bank(sink=events.append)
+    rng = np.random.default_rng(0)
+    keys = {(team, step): rng.normal(size=4) for team in (1, 2, 3) for step in range(1, 11)}
     errors = []
 
     def worker(team):
         try:
             for step in range(1, 11):
-                bank.admit(f"t{team}s{step}", "out", emb(), team, step)
+                bank.admit(f"t{team}s{step}", "out", keys[team, step], team, step)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -163,13 +174,18 @@ def test_concurrent_admits_complete():
         t.join()
     assert not errors
     assert len(bank) == 30
-    ids = [e.entry_id for e in bank.entries]
-    seqs = [e.admit_seq for e in bank.entries]
-    assert ids == sorted(ids) and len(set(ids)) == 30
+    # the admit events, in emission order, carry dense ids in seq order
+    log = admits(events)
+    assert [e["entry_id"] for e in log] == list(range(1, 31))
+    seqs = [e["seq"] for e in log]
     assert seqs == sorted(seqs) and len(set(seqs)) == 30
-    entries, key_sum = bank.context_snapshot()
-    assert len(entries) == 30
-    assert np.array_equal(key_sum, 30 * emb())  # every key is 0.5s; exact in any order
+    per_team = {team: [e["step"] for e in log if e["team"] == team] for team in (1, 2, 3)}
+    assert per_team == {team: list(range(1, 11)) for team in (1, 2, 3)}
+    snapshot_keys, key_sum = bank.context_snapshot()
+    assert snapshot_keys == [(e["entry_id"], f"t{e['team']}s{e['step']}") for e in log]
+    # bit for bit: the sum adds the keys in the order the admit events report
+    admitted = np.stack([keys[e["team"], e["step"]] for e in log])
+    assert np.array_equal(key_sum, np.add.reduce(admitted, axis=0))
 
 
 def test_snapshot_prefix_property_under_concurrency():

@@ -71,6 +71,35 @@ def test_tracer_counts_every_decision_but_fewer_forward_passes():
         assert 0 < metrics[f"{name}.calls"] < decisions, name
 
 
+def test_tracer_counts_the_bank_reads_of_an_add_all_run():
+    # run-addall's bank layer: the counters come from the patched admit and
+    # retrieve calls and must agree with the episodes' own events.
+    tasks = [
+        generate_task(seed=seed, depth=2, width=1, overlap_count=6, distractor_count=2,
+                      p_fail=0.1)
+        for seed in (3, 4)
+    ]
+    tracer = _load_tracing().Tracer()
+    tracer.install(hivemem)
+    try:
+        _, traces = hivemem.sim.run_variant(tasks, variant_policy("add-all"), 3, [0, 1],
+                                            HashingEmbedder(64), keep_traces=True)
+    finally:
+        tracer.restore()
+    metrics, _ = tracer.layer_metrics(passes=1)
+    admitted = used = retrieves = 0
+    for trace in traces:
+        ids = {e["entry_id"] for e in trace.events if e["kind"] == "admit"}
+        got = [e["entry_id"] for e in trace.events if e["kind"] == "retrieve"]
+        admitted += len(ids)
+        used += len(ids & set(got))
+        retrieves += len(got)
+    assert metrics["bank.retrieve.calls"] == retrieves > 0
+    assert metrics["bank.admit.calls"] == admitted
+    assert 0 < metrics["bank.admit.used_ratio"] <= 1
+    assert metrics["bank.admit.used_ratio"] == used / admitted
+
+
 def test_tracer_spans_the_replay_gradient():
     from hivemem.training import TrainConfig
 

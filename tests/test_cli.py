@@ -271,3 +271,33 @@ def test_error_record_bad_task_params(tmp_path, capsys):
     assert code != 0
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
+
+
+def _task_fields() -> dict:
+    from hivemem.sim import generate_task
+
+    return json.loads(generate_task(seed=1, depth=1, width=1, overlap_count=2).to_json())
+
+
+@pytest.mark.parametrize("body", [
+    "{",
+    json.dumps({**_task_fields(), "bogus": 1}),
+    json.dumps({**_task_fields(), "p_fail": 3.0}),
+], ids=["malformed-json", "unknown-key", "p_fail-out-of-range"])
+def test_run_rejects_a_bad_task_file(tmp_path, capsys, body):
+    task_file = tmp_path / "task.json"
+    task_file.write_text(body)
+    out = tmp_path / "run"
+    assert main(["run", "--task-file", str(task_file), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert not out.exists()
+
+
+def test_run_reads_a_task_file(tmp_path):
+    task_file = tmp_path / "task.json"
+    task_file.write_text(json.dumps(_task_fields()))
+    out = tmp_path / "run"
+    assert main(["run", "--task-file", str(task_file), "--policy", "add-all",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["episodes"] == 1

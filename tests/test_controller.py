@@ -250,7 +250,7 @@ def test_build_context_cached_embeddings_match_recompute(provider):
         text = f"memory item {rng.integers(1_000_000)}"
         bank.admit(text, "out", provider.embed(text), 1, i + 1)
     c = build_context("q", bank, StepTriplet("a", "b", "c"), provider)
-    recomputed = np.stack([provider.embed(e.summary) for e in bank.entries])
+    recomputed = np.stack([provider.embed(summary) for _, summary in bank.list_keys()])
     assert np.allclose(c.memory_means[0], recomputed.mean(axis=0))
 
 

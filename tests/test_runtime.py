@@ -10,6 +10,7 @@ from hivemem.runtime import (
     EpisodeTrace,
     FinalMove,
     HeuristicAdmission,
+    HistoryItem,
     LearnedAdmission,
     MajorityAggregator,
     RetrieveMove,
@@ -332,6 +333,44 @@ def test_unknown_retrieve_is_failed_step_not_crash():
     failed = [e for e in trace.events if e["kind"] == "failed_retrieve"]
     assert len(failed) == 2
     assert all(c.answer == "done" for c in trace.candidates)
+
+
+def test_retrieve_injects_the_admitted_entrys_summary_and_output():
+    class Recorder:
+        """Admits two steps, retrieves both and a missing id, then answers."""
+
+        def __init__(self):
+            self.moves = iter([
+                StepMove(StepTriplet("in A", "sum A", "out A")),
+                StepMove(StepTriplet("in B", "sum B", "out B")),
+                RetrieveMove(2),
+                RetrieveMove(1),
+                RetrieveMove(99),
+                FinalMove("done"),
+            ])
+            self.histories = []
+
+        def next_move(self, team, query, history, visible_keys, rng):
+            self.histories.append(list(history))
+            return next(self.moves)
+
+    backend = Recorder()
+    trace = run_episode(TaskSpec("t", "q", step_cap=5), 1, backend,
+                        HeuristicAdmission(lambda t: True), _PROVIDER, MajorityAggregator(),
+                        seed=0)
+    added = [after[len(before):] for before, after in zip(backend.histories, backend.histories[1:])]
+    assert added == [
+        [HistoryItem("step", "out A")],
+        [HistoryItem("step", "out B")],
+        [HistoryItem("memory", "[shared memory result] sum B: out B")],
+        [HistoryItem("memory", "[shared memory result] sum A: out A")],
+        [HistoryItem("failed_step", "retrieval of entry 99 failed")],
+    ]
+    retrieves = [(e["entry_id"], e["team"], e["step"]) for e in trace.events
+                 if e["kind"] == "retrieve"]
+    assert retrieves == [(2, 1, 2), (1, 1, 2)]
+    (failed,) = [e for e in trace.events if e["kind"] == "failed_retrieve"]
+    assert (failed["team"], failed["entry_id"]) == (1, 99)
 
 
 def test_cap_exhausted_team_yields_no_candidate():

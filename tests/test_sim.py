@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from hivemem.errors import ValidationError
 from hivemem.runtime import MajorityAggregator, run_episode
 from hivemem.sim import (
     ScriptedBackend,
-    SimScorer,
     SimTask,
     canonical_key,
     generate_task,
@@ -30,6 +31,15 @@ def test_generation_validation():
         generate_task(seed=1, depth=1, width=1, overlap_count=-1)
     with pytest.raises(ValidationError):
         generate_task(seed=1, depth=1, width=1, overlap_count=0, distractor_count=3)
+
+
+@pytest.mark.parametrize("p_fail", [-0.1, 1.0, 3.0])
+def test_task_rejects_p_fail_outside_unit_interval(p_fail):
+    with pytest.raises(ValidationError, match="p_fail"):
+        generate_task(seed=1, depth=1, width=1, overlap_count=2, p_fail=p_fail)
+    fields = json.loads(generate_task(seed=1, depth=1, width=1, overlap_count=2).to_json())
+    with pytest.raises(ValidationError, match="p_fail"):  # every construction checks it
+        SimTask.from_json(json.dumps({**fields, "p_fail": p_fail}))
 
 
 def test_overlap_nodes_on_all_solution_paths():
@@ -63,12 +73,6 @@ def test_scorer_properties():
     more_fields = dict(list(task.values.items())[:3])
     more = ";".join(f"{k}={v}" for k, v in more_fields.items())
     assert scorer.score(more) > scorer.score(partial)
-
-
-def test_scorer_binary_mode():
-    scorer = SimScorer({"a": "1", "b": "2"}, binary=True)
-    assert scorer.score("a=1;b=2") == 1.0
-    assert scorer.score("a=1") == 0.0
 
 
 def test_zero_overlap_yields_zero_savings(provider):
