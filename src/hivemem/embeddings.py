@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ValidationError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Characters of input text that reach the tokenizer; part of the frozen scheme.
+MAX_INPUT_LENGTH = 4096
 
 
 @runtime_checkable
@@ -25,7 +27,6 @@ class EmbeddingProvider(Protocol):
     """Frozen text embedder: same text in, same vector out."""
 
     dimension: int
-    max_input_length: int
     name: str
 
     def embed(self, text: str) -> np.ndarray: ...
@@ -36,7 +37,7 @@ class HashingEmbedder:
 
     Scheme (tests recompute it independently, so it is frozen):
 
-    1. Truncate the input to ``max_input_length`` characters.
+    1. Truncate the input to ``MAX_INPUT_LENGTH`` (4096) characters.
     2. Lowercase and tokenize on ``[a-z0-9]+`` runs.
     3. Form word unigrams and bigrams (bigram = ``tok_i + " " + tok_{i+1}``).
        If tokenization yields nothing, the raw truncated text is the sole gram.
@@ -47,11 +48,10 @@ class HashingEmbedder:
        text's bucket so the result is always unit-norm.
     """
 
-    def __init__(self, dimension: int = 64, max_input_length: int = 4096):
+    def __init__(self, dimension: int = 64):
         if dimension < 1:
             raise ValidationError("embedding dimension must be >= 1")
         self.dimension = dimension
-        self.max_input_length = max_input_length
         self.name = f"hashing-v1:d={dimension}"
         self._cache: dict[str, np.ndarray] = {}
 
@@ -61,7 +61,7 @@ class HashingEmbedder:
         cached = self._cache.get(text)
         if cached is not None:
             return cached
-        clipped = text[: self.max_input_length]
+        clipped = text[:MAX_INPUT_LENGTH]
         tokens = _TOKEN_RE.findall(clipped.lower())
         grams = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
         if not grams:

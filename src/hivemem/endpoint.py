@@ -2,20 +2,27 @@
 
 Drives real orchestrator teams and the aggregator through any
 chat-completions-compatible HTTP endpoint.  The orchestrator replies
-with a single action line:
+with a single action line, which ``parse_action`` turns into a runtime
+move:
 
     STEP:<instruction>  |  RETRIEVE:<entry_id>  |  FINAL:<answer>
 
-One orchestrator step costs at most two endpoint calls: the action
-completion plus a one-line summary elicitation.  Credentials come from
-the environment and are never written to traces or logs.
+A ``RETRIEVE`` or ``FINAL`` line is the move itself; a ``STEP`` line
+costs one more call, a one-line summary elicitation, so one orchestrator
+step makes at most two endpoint calls.  A reply with no conforming line
+becomes a ``malformed`` step.  The aggregator takes the first number in
+its reply as a 1-based candidate index and falls back to the majority
+vote.  The prompts are the module constants below.  A body that is not
+a completion is a ``BackendFailure``, like an exhausted retry budget.
+Credentials come from the environment and are never written to traces
+or logs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass
 
@@ -77,62 +84,31 @@ class EndpointConfig:
 # -- action grammar ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionStep:
-    instruction: str
+def parse_action(completion: str) -> str | RetrieveMove | FinalMove | None:
+    """First grammar-conformant line wins.
 
-
-@dataclass(frozen=True)
-class ActionRetrieve:
-    entry_id: int
-
-
-@dataclass(frozen=True)
-class ActionFinal:
-    answer: str
-
-
-@dataclass(frozen=True)
-class Malformed:
-    text: str
-
-
-Action = ActionStep | ActionRetrieve | ActionFinal | Malformed
-
-
-def render_action(action: Action) -> str:
-    """Inverse of parse_action on the three well-formed kinds."""
-    if isinstance(action, ActionStep):
-        return f"STEP:{action.instruction}"
-    if isinstance(action, ActionRetrieve):
-        return f"RETRIEVE:{action.entry_id}"
-    if isinstance(action, ActionFinal):
-        return f"FINAL:{action.answer}"
-    raise ValidationError(f"cannot render {action!r}")
-
-
-def parse_action(completion: str) -> Action:
-    """First grammar-conformant line wins; anything else is Malformed."""
+    A ``STEP`` line gives its instruction, a ``RETRIEVE`` or ``FINAL``
+    line its runtime move; None when no line conforms.
+    """
     for line in completion.splitlines():
         line = line.strip()
         if line.startswith("STEP:"):
             instruction = line[len("STEP:"):].strip()
             if instruction:
-                return ActionStep(instruction)
+                return instruction
         elif line.startswith("RETRIEVE:"):
-            payload = line[len("RETRIEVE:"):].strip()
             try:
-                return ActionRetrieve(int(payload))
+                return RetrieveMove(int(line[len("RETRIEVE:"):].strip()))
             except ValueError:
                 continue
         elif line.startswith("FINAL:"):
-            return ActionFinal(line[len("FINAL:"):].strip())
-    return Malformed(completion)
+            return FinalMove(line[len("FINAL:"):].strip())
+    return None
 
 
-# -- prompt templates --------------------------------------------------------
+# -- prompts -----------------------------------------------------------------
 
-_DEFAULT_ORCHESTRATOR = """You are one of several orchestrators working the same task in parallel.
+ORCHESTRATOR_PROMPT = """You are one of several orchestrators working the same task in parallel.
 Task: {query}
 
 Shared memory keys available for retrieval (id: summary):
@@ -147,12 +123,12 @@ RETRIEVE:<entry_id from the list above>
 FINAL:<your final answer>
 """
 
-_DEFAULT_SUMMARY_SUFFIX = (
+SUMMARY_PROMPT = (
     "Summarize the outcome of that step in one short line "
     "(it becomes a shared memory key for other teams)."
 )
 
-_DEFAULT_AGGREGATOR = """Task: {query}
+AGGREGATOR_PROMPT = """Task: {query}
 
 Candidate answers from parallel teams:
 {candidates}
@@ -161,32 +137,17 @@ Reply with only the number of the best candidate.
 """
 
 
-@dataclass
-class PromptTemplate:
-    orchestrator_system: str = _DEFAULT_ORCHESTRATOR
-    summary_suffix: str = _DEFAULT_SUMMARY_SUFFIX
-    aggregator_prompt: str = _DEFAULT_AGGREGATOR
+def render_orchestrator(
+    query: str, history: list[HistoryItem], visible_keys: list[tuple[int, str]]
+) -> str:
+    keys = "\n".join(f"{eid}: {summary}" for eid, summary in visible_keys) or "(none yet)"
+    hist = "\n".join(f"[{h.kind}] {h.text}" for h in history[-HISTORY_WINDOW:]) or "(empty)"
+    return ORCHESTRATOR_PROMPT.format(query=query, keys=keys, history=hist)
 
-    @property
-    def version_hash(self) -> str:
-        blob = "\x1e".join(
-            [self.orchestrator_system, self.summary_suffix, self.aggregator_prompt]
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
-    def render_orchestrator(
-        self,
-        query: str,
-        history: list[HistoryItem],
-        visible_keys: list[tuple[int, str]],
-    ) -> str:
-        keys = "\n".join(f"{eid}: {summary}" for eid, summary in visible_keys) or "(none yet)"
-        hist = "\n".join(f"[{h.kind}] {h.text}" for h in history[-HISTORY_WINDOW:]) or "(empty)"
-        return self.orchestrator_system.format(query=query, keys=keys, history=hist)
-
-    def render_aggregator(self, query: str, candidates: list[Candidate]) -> str:
-        listing = "\n".join(f"{i + 1}. {c.answer}" for i, c in enumerate(candidates))
-        return self.aggregator_prompt.format(query=query, candidates=listing)
+def render_aggregator(query: str, candidates: list[Candidate]) -> str:
+    listing = "\n".join(f"{i + 1}. {c.answer}" for i, c in enumerate(candidates))
+    return AGGREGATOR_PROMPT.format(query=query, candidates=listing)
 
 
 # -- HTTP client -------------------------------------------------------------
@@ -202,7 +163,8 @@ def call_chat(
 
     Transport errors and retryable statuses back off exponentially
     (backoff_base * 2^attempt).  Auth failures raise ConfigurationError
-    immediately; exhausted retries raise BackendFailure.  ``call_log``
+    immediately; exhausted retries, another status and a body without a
+    string at ``choices[0].message.content`` raise BackendFailure.  ``call_log``
     receives one metadata record per call (latency, status, attempt),
     never the credential.
     """
@@ -242,9 +204,12 @@ def call_chat(
         if status != 200:
             raise BackendFailure(f"endpoint returned HTTP {status}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            content = response.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendFailure(f"malformed endpoint response: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendFailure("malformed endpoint response: content is not a string")
+        return content
     raise BackendFailure(
         f"endpoint failed after {config.max_retries + 1} attempts ({last_error})"
     )
@@ -267,7 +232,19 @@ def _log_call(call_log, url, status, started, attempt, error=None):
 # -- backend / aggregator over the endpoint ----------------------------------
 
 
-class LLMBackend:
+class _EndpointClient:
+    """One endpoint configuration, its backoff sleep and its call log."""
+
+    def __init__(self, config: EndpointConfig, sleep_fn=time.sleep):
+        self.config = config
+        self.sleep_fn = sleep_fn
+        self.call_log: list[dict] = []
+
+    def _chat(self, messages: list[dict]) -> str:
+        return call_chat(self.config, messages, sleep_fn=self.sleep_fn, call_log=self.call_log)
+
+
+class LLMBackend(_EndpointClient):
     """AgentBackend driving every team through one chat endpoint.
 
     The action completion doubles as the step's raw output; the summary
@@ -275,17 +252,6 @@ class LLMBackend:
     Malformed action lines consume a step (the model wasted the turn)
     and are marked so the controller can learn to reject them.
     """
-
-    def __init__(
-        self,
-        config: EndpointConfig,
-        template: PromptTemplate | None = None,
-        sleep_fn=time.sleep,
-    ):
-        self.config = config
-        self.template = template or PromptTemplate()
-        self.sleep_fn = sleep_fn
-        self.call_log: list[dict] = []
 
     def next_move(
         self,
@@ -295,19 +261,12 @@ class LLMBackend:
         visible_keys: list[tuple[int, str]],
         rng: np.random.Generator,
     ) -> Move:
-        prompt = self.template.render_orchestrator(query, history, visible_keys)
-        completion = call_chat(
-            self.config,
-            [{"role": "user", "content": prompt}],
-            sleep_fn=self.sleep_fn,
-            call_log=self.call_log,
-        )
-        action = parse_action(completion)
-        if isinstance(action, ActionRetrieve):
-            return RetrieveMove(action.entry_id)
-        if isinstance(action, ActionFinal):
-            return FinalMove(action.answer)
-        if isinstance(action, Malformed):
+        prompt = render_orchestrator(query, history, visible_keys)
+        completion = self._chat([{"role": "user", "content": prompt}])
+        parsed = parse_action(completion)
+        if isinstance(parsed, (RetrieveMove, FinalMove)):
+            return parsed
+        if parsed is None:
             logger.warning("team %d produced a malformed action line", team)
             return StepMove(
                 StepTriplet(
@@ -317,20 +276,17 @@ class LLMBackend:
                 ),
                 label="malformed",
             )
-        summary_reply = call_chat(
-            self.config,
+        summary_reply = self._chat(
             [
                 {"role": "user", "content": prompt},
                 {"role": "assistant", "content": completion},
-                {"role": "user", "content": self.template.summary_suffix},
-            ],
-            sleep_fn=self.sleep_fn,
-            call_log=self.call_log,
+                {"role": "user", "content": SUMMARY_PROMPT},
+            ]
         )
         summary = summary_reply.strip().splitlines()[0] if summary_reply.strip() else ""
         return StepMove(
             StepTriplet(
-                agent_input=action.instruction,
+                agent_input=parsed,
                 step_summary=summary or "step completed",
                 agent_output=completion,
             ),
@@ -338,36 +294,19 @@ class LLMBackend:
         )
 
 
-class LLMAggregator:
-    """Selection-prompt aggregator: asks for a candidate index, falls back
-    to majority vote when the reply does not parse."""
-
-    def __init__(
-        self,
-        config: EndpointConfig,
-        template: PromptTemplate | None = None,
-        sleep_fn=time.sleep,
-    ):
-        self.config = config
-        self.template = template or PromptTemplate()
-        self.sleep_fn = sleep_fn
-        self.call_log: list[dict] = []
+class LLMAggregator(_EndpointClient):
+    """Selection-prompt aggregator: the first number in the reply picks a
+    candidate (1-based); majority vote when there is none, it is out of
+    range, or the endpoint fails."""
 
     def aggregate(self, query: str, candidates: list[Candidate]) -> str:
-        prompt = self.template.render_aggregator(query, candidates)
         try:
-            reply = call_chat(
-                self.config,
-                [{"role": "user", "content": prompt}],
-                sleep_fn=self.sleep_fn,
-                call_log=self.call_log,
-            )
+            reply = self._chat([{"role": "user", "content": render_aggregator(query, candidates)}])
         except BackendFailure:
             return MajorityAggregator().aggregate(query, candidates)
-        digits = "".join(ch for ch in reply if ch.isdigit())
-        if digits:
-            index = int(digits) - 1
+        number = re.search(r"\d+", reply)
+        if number:
+            index = int(number.group()) - 1
             if 0 <= index < len(candidates):
                 return candidates[index].answer
         return MajorityAggregator().aggregate(query, candidates)
-

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, asdict
 from typing import Callable
@@ -75,6 +76,15 @@ class SimScorer:
         return correct / len(self.answer_key)
 
 
+def _check_shape(depth: int, width: int, overlap_count: int, distractor_count: int) -> None:
+    if depth < 1 or width < 1:
+        raise ValidationError("depth and width must be >= 1")
+    if overlap_count < 0 or distractor_count < 0:
+        raise ValidationError("counts must be >= 0")
+    if distractor_count > 0 and overlap_count == 0:
+        raise ValidationError("distractors need at least one shared subtask to mimic")
+
+
 @dataclass
 class SimTask:
     """A generated task: derivation DAG, distractor set, economics."""
@@ -98,8 +108,18 @@ class SimTask:
     pollution_corrupt_rate: float = 0.35
 
     def __post_init__(self) -> None:
+        _check_shape(self.depth, self.width, self.overlap_count, self.distractor_count)
         if not 0.0 <= self.p_fail < 1.0:
             raise ValidationError("p_fail must be in [0, 1)")
+        costs = (
+            self.solve_cost, self.retrieve_cost, self.pollution_step_surcharge,
+            self.pollution_recovery_steps, self.pollution_fail_boost,
+            self.pollution_corrupt_rate,
+        )
+        if not all(0.0 <= c < math.inf for c in costs):
+            raise ValidationError("cost and pollution fields must be finite and >= 0")
+        if self.pollution_corrupt_rate > 1.0:
+            raise ValidationError("pollution_corrupt_rate must be <= 1")
 
     @property
     def task_id(self) -> str:
@@ -170,13 +190,7 @@ def generate_task(
     ``economics`` sets ``SimTask``'s cost, cap and pollution fields; the
     rest keep their defaults there.
     """
-    if depth < 1 or width < 1:
-        raise ValidationError("depth and width must be >= 1")
-    if overlap_count < 0 or distractor_count < 0:
-        raise ValidationError("counts must be >= 0")
-    if distractor_count > 0 and overlap_count == 0:
-        raise ValidationError("distractors need at least one shared subtask to mimic")
-
+    _check_shape(depth, width, overlap_count, distractor_count)
     shared = [f"s{i}" for i in range(overlap_count)]
     chains = [shared[i : i + depth] for i in range(0, overlap_count, depth)]
     values = {node: _digest(seed, node) for node in shared}

@@ -400,17 +400,8 @@ def test_c10_endpoint_adapter(tmp_path, monkeypatch):
     import tests.test_endpoint as te
     from http.server import ThreadingHTTPServer
 
-    from hivemem.endpoint import (
-        ActionFinal,
-        ActionRetrieve,
-        ActionStep,
-        LLMBackend,
-        Malformed,
-        call_chat,
-        parse_action,
-        render_action,
-    )
-    from hivemem.runtime import MajorityAggregator, TaskSpec, run_episode
+    from hivemem.endpoint import LLMBackend, call_chat, parse_action
+    from hivemem.runtime import FinalMove, MajorityAggregator, RetrieveMove, TaskSpec, run_episode
 
     start = time.perf_counter()
     monkeypatch.setenv(te.CRED_ENV, te.SECRET)
@@ -422,9 +413,13 @@ def test_c10_endpoint_adapter(tmp_path, monkeypatch):
     try:
         config = te.make_config(server)
 
-        # round-trip all three action kinds
-        for action in (ActionStep("look it up"), ActionRetrieve(4), ActionFinal("Paris")):
-            assert parse_action(render_action(action)) == action
+        # all three action kinds parse to their runtime values
+        for line, parsed in [
+            ("STEP:look it up", "look it up"),
+            ("RETRIEVE:4", RetrieveMove(4)),
+            ("FINAL:Paris", FinalMove("Paris")),
+        ]:
+            assert parse_action(line) == parsed
 
         # malformed degrades to a failed step and the team continues
         server.script.extend([(200, "no action here"), (200, "FINAL:done")])
@@ -433,7 +428,7 @@ def test_c10_endpoint_adapter(tmp_path, monkeypatch):
                             MajorityAggregator(), seed=0, mode="live")
         assert trace.candidates and trace.candidates[0].answer == "done"
         assert any(e["kind"] == "step" and e["label"] == "malformed" for e in trace.events)
-        assert isinstance(parse_action("RETRIEVE:abc"), Malformed)
+        assert parse_action("RETRIEVE:abc") is None
 
         # retries and backoff obey configuration
         server.script.extend([(500, ""), (503, ""), (200, "FINAL:ok")])

@@ -283,7 +283,12 @@ def _task_fields() -> dict:
     "{",
     json.dumps({**_task_fields(), "bogus": 1}),
     json.dumps({**_task_fields(), "p_fail": 3.0}),
-], ids=["malformed-json", "unknown-key", "p_fail-out-of-range"])
+    json.dumps({**_task_fields(), "solve_cost": -5.0}),
+    json.dumps({**_task_fields(), "width": 0}),
+    json.dumps({**_task_fields(), "depth": 0}),
+    json.dumps({**_task_fields(), "pollution_corrupt_rate": 7.0}),
+], ids=["malformed-json", "unknown-key", "p_fail-out-of-range", "negative-solve-cost",
+        "zero-width", "zero-depth", "corrupt-rate-above-one"])
 def test_run_rejects_a_bad_task_file(tmp_path, capsys, body):
     task_file = tmp_path / "task.json"
     task_file.write_text(body)

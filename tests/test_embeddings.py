@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hivemem.embeddings import HashingEmbedder
+from hivemem.embeddings import MAX_INPUT_LENGTH, HashingEmbedder
 from hivemem.errors import ValidationError
 
 
@@ -65,5 +65,7 @@ def test_matches_reference_scheme(text):
 
 
 def test_truncation_at_declared_max_length():
-    p = HashingEmbedder(16, max_input_length=10)
-    assert np.array_equal(p.embed("abcde fghij XYZ"), p.embed("abcde fghi"))
+    p = HashingEmbedder(16)
+    head = "abcde " * 682 + "fghi"  # MAX_INPUT_LENGTH (4096) characters
+    assert len(head) == MAX_INPUT_LENGTH
+    assert np.array_equal(p.embed(head + "j XYZ"), p.embed(head))

@@ -42,6 +42,19 @@ def test_task_rejects_p_fail_outside_unit_interval(p_fail):
         SimTask.from_json(json.dumps({**fields, "p_fail": p_fail}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("solve_cost", -5.0),
+    ("retrieve_cost", float("inf")),
+    ("pollution_step_surcharge", float("nan")),
+    ("pollution_recovery_steps", -1),
+    ("pollution_fail_boost", -0.1),
+    ("pollution_corrupt_rate", 7.0),
+])
+def test_task_rejects_bad_economics(field, value):
+    with pytest.raises(ValidationError):
+        generate_task(seed=1, depth=1, width=1, overlap_count=2, **{field: value})
+
+
 def test_overlap_nodes_on_all_solution_paths():
     task = generate_task(seed=2, depth=3, width=2, overlap_count=4, distractor_count=0)
     shared = task.shared_nodes()
