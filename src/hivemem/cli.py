@@ -163,6 +163,8 @@ def cmd_report(args) -> int:
         else:
             path = spec
             name = Path(spec).name
+        if name in variants:
+            raise ValidationError(f"two report inputs are named {name!r}; name them name=path")
         metrics_file = Path(path) / "metrics.json"
         if metrics_file.exists():
             variants[name] = _read_json_object(metrics_file, "metrics file", RunMetrics.from_dict)
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags ``run`` and ``eval`` share
     episodes = argparse.ArgumentParser(add_help=False)
     episodes.add_argument(
-        "--task-file", help="load a pinned sim task (JSON) instead of generating"
+        "--task-file", help="load a sim task, a JSON object of SimTask's parameters"
     )
     episodes.add_argument("--task-seed", type=int, default=0, help="seed for task generation")
     episodes.add_argument("--depth", type=int, default=2, help="chain depth")

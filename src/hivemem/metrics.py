@@ -97,7 +97,8 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
     """Aggregate metrics over episodes; each stream is one episode's events.
 
     The events must already be valid: built by the runtime, or read back
-    with ``read_events``.
+    with ``read_events``.  An episode without exactly one ``aggregate``
+    event, such as an empty or truncated file, raises SchemaError.
     """
     m = RunMetrics()
     for events in streams:
@@ -105,6 +106,7 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
         entry_source: dict[int, int] = {}
         retrieved: dict[int, bool] = {}  # entry_id -> saw cross-team retrieval
         steps = 0
+        aggregates = 0
         runtime = 0.0
         for event in events:
             kind = event["kind"]
@@ -125,12 +127,15 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
             elif kind == "step":
                 steps += 1
             elif kind == "aggregate":
+                aggregates += 1
                 runtime = float(event["vt"])
             elif kind == "score":
                 m.score_samples.append(float(event["agg_score"]))
                 if m.mean_first_score is None:
                     m.mean_first_score = 0.0
                 m.mean_first_score += float(event["first_score"])
+        if aggregates != 1:
+            raise SchemaError(f"episode {m.episodes} has {aggregates} aggregate events, not one")
         m.entries_retrieved += len(retrieved)
         m.cross_team_entries += sum(1 for v in retrieved.values() if v)
         m.runtime_samples.append(runtime)
@@ -152,8 +157,12 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
 
 
 def compute_metrics(trace_paths: Sequence[str | Path]) -> RunMetrics:
-    """Metrics over persisted trace files (one episode per file)."""
-    return metrics_from_event_streams(read_events(p) for p in trace_paths)
+    """Metrics over persisted trace files (one episode per file); a
+    SchemaError names the file it is about."""
+    try:
+        return metrics_from_event_streams(read_events(path := p) for p in trace_paths)
+    except SchemaError as exc:  # raised while ``path`` is the file at hand
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def fd_bin_count(samples: Sequence[float]) -> int:

@@ -1,10 +1,11 @@
 """Deterministic desk-scale task environment.
 
-Tasks are derivation graphs: shared subtask chains whose values every
-team needs (and can reuse through the bank), per-team private chains
-that pad each team's schedule, and distractor lures whose summaries
-mimic real shared keys but whose outputs are junk.  Costs are fixed in
-virtual time units, so redundancy-reduction claims are exactly
+A task is fixed by its parameters, a ``SimTask``'s fields: seed, shape
+and economics.  It is a derivation graph: shared subtask chains whose
+values every team needs (and can reuse through the bank), per-team
+private chains that pad each team's schedule, and distractor lures whose
+summaries mimic real shared keys but whose outputs are junk.  Costs are
+fixed in virtual time units, so redundancy-reduction claims are exactly
 checkable: solving costs ``solve_cost``, retrieving ``retrieve_cost``,
 and consuming a lure inflates the victim's later steps.
 
@@ -76,28 +77,23 @@ class SimScorer:
         return correct / len(self.answer_key)
 
 
-def _check_shape(depth: int, width: int, overlap_count: int, distractor_count: int) -> None:
-    if depth < 1 or width < 1:
-        raise ValidationError("depth and width must be >= 1")
-    if overlap_count < 0 or distractor_count < 0:
-        raise ValidationError("counts must be >= 0")
-    if distractor_count > 0 and overlap_count == 0:
-        raise ValidationError("distractors need at least one shared subtask to mimic")
-
-
-@dataclass
+@dataclass(frozen=True)
 class SimTask:
-    """A generated task: derivation DAG, distractor set, economics."""
+    """A sim task, fixed by its parameters: seed, shape and economics.
+
+    The fields are those parameters, all a task file holds, and
+    ``__post_init__`` checks them and derives the rest once:
+    ``shared_chains`` lays shared subtasks ``s0, s1, ...`` out in chains
+    of length ``depth`` (the last may be shorter), ``values`` gives each a
+    seeded value, ``answer_key`` asks for all (``status=ok`` without any)
+    and ``distractor_targets`` holds each lure's seeded shared subtask.
+    """
 
     seed: int
     depth: int
     width: int
     overlap_count: int
-    distractor_count: int
-    shared_chains: list[list[str]]
-    distractor_targets: list[str]
-    values: dict[str, str]
-    answer_key: dict[str, str]
+    distractor_count: int = 0
     step_cap: int = 30
     p_fail: float = 0.15
     solve_cost: float = 10.0
@@ -108,7 +104,12 @@ class SimTask:
     pollution_corrupt_rate: float = 0.35
 
     def __post_init__(self) -> None:
-        _check_shape(self.depth, self.width, self.overlap_count, self.distractor_count)
+        if self.depth < 1 or self.width < 1:
+            raise ValidationError("depth and width must be >= 1")
+        if self.overlap_count < 0 or self.distractor_count < 0:
+            raise ValidationError("counts must be >= 0")
+        if self.distractor_count > 0 and self.overlap_count == 0:
+            raise ValidationError("distractors need at least one shared subtask to mimic")
         if not 0.0 <= self.p_fail < 1.0:
             raise ValidationError("p_fail must be in [0, 1)")
         costs = (
@@ -120,6 +121,17 @@ class SimTask:
             raise ValidationError("cost and pollution fields must be finite and >= 0")
         if self.pollution_corrupt_rate > 1.0:
             raise ValidationError("pollution_corrupt_rate must be <= 1")
+
+        shared = [f"s{i}" for i in range(self.overlap_count)]
+        values = {node: _digest(self.seed, node) for node in shared}
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xD15C]))
+        targets = [shared[int(rng.integers(len(shared)))] for _ in range(self.distractor_count)]
+        self.__dict__.update(  # set once, here: the task is frozen
+            shared_chains=[shared[i : i + self.depth] for i in range(0, len(shared), self.depth)],
+            values=values,
+            answer_key=dict(values) if shared else {"status": "ok"},
+            distractor_targets=targets,
+        )
 
     @property
     def task_id(self) -> str:
@@ -173,44 +185,7 @@ class SimTask:
         return cls(**json.loads(text))
 
 
-def generate_task(
-    seed: int,
-    depth: int,
-    width: int,
-    overlap_count: int,
-    distractor_count: int = 0,
-    **economics,
-) -> SimTask:
-    """Reproducibly generate a task; identical seeds give identical tasks.
-
-    Shared subtasks are laid out in prerequisite chains of length
-    ``depth`` (the last chain may be shorter); every team additionally
-    owns ``width`` private chains of the same depth.  Distractor lures
-    target seeded shared subtasks, so they require ``overlap_count >= 1``.
-    ``economics`` sets ``SimTask``'s cost, cap and pollution fields; the
-    rest keep their defaults there.
-    """
-    _check_shape(depth, width, overlap_count, distractor_count)
-    shared = [f"s{i}" for i in range(overlap_count)]
-    chains = [shared[i : i + depth] for i in range(0, overlap_count, depth)]
-    values = {node: _digest(seed, node) for node in shared}
-    answer_key = dict(values) if shared else {"status": "ok"}
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD15C]))
-    targets = [shared[int(rng.integers(len(shared)))] for _ in range(distractor_count)]
-
-    return SimTask(
-        seed=seed,
-        depth=depth,
-        width=width,
-        overlap_count=overlap_count,
-        distractor_count=distractor_count,
-        shared_chains=chains,
-        distractor_targets=targets,
-        values=values,
-        answer_key=answer_key,
-        **economics,
-    )
+generate_task = SimTask
 
 
 class _TeamPlan:

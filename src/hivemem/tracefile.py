@@ -19,8 +19,8 @@ before its ``step`` line; ``mem_size`` is the size of the memory snapshot
 the decision saw.  Every team ends with one ``team_end`` whose ``status``
 is ``final``, ``failed``, ``cap_exhausted`` or ``move_limit``; its
 ``answer`` is the team's candidate answer (``""`` for ``failed``), or
-null when the team leaves no candidate.  A schema-1 file fails on its
-header, which lacks ``query`` and ``seed``.
+null when the team leaves no candidate.  A file fails on a header whose
+``schema`` is not 2; a schema-1 header also lacks ``query`` and ``seed``.
 
 ``admit``/``retrieve`` lines are emitted by the memory bank itself and
 carry only the six fields above, so external tools can recompute memory
@@ -74,6 +74,8 @@ def validate_event(event: dict, line_number: int | None = None) -> dict:
     if not event.keys() >= required:
         missing = [f for f in _REQUIRED_FIELDS[kind] if f not in event]
         raise SchemaError(f"{kind} event missing fields {missing}", line_number)
+    if kind == "header" and event["schema"] != SCHEMA_VERSION:
+        raise SchemaError(f"header schema {event['schema']!r} is not {SCHEMA_VERSION}", line_number)
     return event
 
 

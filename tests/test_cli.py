@@ -148,6 +148,36 @@ def test_report_from_trace_files(tmp_path):
     assert main(["report", str(tmp_path / "r"), "--out", str(out)]) == 0
 
 
+def test_report_rejects_two_inputs_of_one_name(tmp_path, capsys):
+    for parent in ("b", "x"):
+        main(["run", "--task-seed", "7", "--overlap", "4", "--policy", "add-all",
+              "--out", str(tmp_path / parent / "a")])
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    inputs = [str(tmp_path / "b" / "a"), str(tmp_path / "x" / "a")]
+    assert main(["report", *inputs, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert "'a'" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["empty", "header-only"])
+def test_report_rejects_an_incomplete_trace_file(tmp_path, capsys, content):
+    run = tmp_path / "r"
+    main(["run", "--task-seed", "9", "--overlap", "4", "--episodes", "2",
+          "--policy", "add-all", "--out", str(run)])
+    (run / "metrics.json").unlink()  # force the trace-file path
+    header = (run / "episode_00000.jsonl").read_text().splitlines(keepends=True)[0]
+    bad = run / "episode_00002.jsonl"
+    bad.write_text(header if content == "header-only" else "")
+    capsys.readouterr()
+    assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SchemaError"
+    assert str(bad) in record["message"]
+
+
 @pytest.mark.parametrize("body", [
     '{"episodes": 1, "bogus": 2}', "[1, 2]", "{",
     '{"episodes": "x", "mean_runtime": "slow"}', '{"episodes": true}', '{"mean_score": [1.0]}',
@@ -287,8 +317,11 @@ def _task_fields() -> dict:
     json.dumps({**_task_fields(), "width": 0}),
     json.dumps({**_task_fields(), "depth": 0}),
     json.dumps({**_task_fields(), "pollution_corrupt_rate": 7.0}),
+    json.dumps({**_task_fields(), "shared_chains": [["s0", "zz"]]}),
+    json.dumps({**_task_fields(), "values": {"s0": "000000", "s1": "000000"}}),
 ], ids=["malformed-json", "unknown-key", "p_fail-out-of-range", "negative-solve-cost",
-        "zero-width", "zero-depth", "corrupt-rate-above-one"])
+        "zero-width", "zero-depth", "corrupt-rate-above-one", "chain-of-an-unknown-node",
+        "stale-values"])
 def test_run_rejects_a_bad_task_file(tmp_path, capsys, body):
     task_file = tmp_path / "task.json"
     task_file.write_text(body)

@@ -24,6 +24,34 @@ def test_generation_deterministic():
         assert again.to_json() == reference.to_json()
 
 
+_HEAVY = dict(depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14, p_fail=0.08,
+              pollution_fail_boost=0.25, pollution_recovery_steps=2, pollution_corrupt_rate=0.65)
+_VALUES_3 = {"s0": "cf716e", "s1": "e4e222", "s2": "747517", "s3": "646950"}
+_VALUES_1000 = {"s0": "bef96c", "s1": "db0b40", "s2": "964d3e", "s3": "73d7eb",
+                "s4": "7a6ab6", "s5": "7215e5"}
+
+
+@pytest.mark.parametrize("params, task_id, chains, values, answer_key, targets", [
+    (dict(seed=3, depth=2, width=1, overlap_count=4, distractor_count=2), "sim-3-d2w1o4x2",
+     [["s0", "s1"], ["s2", "s3"]], _VALUES_3, _VALUES_3, ["s1", "s3"]),
+    (dict(seed=1000, **_HEAVY), "sim-1000-d2w1o6x6",
+     [["s0", "s1"], ["s2", "s3"], ["s4", "s5"]], _VALUES_1000, _VALUES_1000,
+     ["s2", "s4", "s4", "s1", "s1", "s3"]),
+    (dict(seed=5, depth=2, width=2, overlap_count=0), "sim-5-d2w2o0x0",
+     [], {}, {"status": "ok"}, []),
+], ids=["small", "heavy", "no-overlap"])
+def test_parameters_derive_the_recorded_structures(
+    params, task_id, chains, values, answer_key, targets
+):
+    # recorded literals: benchmark pins and old trace files depend on this derivation
+    task = generate_task(**params)
+    assert task.task_id == task_id
+    assert task.shared_chains == chains
+    assert task.values == values
+    assert task.answer_key == answer_key
+    assert task.distractor_targets == targets
+
+
 def test_generation_validation():
     with pytest.raises(ValidationError):
         generate_task(seed=1, depth=0, width=1, overlap_count=2)

@@ -193,6 +193,18 @@ def test_schema_1_file_fails_on_its_header(tmp_path):
     assert "header event missing fields ['query', 'seed']" in str(exc.value)
 
 
+@pytest.mark.parametrize("schema", [1, 3, "2", True, None])
+def test_header_of_another_schema_fails(tmp_path, schema):
+    header = {"kind": "header", "schema": schema, "task_id": "t", "k": 1,
+              "mode": "deterministic", "cap": 30, "query": "q", "seed": 0}
+    path = tmp_path / "other.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        read_events(path)
+    assert exc.value.line_number == 1
+    assert f"header schema {schema!r} is not 2" in str(exc.value)
+
+
 def test_schema_missing_field(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"kind": "admit", "seq": 1}) + "\n")
@@ -279,6 +291,8 @@ def _event_lists(text):
 
     def event(kind):
         fields = {"kind": st.just(kind), **{f: value for f in KINDS[kind]}}
+        if kind == "header":  # a header of any other schema fails to read
+            fields["schema"] = st.just(2)
         return st.fixed_dictionaries(fields, optional={"extra": st.lists(value, max_size=2)})
 
     return st.lists(st.sampled_from(sorted(KINDS)).flatmap(event), max_size=8)
