@@ -1,5 +1,8 @@
 """Command-line entry point: run / train / eval / report workflows.
 
+``run`` and ``eval`` write one ``episode_*.jsonl`` trace file per episode
+and a ``metrics.json`` summary; ``report`` reads only the trace files.
+
 Exit code 0 on success; on failure a machine-readable JSON error record
 is written to stderr and the exit code is nonzero.
 """
@@ -83,16 +86,16 @@ def _run_llm(args, provider, rule) -> int:
     return 0
 
 
-def _run_episodes(args, write_traces: bool) -> int:
+def cmd_run(args) -> int:
+    """``run`` and ``eval``: episodes under one admission rule, written to
+    ``--out`` as trace files and a ``metrics.json`` nothing reads back."""
     provider = HashingEmbedder(args.embed_dim)
     rule = _load_policy(args, provider)
     if getattr(args, "backend", "sim") == "llm":  # only ``run`` has --backend
         return _run_llm(args, provider, rule)
     tasks = _make_tasks(args)
     seeds = list(range(args.seed, args.seed + args.episodes))
-    metrics, traces = run_variant(
-        tasks, rule, args.k, seeds, provider, keep_traces=write_traces
-    )
+    metrics, traces = run_variant(tasks, rule, args.k, seeds, provider, keep_traces=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, trace in enumerate(traces):
@@ -100,14 +103,6 @@ def _run_episodes(args, write_traces: bool) -> int:
     (out / "metrics.json").write_text(json.dumps(asdict(metrics), indent=2), encoding="utf-8")
     sys.stdout.write(render_table({args.policy: metrics.summary_row()}))
     return 0
-
-
-def cmd_run(args) -> int:
-    return _run_episodes(args, write_traces=True)
-
-
-def cmd_eval(args) -> int:
-    return _run_episodes(args, write_traces=False)
 
 
 def training_setup(cfg: dict, out: Path):
@@ -134,13 +129,13 @@ def training_setup(cfg: dict, out: Path):
 
 def _read_json_object(path: Path, what: str, build=dict):
     """``build`` of the JSON object in ``path``; a ValidationError naming the
-    file when it holds no object or ``build`` rejects it."""
+    file when it cannot be read, holds no object or ``build`` rejects it."""
     try:
         value = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(value, dict):
             raise TypeError(f"{type(value).__name__}, not an object")
         return build(value)
-    except (TypeError, ValueError) as exc:  # ValueError includes bad JSON
+    except (OSError, TypeError, ValueError) as exc:  # ValueError includes bad JSON
         raise ValidationError(f"bad {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -165,14 +160,10 @@ def cmd_report(args) -> int:
             name = Path(spec).name
         if name in variants:
             raise ValidationError(f"two report inputs are named {name!r}; name them name=path")
-        metrics_file = Path(path) / "metrics.json"
-        if metrics_file.exists():
-            variants[name] = _read_json_object(metrics_file, "metrics file", RunMetrics.from_dict)
-        else:
-            traces = sorted(Path(path).glob("*.jsonl"))
-            if not traces:
-                raise ValidationError(f"{path} has neither metrics.json nor trace files")
-            variants[name] = compute_metrics(traces)
+        traces = sorted(Path(path).glob("episode_*.jsonl"))
+        if not traces:
+            raise ValidationError(f"{path} holds no episode_*.jsonl trace files")
+        variants[name] = compute_metrics(traces)
     written = emit_report(variants, args.out)
     sys.stdout.write((Path(args.out) / "summary.txt").read_text(encoding="utf-8"))
     sys.stdout.write(f"{len(written)} report files in {args.out}\n")
@@ -227,12 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--policy", default="learned", choices=VARIANT_NAMES)
     p_eval.add_argument("--tasks", type=int, default=10, help="number of generated tasks")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_run)
 
-    p_report = sub.add_parser("report", help="summary tables and plot data from metrics dirs")
-    p_report.add_argument(
-        "inputs", nargs="+", help="metrics directories, optionally name=path"
-    )
+    p_report = sub.add_parser("report", help="summary tables and plot data from run dirs")
+    p_report.add_argument("inputs", nargs="+", help="run directories, optionally name=path")
     p_report.add_argument("--out", required=True)
     p_report.set_defaults(func=cmd_report)
     return parser

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,25 +266,27 @@ class AdmissionPolicy:
         path: str,
         expected_embed_dim: int | None = None,
     ) -> tuple["AdmissionPolicy", dict]:
-        with np.load(path) as data:
-            if "__meta__" not in data:
-                raise ConfigurationError(f"{path} is not a policy checkpoint")
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"unsupported checkpoint format {meta.get('format_version')!r}"
-                )
-            if expected_embed_dim is not None and meta["embed_dim"] != expected_embed_dim:
-                raise ConfigurationError(
-                    f"checkpoint embed_dim {meta['embed_dim']} != expected {expected_embed_dim}"
-                )
-            policy = cls(meta["embed_dim"], meta["controller_dim"])
-            for key in PARAM_KEYS:
-                if key not in data:
-                    raise ConfigurationError(f"checkpoint missing parameter {key!r}")
-                if data[key].shape != policy.params[key].shape:
-                    raise ConfigurationError(f"checkpoint parameter {key!r} has wrong shape")
-                policy.params[key] = np.asarray(data[key], dtype=np.float64)
+        """The policy and meta of a checkpoint ``save`` wrote; a ConfigurationError
+        names ``path`` if it is missing, unreadable or not such a checkpoint."""
+        try:
+            with np.load(path) as data:  # a missing array raises KeyError
+                meta = json.loads(bytes(data["__meta__"]).decode())
+                version = meta.get("format_version") if isinstance(meta, dict) else None
+                if version != CHECKPOINT_FORMAT_VERSION:
+                    raise ValueError(f"unsupported checkpoint format {version!r}")
+                dims = (meta.get("embed_dim"), meta.get("controller_dim"))
+                if not all(type(d) is int and d >= 1 for d in dims):  # bool is no dimension
+                    raise ValueError(f"embed_dim, controller_dim {dims} are not integers >= 1")
+                if expected_embed_dim is not None and dims[0] != expected_embed_dim:
+                    raise ValueError(f"embed_dim {dims[0]} != expected {expected_embed_dim}")
+                policy = cls(*dims)
+                for key in PARAM_KEYS:
+                    value = data[key]
+                    if value.shape != policy.params[key].shape:
+                        raise ValueError(f"parameter {key!r} has wrong shape")
+                    policy.params[key] = np.asarray(value, dtype=np.float64)
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise ConfigurationError(f"bad checkpoint {path}: {type(exc).__name__}: {exc}") from exc
         return policy, meta
 
 

@@ -13,7 +13,8 @@ Definitions (denominators matter and are fixed here):
   retrieval / entries retrieved at least once (entry-level alternative).
 
 Everything is recomputable bit-exactly from the persisted event lines
-alone.  Events are validated once, where they enter from outside:
+alone, so nothing here reads back the ``metrics.json`` a run writes
+beside them.  Events are validated once, where they enter from outside:
 ``read_events`` checks each line of a trace file.  The in-memory events
 of a run are built by the runtime and are not checked again here.
 """
@@ -21,10 +22,9 @@ of a run are built by the runtime and are not checked again here.
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,16 +55,6 @@ class RunMetrics:
     step_samples: list[int] = field(default_factory=list)
     score_samples: list[float] = field(default_factory=list)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunMetrics":
-        """Metrics from fields as ``asdict`` gives them; TypeError on an unknown
-        field or a value of another type (an integer may fill a float field)."""
-        hints = get_type_hints(cls)
-        for key, value in data.items():
-            if key not in hints or not _fits(value, hints[key]):
-                raise TypeError(f"{key!r}: {value!r} is not a value of a RunMetrics field")
-        return cls(**data)
-
     def summary_row(self) -> dict:
         return {
             "episodes": self.episodes,
@@ -76,17 +66,6 @@ class RunMetrics:
             "cross_team_recall_pct": self.cross_team_recall_pct,
             "cross_team_entry_recall_pct": self.cross_team_entry_recall_pct,
         }
-
-
-def _fits(value, hint) -> bool:
-    """Whether a value read from JSON has the type ``hint`` of a RunMetrics field."""
-    if get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
-    if get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in get_args(hint))
-    if isinstance(value, bool) or hint is bool:  # bool is an int subclass
-        return isinstance(value, bool) and hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _pct(numerator: int, denominator: int) -> float:

@@ -62,7 +62,16 @@ def test_train_then_eval_learned(tmp_path):
         "--out", str(eval_out),
     ])
     assert code == 0
-    assert (eval_out / "metrics.json").exists()
+    assert len(list(eval_out.glob("episode_*.jsonl"))) == 2  # one episode per task
+
+    # report reads the trace files and gives the row metrics.json holds
+    from hivemem.metrics import RunMetrics, render_table
+
+    summary = json.loads((eval_out / "metrics.json").read_text())
+    rep = tmp_path / "rep"
+    assert main(["report", f"learned={eval_out}", "--out", str(rep)]) == 0
+    expected = render_table({"learned": RunMetrics(**summary).summary_row()})
+    assert (rep / "summary.txt").read_text() == expected
 
 
 def test_train_regenerates_the_pinned_checkpoint(tmp_path):
@@ -105,10 +114,11 @@ def test_train_rejects_a_config_in_another_schema(tmp_path, capsys):
     assert record["error"] == "ValidationError"
 
 
-@pytest.mark.parametrize("body", ["{", "[1]"])
+@pytest.mark.parametrize("body", ["{", "[1]", pytest.param(None, id="missing-file")])
 def test_train_rejects_a_config_that_is_no_json_object(tmp_path, capsys, body):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(body)
+    if body is not None:
+        cfg_path.write_text(body)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
@@ -122,6 +132,7 @@ def test_eval_add_all(tmp_path):
         "--out", str(out),
     ])
     assert code == 0
+    assert len(list(out.glob("episode_*.jsonl"))) == 2
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["memories_saved_pct"] == 100.0
 
@@ -143,7 +154,6 @@ def test_report_combines_dirs(tmp_path, capsys):
 def test_report_from_trace_files(tmp_path):
     main(["run", "--task-seed", "9", "--overlap", "4", "--episodes", "1",
           "--policy", "add-all", "--out", str(tmp_path / "r")])
-    (tmp_path / "r" / "metrics.json").unlink()  # force trace-file path
     out = tmp_path / "rep"
     assert main(["report", str(tmp_path / "r"), "--out", str(out)]) == 0
 
@@ -167,7 +177,6 @@ def test_report_rejects_an_incomplete_trace_file(tmp_path, capsys, content):
     run = tmp_path / "r"
     main(["run", "--task-seed", "9", "--overlap", "4", "--episodes", "2",
           "--policy", "add-all", "--out", str(run)])
-    (run / "metrics.json").unlink()  # force the trace-file path
     header = (run / "episode_00000.jsonl").read_text().splitlines(keepends=True)[0]
     bad = run / "episode_00002.jsonl"
     bad.write_text(header if content == "header-only" else "")
@@ -178,19 +187,59 @@ def test_report_rejects_an_incomplete_trace_file(tmp_path, capsys, content):
     assert str(bad) in record["message"]
 
 
-@pytest.mark.parametrize("body", [
-    '{"episodes": 1, "bogus": 2}', "[1, 2]", "{",
-    '{"episodes": "x", "mean_runtime": "slow"}', '{"episodes": true}', '{"mean_score": [1.0]}',
-    '{"runtime_samples": [1.0, "2"]}',
-])
-def test_report_rejects_a_bad_metrics_file(tmp_path, capsys, body):
-    (tmp_path / "r").mkdir()
-    metrics_file = tmp_path / "r" / "metrics.json"
-    metrics_file.write_text(body)
-    assert main(["report", str(tmp_path / "r"), "--out", str(tmp_path / "rep")]) == 1
+def test_report_rejects_a_metrics_only_directory(tmp_path, capsys):
+    # metrics.json is a summary for reading; report needs the trace files
+    run = tmp_path / "r"
+    run.mkdir()
+    (run / "metrics.json").write_text(json.dumps({"episodes": 1}))
+    assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
-    assert str(metrics_file) in record["message"]
+    assert str(run) in record["message"]
+    assert not (tmp_path / "rep").exists()
+
+
+def _write_checkpoint(path, meta=None):
+    from hivemem.controller import AdmissionPolicy
+
+    AdmissionPolicy(64, 4).save(str(path))  # the CLI's default --embed-dim
+    if meta is not None:  # swap in another meta blob
+        with np.load(path) as data:
+            params = {key: data[key] for key in data.files if key != "__meta__"}
+        np.savez(path, __meta__=np.bytes_(meta), **params)
+
+
+def _bad_checkpoint(path, kind):
+    """Write the bad checkpoint ``kind`` names; "missing" writes nothing."""
+    meta = {"format_version": 1, "embed_dim": 64, "controller_dim": 4}
+    if kind == "text":
+        path.write_text("not a checkpoint\n")
+    elif kind == "truncated":
+        _write_checkpoint(path)
+        path.write_bytes(path.read_bytes()[:200])
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "meta-not-json":
+        _write_checkpoint(path, b"{")
+    elif kind == "meta-without-embed_dim":
+        del meta["embed_dim"]
+        _write_checkpoint(path, json.dumps(meta))
+    elif kind == "embed_dim-a-string":
+        _write_checkpoint(path, json.dumps({**meta, "embed_dim": "64"}))
+
+
+@pytest.mark.parametrize("kind", [
+    "missing", "text", "truncated", "empty", "meta-not-json", "meta-without-embed_dim",
+    "embed_dim-a-string",
+])
+def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys, kind):
+    checkpoint = tmp_path / "policy.npz"
+    _bad_checkpoint(checkpoint, kind)
+    assert main(["eval", "--checkpoint", str(checkpoint), "--tasks", "1",
+                 "--out", str(tmp_path / "eval")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigurationError"
+    assert str(checkpoint) in record["message"]
 
 
 def test_run_llm_backend_against_mock(tmp_path, monkeypatch):
@@ -275,6 +324,13 @@ def test_run_llm_keeps_episode_when_aggregation_fails(tmp_path, monkeypatch, cap
         assert [json.loads(line)["status"] for line in calls.splitlines()] == [200, 200, 401]
         for text in (episode, calls, err.encode()):
             assert b"sk-cli-test" not in text
+        # the failed run's directory reports its episode; calls.jsonl is not one
+        assert sorted(p.name for p in out.iterdir()) == ["calls.jsonl", "episode_00000.jsonl"]
+        rep = tmp_path / "rep"
+        assert main(["report", f"llm={out}", "--out", str(rep)]) == 0
+        header, row = (rep / "summary.txt").read_text().splitlines()
+        assert header.split()[:2] == ["variant", "episodes"]
+        assert row.split()[:2] == ["llm", "1"]
     finally:
         server.shutdown()
         thread.join()
@@ -319,12 +375,14 @@ def _task_fields() -> dict:
     json.dumps({**_task_fields(), "pollution_corrupt_rate": 7.0}),
     json.dumps({**_task_fields(), "shared_chains": [["s0", "zz"]]}),
     json.dumps({**_task_fields(), "values": {"s0": "000000", "s1": "000000"}}),
+    None,
 ], ids=["malformed-json", "unknown-key", "p_fail-out-of-range", "negative-solve-cost",
         "zero-width", "zero-depth", "corrupt-rate-above-one", "chain-of-an-unknown-node",
-        "stale-values"])
+        "stale-values", "missing-file"])
 def test_run_rejects_a_bad_task_file(tmp_path, capsys, body):
     task_file = tmp_path / "task.json"
-    task_file.write_text(body)
+    if body is not None:
+        task_file.write_text(body)
     out = tmp_path / "run"
     assert main(["run", "--task-file", str(task_file), "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err.strip())
