@@ -155,7 +155,11 @@ class AdmissionRule(Protocol):
         triplet: StepTriplet,
         provider: EmbeddingProvider,
         rng: np.random.Generator,
-    ) -> tuple[Decision, int]: ...
+    ) -> tuple[Decision, int]:
+        """``run_episode`` passes the team's decision generator as ``rng``: a
+        stand-in that builds the ``np.random.Generator`` on first use and
+        forwards every attribute to it, so a rule that never draws costs no
+        generator."""
 
 
 # Most logits rows one LearnedAdmission remembers (about 0.8 KB each at
@@ -306,6 +310,24 @@ def first_finisher(candidates: list[Candidate]) -> tuple[int | None, str]:
 # -- episode execution -------------------------------------------------------
 
 
+class _LazyGenerator:
+    """The generator of ``SeedSequence(seed, spawn_key=spawn_key)``, built
+    on its first draw: greedy and fixed rules never draw, so their
+    episodes never pay for it.  Any attribute is the generator's."""
+
+    def __init__(self, seed: int, spawn_key: tuple[int, ...]):
+        self._seed = seed
+        self._spawn_key = spawn_key
+        self._rng: np.random.Generator | None = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = np.random.default_rng(
+                np.random.SeedSequence(self._seed, spawn_key=self._spawn_key)
+            )
+        return getattr(self._rng, name)
+
+
 class _TeamState:
     def __init__(self, team: int):
         self.team = team
@@ -335,6 +357,13 @@ def run_episode(
     None disables the memory system entirely (no decisions, no
     admissions).  Anything else, a bare ``AdmissionPolicy`` say, is a
     ``ValidationError`` before the first move.
+
+    Team j (from 0) draws from the generator of
+    ``SeedSequence(seed, spawn_key=(0, j))`` and its decisions from that of
+    ``spawn_key=(1, j)``, the streams ``SeedSequence(seed).spawn(2)`` and
+    then ``spawn(k)`` on each child give; a decision generator is built on
+    its first draw (see ``AdmissionRule``), so an episode under a greedy or
+    fixed rule builds k generators, not 2k.
 
     In deterministic mode all timing is virtual: move costs advance
     per-team clocks and the interleaving is fixed by the seed, so two
@@ -378,10 +407,9 @@ def run_episode(
     sink({"kind": "header", "schema": SCHEMA_VERSION, "task_id": task.task_id, "k": k,
           "mode": mode, "cap": task.step_cap, "query": task.query, "seed": seed})
 
-    root = np.random.SeedSequence(seed)
-    team_seeds, decision_seeds = root.spawn(2)
-    team_rngs = [np.random.default_rng(s) for s in team_seeds.spawn(k)]
-    decision_rngs = [np.random.default_rng(s) for s in decision_seeds.spawn(k)]
+    team_rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, j)))
+                 for j in range(k)]
+    decision_rngs = [_LazyGenerator(seed, (1, j)) for j in range(k)]
     states = [_TeamState(i + 1) for i in range(k)]
     move_limit = task.step_cap * MOVE_LIMIT_FACTOR
 

@@ -85,8 +85,15 @@ class SimTask:
     ``__post_init__`` checks them and derives the rest once:
     ``shared_chains`` lays shared subtasks ``s0, s1, ...`` out in chains
     of length ``depth`` (the last may be shorter), ``values`` gives each a
-    seeded value, ``answer_key`` asks for all (``status=ok`` without any)
-    and ``distractor_targets`` holds each lure's seeded shared subtask.
+    seeded value and ``corrupt_values`` the value a polluted team derives
+    instead, ``answer_key`` asks for all (``status=ok`` without any) and
+    ``distractor_targets`` holds each lure's seeded shared subtask.
+
+    ``moves`` starts empty and holds the step moves ``ScriptedBackend``
+    derives from the task, each built once, on first use, and shared by
+    every episode and team that takes that step.  A move is immutable,
+    and the task bounds their number: one per node, team, lure, recovery
+    round and step cost (a cost per pollution level).
     """
 
     seed: int
@@ -129,8 +136,10 @@ class SimTask:
         self.__dict__.update(  # set once, here: the task is frozen
             shared_chains=[shared[i : i + self.depth] for i in range(0, len(shared), self.depth)],
             values=values,
+            corrupt_values={node: _digest(self.seed, node, "corrupt") for node in shared},
             answer_key=dict(values) if shared else {"status": "ok"},
             distractor_targets=targets,
+            moves={},
         )
 
     @property
@@ -161,17 +170,6 @@ class SimTask:
             f"t{team}p{c}n{l}" for c in range(self.width) for l in range(self.depth)
         ]
 
-    def private_value(self, team: int, node: str) -> str:
-        return _digest(self.seed, team, node)
-
-    def lure_junk(self, lure_index: int) -> str:
-        nonce = _digest(self.seed, "lure", lure_index)
-        target = self.distractor_targets[lure_index]
-        return (
-            f"exploratory probe {nonce} around subtask {target}"
-            " inconclusive unverified"
-        )
-
     def render_answer(self, known_shared: dict[str, str]) -> str:
         if not self.shared_nodes():
             return "status=ok"
@@ -186,6 +184,76 @@ class SimTask:
 
 
 generate_task = SimTask
+
+
+# Step-move builders: each is a function of the task and the arguments its
+# texts depend on, plus the step's cost.  ``ScriptedBackend._move`` keeps
+# what they build in ``task.moves`` under the builder and its arguments.
+
+
+def _retry_move(task: SimTask, node: str, cost: float) -> StepMove:
+    return StepMove(
+        StepTriplet(
+            agent_input=f"derive subtask {node} from prerequisites",
+            step_summary=f"attempt at subtask {node} failed",
+            agent_output=f"error while deriving subtask {node} retrying",
+        ),
+        cost=cost,
+        label=f"retry:{node}",
+    )
+
+
+def _private_move(task: SimTask, team: int, node: str, cost: float) -> StepMove:
+    value = _digest(task.seed, team, node)
+    return StepMove(
+        StepTriplet(
+            agent_input=f"calibrate local parameter {node}",
+            step_summary=f"local calibration {node} for team {team}",
+            agent_output=f"calibrated local parameter {value} for team {team}",
+        ),
+        cost=cost,
+        label=f"private:{node}",
+    )
+
+
+def _solve_move(task: SimTask, node: str, value: str, cost: float) -> StepMove:
+    return StepMove(
+        StepTriplet(
+            agent_input=f"derive subtask {node} from prerequisites",
+            step_summary=canonical_key(node),
+            agent_output=f"derived value {value} for subtask {node} confirmed stable",
+        ),
+        cost=cost,
+        label=f"solve:{node}",
+    )
+
+
+def _lure_move(task: SimTask, lure_index: int, cost: float) -> StepMove:
+    target = task.distractor_targets[lure_index]
+    nonce = _digest(task.seed, "lure", lure_index)
+    return StepMove(
+        StepTriplet(
+            agent_input=f"investigate shortcut for subtask {target}",
+            step_summary=canonical_key(target),
+            agent_output=(
+                f"exploratory probe {nonce} around subtask {target} inconclusive unverified"
+            ),
+        ),
+        cost=cost,
+        label=f"lure:{target}",
+    )
+
+
+def _recovery_move(task: SimTask, team: int, round_: int, cost: float) -> StepMove:
+    return StepMove(
+        StepTriplet(
+            agent_input="re-verify working context",
+            step_summary=f"context cleanup round {round_} for team {team}",
+            agent_output="discarded misleading shared result rebuilding context",
+        ),
+        cost=cost,
+        label="recovery",
+    )
 
 
 class _TeamPlan:
@@ -225,6 +293,11 @@ class ScriptedBackend:
     chance that its later solves silently yield corrupted values (which
     read like real results and spread through the bank).  A team
     recognizes its own lure output and is immune to it.
+
+    Step moves come from the task's ``moves``: each distinct step is built
+    once per task and the same immutable ``StepMove`` is returned to every
+    episode and team that takes it.  Only the team plans and the draws
+    from the team's generator differ between episodes.
     """
 
     def __init__(self, task: SimTask, k: int):
@@ -238,6 +311,16 @@ class ScriptedBackend:
         return self._plans[team]
 
     # -- helpers -------------------------------------------------------------
+
+    def _move(self, build: Callable[..., StepMove], *args) -> StepMove:
+        """The task's step move ``build(task, *args)``, built on first use.
+
+        Live team threads may race to build one; they build equal moves."""
+        key = (build, *args)
+        move = self.task.moves.get(key)
+        if move is None:
+            move = self.task.moves[key] = build(self.task, *args)
+        return move
 
     def _absorb_history(self, st: _TeamPlan, history: list[HistoryItem]) -> None:
         task = self.task
@@ -274,62 +357,26 @@ class ScriptedBackend:
         st.steps += 1
         cost = self._step_cost(st)
         if rng.random() < st.fail_p:
-            return StepMove(
-                StepTriplet(
-                    agent_input=f"derive subtask {node} from prerequisites",
-                    step_summary=f"attempt at subtask {node} failed",
-                    agent_output=f"error while deriving subtask {node} retrying",
-                ),
-                cost=cost,
-                label=f"retry:{node}",
-            )
+            return self._move(_retry_move, node, cost)
         if kind == "private":
-            value = task.private_value(st.team, node)
             st.priv_idx += 1
-            return StepMove(
-                StepTriplet(
-                    agent_input=f"calibrate local parameter {node}",
-                    step_summary=f"local calibration {node} for team {st.team}",
-                    agent_output=f"calibrated local parameter {value} for team {st.team}",
-                ),
-                cost=cost,
-                label=f"private:{node}",
-            )
+            return self._move(_private_move, st.team, node, cost)
         value = task.values[node]
         if st.pollution > 0:
             corrupt_p = min(0.8, st.pollution * task.pollution_corrupt_rate)
             if rng.random() < corrupt_p:
-                value = _digest(task.seed, node, "corrupt")
+                value = task.corrupt_values[node]
         st.known_shared[node] = value
         if kind == "own":
             st.own_idx += 1
-        return StepMove(
-            StepTriplet(
-                agent_input=f"derive subtask {node} from prerequisites",
-                step_summary=canonical_key(node),
-                agent_output=f"derived value {value} for subtask {node} confirmed stable",
-            ),
-            cost=cost,
-            label=f"solve:{node}",
-        )
+        return self._move(_solve_move, node, value, cost)
 
-    def _emit_lure(self, st: _TeamPlan, rng: np.random.Generator) -> Move:
-        task = self.task
-        i = st.lures.pop(0)
-        target = task.distractor_targets[i]
-        junk = task.lure_junk(i)
-        st.own_junk.add(junk)
+    def _emit_lure(self, st: _TeamPlan) -> Move:
+        move = self._move(_lure_move, st.lures.pop(0), self._step_cost(st))
+        st.own_junk.add(move.triplet.agent_output)
         st.steps += 1
         st.lure_slot_open = False
-        return StepMove(
-            StepTriplet(
-                agent_input=f"investigate shortcut for subtask {target}",
-                step_summary=canonical_key(target),
-                agent_output=junk,
-            ),
-            cost=self._step_cost(st),
-            label=f"lure:{target}",
-        )
+        return move
 
     # -- protocol ------------------------------------------------------------
 
@@ -354,15 +401,7 @@ class ScriptedBackend:
             st.recovery_pending -= 1
             st.recovery_count += 1
             st.steps += 1
-            return StepMove(
-                StepTriplet(
-                    agent_input="re-verify working context",
-                    step_summary=f"context cleanup round {st.recovery_count} for team {team}",
-                    agent_output="discarded misleading shared result rebuilding context",
-                ),
-                cost=self._step_cost(st),
-                label="recovery",
-            )
+            return self._move(_recovery_move, team, st.recovery_count, self._step_cost(st))
 
         while st.own_idx < len(st.own_nodes) and st.own_nodes[st.own_idx] in st.known_shared:
             st.own_idx += 1
@@ -371,7 +410,7 @@ class ScriptedBackend:
             if not self._budget_left(st):
                 return self._final(st)
             if st.lures and st.lure_slot_open:
-                return self._emit_lure(st, rng)
+                return self._emit_lure(st)
             st.lure_slot_open = True
             if st.own_idx < len(st.own_nodes):
                 node = st.own_nodes[st.own_idx]
@@ -384,7 +423,7 @@ class ScriptedBackend:
         if st.lures:
             if not self._budget_left(st):
                 return self._final(st)
-            return self._emit_lure(st, rng)
+            return self._emit_lure(st)
 
         pending = [n for n in st.foreign_nodes if n not in st.known_shared]
         if pending:

@@ -542,6 +542,75 @@ def test_decision_memo_does_not_outlive_a_run_variant_call():
     assert after == _variant_events(copy.deepcopy(policy), tasks, seeds)
 
 
+class _DrawSpy:
+    """Backend and admission rule that note every draw from their generators.
+
+    Each team takes ``steps`` steps, one ``rng.random()`` draw per move and
+    one per decision, then finishes.
+    """
+
+    def __init__(self, steps=4):
+        self.steps = steps
+        self.team_draws: dict[int, list[float]] = {}
+        self.decision_draws: dict[int, list[float]] = {}
+        self.team = 0
+
+    def next_move(self, team, query, history, visible_keys, rng):
+        draws = self.team_draws.setdefault(team, [])
+        draws.append(rng.random())
+        self.team = team
+        if len(draws) > self.steps:
+            return FinalMove("done")
+        return StepMove(StepTriplet("in", f"summary {team}", "out"), label="step")
+
+    def decide_step(self, query, bank, triplet, provider, rng):
+        self.decision_draws.setdefault(self.team, []).append(rng.random())
+        return Decision(NO, 0.0, 0.0), len(bank)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 123456789])
+@pytest.mark.parametrize("k", [1, 3])
+def test_team_and_decision_generators_draw_the_spawned_streams(seed, k):
+    import numpy as np
+
+    spy = _DrawSpy()
+    run_episode(TaskSpec("t", "q"), k, spy, spy, _PROVIDER, MajorityAggregator(), seed=seed)
+    # the reference derivation: two children of the seed, k grandchildren each
+    team_seeds, decision_seeds = np.random.SeedSequence(seed).spawn(2)
+    for draws, seeds in ((spy.team_draws, team_seeds), (spy.decision_draws, decision_seeds)):
+        assert sorted(draws) == list(range(1, k + 1))
+        for team, child in enumerate(seeds.spawn(k), start=1):
+            expected = np.random.default_rng(child).random(len(draws[team]))
+            assert draws[team] == expected.tolist()
+
+
+@pytest.mark.parametrize("rule, built", [
+    ("add-all", 3),
+    ("greedy", 3),
+    ("sampled", 6),  # every team decides, so each decision generator is built once
+])
+def test_an_episode_builds_only_the_generators_it_draws_from(monkeypatch, rule, built):
+    import numpy as np
+
+    task = generate_task(seed=1, **_HEAVY)
+    rule = {
+        "add-all": variant_policy("add-all"),
+        "greedy": LearnedAdmission(_mixed_policy()),
+        "sampled": LearnedAdmission(_mixed_policy(), mode="sampled"),
+    }[rule]
+    default_rng = np.random.default_rng
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    trace = run_sim(task, rule, seed=7)
+    assert {e["team"] for e in trace.events if e["kind"] == "decision"} == {1, 2, 3}
+    assert len(calls) == built
+
+
 def test_learned_admission_rejects_a_bad_mode_or_temperature_up_front():
     with pytest.raises(ValidationError, match="decision mode"):
         LearnedAdmission(_mixed_policy(), mode="argmax")

@@ -1,10 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hivemem.controller import AdmissionPolicy
 from hivemem.errors import ValidationError
-from hivemem.runtime import MajorityAggregator, run_episode
+from hivemem.runtime import MajorityAggregator, StepMove, run_episode
 from hivemem.sim import (
     ScriptedBackend,
     SimTask,
@@ -15,6 +18,9 @@ from hivemem.sim import (
     solve_counts,
     variant_policy,
 )
+from hivemem.tracefile import write_events
+
+PINNED_POLICY = Path(__file__).resolve().parent.parent / "hivebench" / "pinned" / "policy.npz"
 
 
 def test_generation_deterministic():
@@ -230,3 +236,84 @@ def test_solve_counts_oracle(provider):
                         MajorityAggregator(), seed=0)
     counts = solve_counts(trace.events)
     assert sum(counts.values()) == 12  # 4 shared nodes x 3 teams, no sharing
+
+
+class _MoveRecorder:
+    """A scripted backend that keeps every step move it returns."""
+
+    def __init__(self, task, k):
+        self.backend = ScriptedBackend(task, k)
+        self.moves = []
+
+    def next_move(self, *args):
+        move = self.backend.next_move(*args)
+        if isinstance(move, StepMove):
+            self.moves.append(move)
+        return move
+
+
+def test_the_move_cache_never_shows_in_a_trace(provider):
+    params = [dict(seed=s, **_HEAVY) for s in (1000, 1001)]
+    seeds = range(6)
+    rule = variant_policy("add-all")  # admits every lure, so teams consume them
+
+    def episode(task, seed):
+        backend = _MoveRecorder(task, 3)
+        trace = run_episode(task.task_spec(), 3, backend, rule, provider, MajorityAggregator(),
+                            seed=seed)
+        return trace.events, backend.moves
+
+    cold = [episode(generate_task(**p), seed)[0] for p in params for seed in seeds]
+    tasks = [generate_task(**p) for p in params]
+    warm = [episode(task, seed) for task in tasks for seed in seeds]
+    assert [events for events, _ in warm] == cold
+
+    steps = [e for events in cold for e in events if e["kind"] == "step"]
+    assert {e["label"].split(":")[0] for e in steps} == {
+        "retry", "private", "solve", "lure", "recovery"
+    }
+    corrupt = [  # solves whose value is not the task's: a polluted team derived them
+        e for i, events in enumerate(cold) for e in events if e["kind"] == "step"
+        and e["label"].startswith("solve:")
+        and tasks[i // len(seeds)].values[e["label"][6:]] not in e["agent_output"]
+    ]
+    assert corrupt
+
+    # equal steps of one task are one object, across episodes and teams
+    for task_episodes in (warm[: len(seeds)], warm[len(seeds):]):
+        shared: dict[StepMove, set[int]] = {}
+        objects: dict[StepMove, set[int]] = {}
+        for index, (_, moves) in enumerate(task_episodes):
+            for move in moves:
+                shared.setdefault(move, set()).add(index)
+                objects.setdefault(move, set()).add(id(move))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert any(len(episodes) > 1 for episodes in shared.values())
+    first, second = warm[0][1], warm[1][1]
+    assert first[0] is second[0]
+
+
+def _trace_file_digest(events_lists, tmp_path) -> str:
+    digest = hashlib.sha256()
+    for events in events_lists:
+        path = tmp_path / "episode.jsonl"
+        write_events(path, events)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("variant, expected", [
+    ("add-all", "3cca1bdce1770061ecc155cbdf5ddcce1a58b866a29fb2ec01dc9a5bc6b8b203"),
+    ("learned", "88e0075cf3fa4970dc3f089925aab8e081cf486a9630d2241c620fbe3f4e0eac"),
+])
+def test_eval_trace_files_are_byte_identical_to_the_recorded_ones(
+    provider, tmp_path, variant, expected
+):
+    # recorded literals: a speed-up of the episode loop must not move a byte
+    # of what evaluation writes, under a fixed rule or the pinned checkpoint
+    rule = variant_policy("add-all")
+    if variant == "learned":
+        rule, _ = AdmissionPolicy.load(str(PINNED_POLICY), expected_embed_dim=64)
+    tasks = [generate_task(seed=s, **_HEAVY) for s in (1000, 1001)]
+    _, traces = run_variant(tasks, rule, 3, [0, 1, 2, 3], provider, keep_traces=True)
+    assert _trace_file_digest([t.events for t in traces], tmp_path) == expected
