@@ -26,19 +26,22 @@ null when the team leaves no candidate.  A file fails on a header whose
 carry only the six fields above, so external tools can recompute memory
 statistics bit-exactly from the file alone.
 
-A file is written with one encode of the whole event list and one write:
-the encoded list is split into lines at the ``"}, {"`` between events when
-that string occurs nowhere else, and is otherwise encoded one event at a
-time.  It is read with one parse of its non-blank lines joined into a
-JSON array when every such line starts with ``{``, ends with ``}`` and
-holds no other brace, as written files do; that parse then gives each
-line's own object.  Any other file, or one that parse rejects, is read
-line by line, which names the first bad line.
+A file is written one line per event, each equal to
+``json.dumps(event, sort_keys=True)``.  ``step``, ``decision``, ``admit``
+and ``retrieve`` lines, about 96% of a trace, are formatted directly when
+the event holds exactly its kind's fields with the types the runtime
+writes; any other event is encoded by the JSON encoder.  A file is read
+with one parse of its non-blank lines joined into a JSON array when every
+such line starts with ``{``, ends with ``}`` and holds no other brace, as
+written files do; that parse then gives each line's own object.  Any other
+file, or one that parse rejects, is read line by line, which names the
+first bad line.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Iterable
 
@@ -64,6 +67,58 @@ _REQUIRED_SETS = {kind: frozenset(fields) for kind, fields in _REQUIRED_FIELDS.i
 
 # json.dumps(event, sort_keys=True) builds a new encoder on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
+_INF = float("inf")
+_STEP_KEYS = frozenset(("kind", *_REQUIRED_FIELDS["step"]))
+_DECISION_KEYS = frozenset(("kind", *_REQUIRED_FIELDS["decision"]))
+_BANK_KEYS = frozenset(("kind", *_REQUIRED_FIELDS["admit"]))
+
+
+# Each returns the event's json.dumps(event, sort_keys=True) line, or None
+# when the event is not exactly its kind's fields with the runtime's types
+# (exact int, float, str or bool; -_INF < x < _INF keeps floats finite).
+def _step_line(e: dict) -> str | None:
+    if e.keys() != _STEP_KEYS:
+        return None
+    team, step, start, end = e["team"], e["step"], e["vt_start"], e["vt_end"]
+    label, given = e["label"], e["agent_input"]
+    summary, output = e["step_summary"], e["agent_output"]
+    if not (type(team) is type(step) is int and type(start) is type(end) is float
+            and -_INF < start < _INF and -_INF < end < _INF
+            and type(label) is type(given) is type(summary) is type(output) is str):
+        return None
+    return (f'{{"agent_input": {_string(given)}, "agent_output": {_string(output)}, '
+            f'"kind": "step", "label": {_string(label)}, "step": {step}, '
+            f'"step_summary": {_string(summary)}, "team": {team}, "vt_end": {end!r}, '
+            f'"vt_start": {start!r}}}')
+
+
+def _decision_line(e: dict) -> str | None:
+    if e.keys() != _DECISION_KEYS:
+        return None
+    team, step, size, action = e["team"], e["step"], e["mem_size"], e["action"]
+    p_yes, log_prob, closed = e["prob_yes"], e["log_prob"], e["fail_closed"]
+    if not (type(team) is type(step) is type(size) is int and type(action) is str
+            and type(p_yes) is type(log_prob) is float
+            and -_INF < p_yes < _INF and -_INF < log_prob < _INF and type(closed) is bool):
+        return None
+    return (f'{{"action": {_string(action)}, "fail_closed": {"true" if closed else "false"}, '
+            f'"kind": "decision", "log_prob": {log_prob!r}, "mem_size": {size}, '
+            f'"prob_yes": {p_yes!r}, "step": {step}, "team": {team}}}')
+
+
+def _bank_line(e: dict) -> str | None:
+    if e.keys() != _BANK_KEYS:
+        return None
+    kind, seq, entry_id = e["kind"], e["seq"], e["entry_id"]
+    team, step, t_ns = e["team"], e["step"], e["t_ns"]
+    if not type(seq) is type(entry_id) is type(team) is type(step) is type(t_ns) is int:
+        return None
+    return (f'{{"entry_id": {entry_id}, "kind": "{kind}", "seq": {seq}, "step": {step}, '
+            f'"t_ns": {t_ns}, "team": {team}}}')
+
+
+_DIRECT_LINES = {"step": _step_line, "decision": _decision_line, "admit": _bank_line,
+                 "retrieve": _bank_line}
 
 
 def validate_event(event: dict, line_number: int | None = None) -> dict:
@@ -82,19 +137,23 @@ def validate_event(event: dict, line_number: int | None = None) -> dict:
 def write_events(path: str | Path, events: Iterable[dict]) -> None:
     """Write one ``json.dumps(event, sort_keys=True)`` line per event.
 
-    The encoded list joins the events, each as it encodes alone, with
-    ``"}, {"``, a string that cannot overlap itself: when it occurs just
-    n - 1 times, those joins are the line breaks; else each event is
-    encoded alone (the empty list too).
+    ``step``, ``decision``, ``admit`` and ``retrieve`` events whose key set
+    is exactly ``kind`` plus their required fields are formatted directly:
+    keys sorted, strings through ``encode_basestring_ascii``, finite floats
+    through ``float.__repr__``, ints and bools as JSON prints them.  Any
+    other event, or one whose values are not of exactly those types (an int
+    ``vt_start``, a NaN ``log_prob``, a str subclass), is encoded by the
+    module's sort-keys encoder alone, so every line is byte-identical to
+    ``json.dumps``.
     """
-    events = list(events)
-    text = _ENCODER.encode(events)[1:-1]
-    if text.count("}, {") == len(events) - 1:
-        text = text.replace("}, {", "}\n{") + "\n"
-    else:
-        text = "".join([_ENCODER.encode(event) + "\n" for event in events])
+    lines = []
+    for event in events:
+        kind = event.get("kind")
+        direct = _DIRECT_LINES.get(kind) if type(kind) is str else None
+        line = direct(event) if direct is not None else None
+        lines.append(_ENCODER.encode(event) if line is None else line)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n" if lines else "")
 
 
 def _one_object_per_line(body: str, lines: int) -> bool:

@@ -17,6 +17,7 @@ from hivemem.metrics import (
     report,
 )
 from hivemem.bank import MemoryBank
+from hivemem import tracefile
 from hivemem.tracefile import read_events, validate_event, write_events
 
 
@@ -227,7 +228,7 @@ KINDS = {
 }
 
 
-def test_writer_bytes_match_per_event_dumps(tmp_path, provider):
+def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
     from hivemem.runtime import MajorityAggregator, RetrieveMove, run_episode
     from hivemem.sim import ScriptedBackend, generate_task, run_variant, variant_policy
 
@@ -254,12 +255,30 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider):
     streams.append([{"kind": "team_end", "team": 1, "step": 2, "status": "final", "vt": 0.1,
                      "answer": 'na\u00efve {"x": [1]}\n\\ \u2713'}])
     assert {e["kind"] for events in streams for e in events} == set(KINDS)
+    # A renamed or retyped runtime field would send step, decision, admit or
+    # retrieve lines, about 96% of a trace, back to the generic encoder with
+    # the bytes unchanged; events read back, in sorted key order, too.
+    encoded = []
+    encoder = tracefile._ENCODER
+
+    class Spy:
+        def encode(self, event):
+            encoded.append(event["kind"])
+            return encoder.encode(event)
+
+    monkeypatch.setattr(tracefile, "_ENCODER", Spy())
     for n, events in enumerate(streams):
         path = tmp_path / f"ep{n}.jsonl"
         write_events(path, events)
         expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
         assert path.read_bytes() == expected.encode("utf-8")
         assert read_events(path) == events
+        write_events(tmp_path / f"again{n}.jsonl", read_events(path))
+        assert (tmp_path / f"again{n}.jsonl").read_bytes() == expected.encode("utf-8")
+    generic = [e["kind"] for events in streams for e in events
+               if e["kind"] not in ("step", "decision", "admit", "retrieve")]
+    assert set(generic) == {"header", "failed_retrieve", "team_end", "aggregate", "score"}
+    assert sorted(encoded) == sorted(generic * 2)
 
 
 def read_events_line_by_line(path):
@@ -374,11 +393,12 @@ def test_read_events_names_first_bad_line_of_files_that_parse_joined(tmp_path, t
     assert message in str(exc.value)
 
 
-def _assert_written_as_dumps(path, events):
+def _assert_written_as_dumps(path, events, read_back=True):
     write_events(path, events)
     expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
     assert path.read_bytes() == expected.encode("utf-8")
-    assert read_events(path) == events
+    if read_back:
+        assert read_events(path) == events
 
 
 _SEPARATOR_EVENTS = [
@@ -387,16 +407,74 @@ _SEPARATOR_EVENTS = [
     {"kind": "score", "agg_score": 1.0, "first_score": 0.0, "extra": [{}, {"b": 1}]},
     {"kind": "score", "agg_score": 0.5, "first_score": 0.5},
 ]
+# A step, decision and admit as the runtime and the bank emit them.
+_STEP = {"kind": "step", "team": 1, "step": 2, "label": "solve:n1", "vt_start": 0.5,
+         "vt_end": 3.25, "agent_input": "in", "step_summary": "sum", "agent_output": "out"}
+_DECISION = {"kind": "decision", "team": 1, "step": 2, "action": "YES", "prob_yes": 0.75,
+             "log_prob": -0.2876820724517809, "fail_closed": False, "mem_size": 3}
+_ADMIT = {"kind": "admit", "seq": 4, "entry_id": 2, "team": 1, "step": 2, "t_ns": 3250000}
 
 
 @pytest.mark.parametrize("events", [
     [],
     [{"kind": "score", "agg_score": 1.0, "first_score": 0.5}],
-    _SEPARATOR_EVENTS,  # "}, {" inside events: encoded one event at a time
+    _SEPARATOR_EVENTS,  # "}, {" inside events
     _SEPARATOR_EVENTS[:1],
-], ids=["empty", "single", "separator_inside", "separator_inside_single"])
+    [{**_STEP, "vt_start": 0}],
+    [{**_DECISION, "team": True}],
+    [{**_DECISION, "prob_yes": p} for p in (float("inf"), float("-inf"), -0.0)],
+    [{**_DECISION, "log_prob": float("nan")}],
+    [{**_ADMIT, "extra": 1}, {**_ADMIT, "kind": "retrieve", "extra": 1}],
+    [{**_STEP, "label": 'x}, {"kind": "step"', "agent_input": "na\u00efve \u2713",
+      "step_summary": 'say "hi"', "agent_output": "a\\b\u2028c"},
+     {**_DECISION, "action": "\u00e9}, {"}],
+    [dict(sorted(e.items())) for e in (_STEP, _DECISION, _ADMIT, {**_ADMIT, "kind": "retrieve"})],
+], ids=["empty", "single", "separator_inside", "separator_inside_single", "step_int_vt_start",
+        "decision_bool_team", "decision_nonfinite_and_negative_zero", "decision_nan_log_prob",
+        "bank_extra_key", "strings_to_escape", "sorted_key_order"])
 def test_writer_edge_cases_match_per_event_dumps(tmp_path, events):
-    _assert_written_as_dumps(tmp_path / "edge.jsonl", events)
+    # NaN never equals itself read back, so it gets the bytes check alone
+    has_nan = any(v != v for e in events for v in e.values())
+    _assert_written_as_dumps(tmp_path / "edge.jsonl", events, read_back=not has_nan)
+
+
+def _written_episode(tmp_path, provider):
+    from hivemem.runtime import MajorityAggregator, run_episode
+    from hivemem.sim import ScriptedBackend, generate_task, variant_policy
+
+    task = generate_task(seed=90, depth=2, width=1, overlap_count=4, distractor_count=1)
+    trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), variant_policy("add-all"),
+                        provider, MajorityAggregator(), seed=0)
+    path = tmp_path / "episode.jsonl"
+    write_events(path, trace.events)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_unknown_kind_in_a_written_file_names_its_line(tmp_path, provider):
+    path, lines = _written_episode(tmp_path, provider)
+    lines[2] = json.dumps({**json.loads(lines[2]), "kind": "bogus"}, sort_keys=True)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        read_events(path)
+    assert exc.value.line_number == 3
+    assert "unknown event kind 'bogus'" in str(exc.value)
+
+
+@pytest.mark.parametrize("variant", ["crlf", "padded_line", "blank_line"])
+def test_written_file_reads_back_the_same_when_reformatted(tmp_path, provider, variant):
+    path, lines = _written_episode(tmp_path, provider)
+    written = read_events(path)
+    if variant == "crlf":
+        data = "".join(line + "\r\n" for line in lines)
+    else:
+        if variant == "padded_line":
+            lines[1] = " \t" + lines[1] + "  "
+        else:
+            lines.insert(1, "")
+        data = "".join(line + "\n" for line in lines)
+    other = tmp_path / f"{variant}.jsonl"
+    other.write_bytes(data.encode("utf-8"))
+    assert read_events(other) == written
 
 
 # Pieces of the encoded separator, so strings often hold "}, {" itself.
