@@ -102,7 +102,12 @@ class MemoryBank:
             return list(self._keys)
 
     def list_keys_seq(self) -> tuple[int, list[tuple[int, str]]]:
-        """list_keys plus the linearization point, for concurrency tests."""
+        """``list_keys`` plus its linearization point: a probe used only by tests.
+
+        The snapshot takes the next sequence number, so this read advances
+        ``_seq`` as an admit or retrieve does, and the next event's ``seq``
+        skips the number.  The runtime calls ``list_keys``, which does not.
+        """
         with self._lock:
             self._seq += 1
             return self._seq, list(self._keys)

@@ -30,12 +30,14 @@ A file is written one line per event, each equal to
 ``json.dumps(event, sort_keys=True)``.  ``step``, ``decision``, ``admit``
 and ``retrieve`` lines, about 96% of a trace, are formatted directly when
 the event holds exactly its kind's fields with the types the runtime
-writes; any other event is encoded by the JSON encoder.  A file is read
-with one parse of its non-blank lines joined into a JSON array when every
-such line starts with ``{``, ends with ``}`` and holds no other brace, as
-written files do; that parse then gives each line's own object.  Any other
-file, or one that parse rejects, is read line by line, which names the
-first bad line.
+writes; any other event is encoded by the JSON encoder.  A file is read as
+bytes.  When it has the written shape (every line one ``{...}`` ending in
+``\\n``, no other brace, no ``\\r``, fewer than 500 ``[`` on a line and
+no run of 19 digits but after a point), orjson parses its lines joined
+into one JSON array, which gives each line's own object.  Any other file,
+or one orjson rejects (NaN or Infinity, a lone surrogate, a float that
+overflows, invalid UTF-8), is read line by line with ``json.loads``, which
+names the first bad line.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ import json
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Iterable
+
+import orjson
 
 from .errors import SchemaError
 
@@ -156,21 +160,53 @@ def write_events(path: str | Path, events: Iterable[dict]) -> None:
         fh.write("\n".join(lines) + "\n" if lines else "")
 
 
-def _one_object_per_line(body: str, lines: int) -> bool:
-    """Whether each of the ``lines`` lines that ``body`` joins with a comma and
-    a newline starts with ``{``, ends with ``}`` and holds no other brace.
+def _one_object_per_line(data: bytes) -> bool:
+    """Whether every line of ``data`` starts with ``{``, ends with ``}\\n``
+    and holds no other brace, and ``data`` holds no ``\\r``.
 
-    Then a successful parse of ``"[" + body + "]"`` gives exactly the objects
-    each line parses to alone: a string cannot run past its line (JSON
-    strings hold no raw newline), so each line's final brace closes its
-    first, and no value can span two lines.
+    Then a successful parse of the lines joined by ``,\\n`` into an array
+    gives exactly the objects each line parses to alone: a string cannot
+    run past its line (JSON strings hold no raw newline), so each line's
+    final brace closes its first, and no value can span two lines.  A
+    ``\\r`` would end a line in text mode, as the line-by-line read sees it.
     """
+    lines = data.count(b"\n")
     return (
-        body.count("{") == body.count("}") == lines
-        and body.count("},\n{") == lines - 1
-        and body[:1] == "{"
-        and body[-1:] == "}"
+        data.count(b"{") == data.count(b"}") == lines
+        and data.count(b"}\n{") == lines - 1
+        and data[:1] == b"{"
+        and data[-2:] == b"}\n"
+        and b"\r" not in data
     )
+
+
+# orjson reads an integer outside [-2**63, 2**64) as a float; such an
+# integer is a run of 19 or more digits.  A float as repr writes it holds
+# such a run only after its point (1/7000 is 0.00014285714285714287).
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+_LONG_RUN = b"0" * 19
+# json.loads raises RecursionError on arrays nested about 1000 deep, and
+# orjson has crashed the process on millions; fewer "[" on a line bound
+# its nesting.
+_MAX_BRACKETS = 500
+
+
+def _no_long_integer(data: bytes) -> bool:
+    """False when ``data`` holds a run of 19 or more digits that does not
+    follow a ``.``.
+
+    With every digit mapped to ``0``, a run after a ``.`` shorter than 38
+    digits holds 19 zeros once and ``.`` plus 19 zeros once; any other
+    run of 19 or more adds to the first count alone.
+    """
+    zeros = data.translate(_ZERO_DIGITS)
+    return zeros.count(_LONG_RUN) == zeros.count(b"." + _LONG_RUN)
+
+
+def _shallow(data: bytes) -> bool:
+    """Whether every line of ``data`` holds fewer than ``_MAX_BRACKETS`` ``[``."""
+    return data.count(b"[") < _MAX_BRACKETS or all(
+        line.count(b"[") < _MAX_BRACKETS for line in data.split(b"\n"))
 
 
 def _parse_line(line: str, line_number: int) -> dict:
@@ -186,18 +222,21 @@ def _parse_line(line: str, line_number: int) -> dict:
 def read_events(path: str | Path) -> list[dict]:
     """Validated events of a trace file; raises SchemaError naming the bad line.
 
-    Blank lines are skipped; line numbers count them.
+    A file of the written shape is parsed once by orjson; any other, or one
+    orjson rejects, is parsed line by line by ``json.loads``, so both give
+    what ``json.loads`` gives each line.  Lines end at ``\\n``, ``\\r\\n``
+    or ``\\r``; blank lines are skipped, and line numbers count them.
+    Invalid UTF-8 raises ``UnicodeDecodeError``.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = map(str.strip, text.split("\n"))
-    numbered = [(i, line) for i, line in enumerate(stripped, start=1) if line]
-    body = ",\n".join([line for _, line in numbered])
-    if _one_object_per_line(body, len(numbered)):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _one_object_per_line(data) and _shallow(data) and _no_long_integer(data):
         try:
-            events = json.loads("[" + body + "]")
-        except (json.JSONDecodeError, RecursionError):
-            pass  # line by line names the bad line, and nests one level less
+            events = orjson.loads(b"[" + data[:-1].replace(b"\n", b",\n") + b"]")
+        except orjson.JSONDecodeError:
+            pass  # json.loads reads what orjson rejects, or names the bad line
         else:
-            return [validate_event(e, i) for (i, _), e in zip(numbered, events)]
-    return [_parse_line(line, i) for i, line in numbered]
+            return [validate_event(e, i) for i, e in enumerate(events, start=1)]
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    lines = enumerate(map(str.strip, text.split("\n")), start=1)
+    return [_parse_line(line, i) for i, line in lines if line]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -228,9 +229,30 @@ KINDS = {
 }
 
 
+def _variant_tasks():
+    from hivemem.sim import generate_task
+
+    return [generate_task(seed=300 + i, depth=2, width=1, overlap_count=4,
+                          distractor_count=2, p_fail=0.2) for i in range(3)]
+
+
+def _variant_streams(tasks, provider):
+    """Event streams of the four variants, two episode seeds per task."""
+    from hivemem.sim import run_variant, variant_policy
+
+    learned = AdmissionPolicy(64, 8, seed=1)
+    learned.params["w_out"] = np.random.default_rng(1).normal(0, 1, learned.params["w_out"].shape)
+    streams = []
+    for name in ("no-memory", "add-all", "llm-proxy", "learned"):
+        _, traces = run_variant(tasks, variant_policy(name, learned), 3, [0, 1], provider,
+                                keep_traces=True)
+        streams += [t.events for t in traces]
+    return streams
+
+
 def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
     from hivemem.runtime import MajorityAggregator, RetrieveMove, run_episode
-    from hivemem.sim import ScriptedBackend, generate_task, run_variant, variant_policy
+    from hivemem.sim import ScriptedBackend, variant_policy
 
     class StaleFirstRetrieve(ScriptedBackend):
         """Each team first asks for an entry that does not exist."""
@@ -240,15 +262,8 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
                 return RetrieveMove(999)
             return super().next_move(team, query, history, visible_keys, rng)
 
-    tasks = [generate_task(seed=300 + i, depth=2, width=1, overlap_count=4,
-                           distractor_count=2, p_fail=0.2) for i in range(3)]
-    learned = AdmissionPolicy(64, 8, seed=1)
-    learned.params["w_out"] = np.random.default_rng(1).normal(0, 1, learned.params["w_out"].shape)
-    streams = []
-    for name in ("no-memory", "add-all", "llm-proxy", "learned"):
-        _, traces = run_variant(tasks, variant_policy(name, learned), 3, [0, 1], provider,
-                                keep_traces=True)
-        streams += [t.events for t in traces]
+    tasks = _variant_tasks()
+    streams = _variant_streams(tasks, provider)
     stale = run_episode(tasks[0].task_spec(), 3, StaleFirstRetrieve(tasks[0], 3),
                         variant_policy("add-all"), provider, MajorityAggregator(), seed=0)
     streams.append(stale.events)
@@ -279,6 +294,46 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
                if e["kind"] not in ("step", "decision", "admit", "retrieve")]
     assert set(generic) == {"header", "failed_retrieve", "team_end", "aggregate", "score"}
     assert sorted(encoded) == sorted(generic * 2)
+
+
+def test_json_loads_reads_only_files_orjson_does_not(tmp_path, provider, monkeypatch):
+    streams = _variant_streams(_variant_tasks(), provider)
+    # A confident policy writes fraction digits in runs of 19 and more.
+    confident = [dict(e) for e in streams[-1]]  # a learned episode
+    decision = next(e for e in confident if e["kind"] == "decision")
+    decision.update(prob_yes=1 / 7000, log_prob=math.log(1 - 1 / 7000))
+    # Brackets in strings, 300 on each of two lines.
+    bracketed = [dict(e) for e in streams[-1]]
+    for event in [e for e in bracketed if e["kind"] == "step"][:2]:
+        event["agent_output"] = "[" * 300
+    streams += [confident, bracketed]
+    paths = [tmp_path / f"ep{n}.jsonl" for n in range(len(streams))]
+    for path, events in zip(paths, streams):
+        write_events(path, events)
+    nan_path = tmp_path / "nan.jsonl"
+    write_events(nan_path, [{"kind": "score", "agg_score": float("nan"), "first_score": 1.0}])
+    crlf_path = tmp_path / "crlf.jsonl"
+    crlf_path.write_bytes(paths[0].read_bytes().replace(b"\n", b"\r\n"))
+    loads = json.loads
+    parsed = []
+
+    def refuse(text, *args, **kwargs):
+        raise AssertionError("json.loads parsed a file of the written shape")
+
+    monkeypatch.setattr(tracefile.json, "loads", refuse)
+    for path, events in zip(paths, streams):
+        assert read_events(path) == events
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(tracefile.json, "loads", spy)
+    [score] = read_events(nan_path)
+    assert score["agg_score"] != score["agg_score"]  # NaN
+    assert len(parsed) == 1
+    assert read_events(crlf_path) == streams[0]
+    assert len(parsed) == 1 + len(streams[0])  # one call per line
 
 
 def read_events_line_by_line(path):
@@ -475,6 +530,96 @@ def test_written_file_reads_back_the_same_when_reformatted(tmp_path, provider, v
     other = tmp_path / f"{variant}.jsonl"
     other.write_bytes(data.encode("utf-8"))
     assert read_events(other) == written
+
+
+def _typed(value):
+    """``value`` with each scalar's type beside it, and floats by repr (NaN
+    equals itself, -0.0 differs from 0.0)."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), repr(value) if isinstance(value, float) else value
+
+
+# Integers at orjson's 64-bit edges, floats with NaN and infinities, and
+# strings with lone surrogates, beside values of the written shape.
+_EDGE_INTS = st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**18])
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=4)
+
+
+def _events_of_any_value():
+    scalar = (st.none() | st.booleans() | st.integers() | _EDGE_INTS | st.floats()
+              | _PLAIN | _ANY_TEXT)
+    value = scalar | st.lists(scalar, max_size=2)
+
+    def event(kind):
+        fields = {"kind": st.just(kind), **{f: value for f in KINDS[kind]}}
+        if kind == "header":
+            fields["schema"] = st.just(2)
+        return st.fixed_dictionaries(fields, optional={"extra": value})
+
+    return st.lists(st.sampled_from(sorted(KINDS)).flatmap(event), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=_events_of_any_value() | _event_lists(_PLAIN))
+def test_read_events_parses_written_files_as_json_loads_does(tmp_path_factory, events):
+    path = tmp_path_factory.getbasetemp() / "written.jsonl"
+    write_events(path, events)
+    got = _typed(read_events(path))
+    assert got == _typed(read_events_line_by_line(path)) == _typed(events)
+
+
+@pytest.mark.parametrize("seed", [2**70, -2**63 - 1])
+def test_header_seed_outside_64_bits_reads_back_as_an_int(tmp_path, provider, seed):
+    from hivemem.runtime import EpisodeTrace
+
+    path, _ = _written_episode(tmp_path, provider)
+    events = read_events(path)
+    write_events(path, [{**events[0], "seed": seed}, *events[1:]])
+    events = read_events(path)
+    assert type(events[0]["seed"]) is int and events[0]["seed"] == seed
+    assert _typed(events) == _typed(read_events_line_by_line(path))
+    assert EpisodeTrace.from_events(events).seed == seed
+
+
+@pytest.mark.parametrize("event", [
+    {"kind": "score", "agg_score": float("nan"), "first_score": 1.0},
+    {"kind": "team_end", "team": 1, "step": 2, "status": "final", "answer": "\ud800", "vt": 0.5},
+], ids=["nan_score", "lone_surrogate"])
+def test_values_orjson_rejects_read_back_as_json_loads_gives_them(tmp_path, event):
+    path = tmp_path / "edge.jsonl"
+    write_events(path, [event, _ADMIT])
+    got = _typed(read_events(path))
+    assert got == _typed(read_events_line_by_line(path)) == _typed([event, _ADMIT])
+
+
+def test_lone_carriage_return_ends_a_line(tmp_path):
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(b'{"agg_score": 1,\r"first_score": 2, "kind": "score"}\n')
+    with pytest.raises(SchemaError) as exc:
+        read_events(path)
+    assert exc.value.line_number == 1
+    assert "invalid JSON" in str(exc.value)
+
+
+def test_arrays_nested_too_deep_for_json_loads_fail_as_it_does(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"agg_score": 1, "first_score": ' + "[" * 5000 + "]" * 5000
+                    + ', "kind": "score"}\n')
+    with pytest.raises(RecursionError):
+        read_events(path)
+
+
+def test_invalid_utf8_raises_unicode_decode_error(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"agg_score": 1.0, "first_score": "caf\xe9", "kind": "score"}\n')
+    with pytest.raises(UnicodeDecodeError) as expected:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError) as got:
+        read_events(path)
+    assert str(got.value) == str(expected.value)
 
 
 # Pieces of the encoded separator, so strings often hold "}, {" itself.
