@@ -1,7 +1,8 @@
 """Command-line entry point: run / train / eval / report workflows.
 
 ``run`` and ``eval`` write one ``episode_*.jsonl`` trace file per episode
-and a ``metrics.json`` summary; ``report`` reads only the trace files.
+and a ``metrics.json`` summary, and remove the episode files an earlier
+run left in the directory; ``report`` reads only the trace files.
 
 Exit code 0 on success; on failure a machine-readable JSON error record
 is written to stderr and the exit code is nonzero.
@@ -50,6 +51,19 @@ def _load_policy(args, provider):
     return variant_policy(args.policy)
 
 
+def _episode_name(i: int) -> str:
+    return f"episode_{i:05d}.jsonl"
+
+
+def _remove_other_episodes(out: Path, written: list[str]) -> None:
+    """Delete each ``episode_*.jsonl`` in ``out`` but the ``written`` ones,
+    so ``report`` reads back this run alone."""
+    keep = set(written)
+    for path in out.glob("episode_*.jsonl"):
+        if path.name not in keep:
+            path.unlink()
+
+
 def _run_llm(args, provider, rule) -> int:
     from .endpoint import EndpointConfig, LLMAggregator, LLMBackend
     from .metrics import metrics_from_event_streams
@@ -63,20 +77,24 @@ def _run_llm(args, provider, rule) -> int:
     task = TaskSpec(task_id="llm-task", query=args.query, step_cap=args.cap)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    streams = []
+    (out / "metrics.json").unlink(missing_ok=True)  # written again only on success
+    streams, written = [], []
     try:
         for i in range(args.episodes):
-            path = out / f"episode_{i:05d}.jsonl"
+            path = out / _episode_name(i)
             try:
                 trace = run_episode(task, args.k, backend, rule, provider, aggregator,
                                     seed=args.seed + i, mode="live")
             except AggregationError as exc:  # the teams finished; keep their episode
                 exc.trace.write(path)
+                written.append(path.name)
                 raise
             trace.write(path)
+            written.append(path.name)
             streams.append(trace.events)
             sys.stdout.write(f"episode {i}: aggregate answer: {trace.aggregate_answer}\n")
     finally:  # call metadata explains a failed run too
+        _remove_other_episodes(out, written)
         with open(out / "calls.jsonl", "w", encoding="utf-8") as fh:
             for caller, log in (("backend", backend.call_log), ("aggregator", aggregator.call_log)):
                 for row in log:
@@ -98,8 +116,10 @@ def cmd_run(args) -> int:
     metrics, traces = run_variant(tasks, rule, args.k, seeds, provider, keep_traces=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, trace in enumerate(traces):
-        trace.write(out / f"episode_{i:05d}.jsonl")
+    written = [_episode_name(i) for i in range(len(traces))]
+    for name, trace in zip(written, traces):
+        trace.write(out / name)
+    _remove_other_episodes(out, written)
     (out / "metrics.json").write_text(json.dumps(asdict(metrics), indent=2), encoding="utf-8")
     sys.stdout.write(render_table({args.policy: metrics.summary_row()}))
     return 0
@@ -194,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     episodes.add_argument("--seed", type=int, default=0)
     episodes.add_argument("--episodes", type=int, default=1)
     episodes.add_argument("--embed-dim", type=int, default=64)
-    episodes.add_argument("--out", required=True, help="output directory for traces and metrics")
+    episodes.add_argument(
+        "--out", required=True,
+        help="output directory for traces and metrics; a run removes the episode_*.jsonl "
+             "files in it that it did not write",
+    )
 
     p_run = sub.add_parser(
         "run", parents=[episodes], help="run episodes under one admission policy"

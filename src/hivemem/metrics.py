@@ -77,7 +77,9 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
 
     The events must already be valid: built by the runtime, or read back
     with ``read_events``.  An episode without exactly one ``aggregate``
-    event, such as an empty or truncated file, raises SchemaError.
+    event, such as an empty or truncated file, or with more than one
+    ``score`` event, such as a doubled append or the old tail an in-place
+    overwrite cut short left behind, raises SchemaError.
     """
     m = RunMetrics()
     for events in streams:
@@ -85,7 +87,7 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
         entry_source: dict[int, int] = {}
         retrieved: dict[int, bool] = {}  # entry_id -> saw cross-team retrieval
         steps = 0
-        aggregates = 0
+        aggregates = scores = 0
         runtime = 0.0
         for event in events:
             kind = event["kind"]
@@ -109,12 +111,15 @@ def metrics_from_event_streams(streams: Iterable[Sequence[dict]]) -> RunMetrics:
                 aggregates += 1
                 runtime = float(event["vt"])
             elif kind == "score":
+                scores += 1
                 m.score_samples.append(float(event["agg_score"]))
                 if m.mean_first_score is None:
                     m.mean_first_score = 0.0
                 m.mean_first_score += float(event["first_score"])
         if aggregates != 1:
             raise SchemaError(f"episode {m.episodes} has {aggregates} aggregate events, not one")
+        if scores > 1:
+            raise SchemaError(f"episode {m.episodes} has {scores} score events, not at most one")
         m.entries_retrieved += len(retrieved)
         m.cross_team_entries += sum(1 for v in retrieved.values() if v)
         m.runtime_samples.append(runtime)

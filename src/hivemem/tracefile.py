@@ -30,22 +30,33 @@ A file is written one line per event, each equal to
 ``json.dumps(event, sort_keys=True)``.  ``step``, ``decision``, ``admit``
 and ``retrieve`` lines, about 96% of a trace, are formatted directly when
 the event holds exactly its kind's fields with the types the runtime
-writes; any other event is encoded by the JSON encoder.  A file is read as
+writes; any other event is encoded by the JSON encoder.  An existing file
+is overwritten in place and then cut to the new length, since truncating
+it first makes the filesystem free its blocks and allocate them again (a
+temporary file renamed over it costs as much: the old blocks are still
+freed).  So a write cut short leaves the new lines followed by the old
+file's bytes from that offset on, where truncation left a prefix of the
+new lines; nothing is fsynced either way.  Such a file fails to read when
+the old bytes start inside a line, and fails ``metrics_from_event_streams``
+when they bring a second ``aggregate`` or ``score``.  A file is read as
 bytes.  When it has the written shape (every line one ``{...}`` ending in
 ``\\n``, no other brace, no ``\\r``, fewer than 500 ``[`` on a line and
 no run of 19 digits but after a point), orjson parses its lines joined
 into one JSON array, which gives each line's own object.  Any other file,
 or one orjson rejects (NaN or Infinity, a lone surrogate, a float that
-overflows, invalid UTF-8), is read line by line with ``json.loads``, which
-names the first bad line.
+overflows, invalid UTF-8), is read line by line with ``json.loads``.  Its
+first bad line, invalid UTF-8 and arrays nested too deep included, raises a
+``SchemaError`` naming that line.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import orjson
 
@@ -149,6 +160,14 @@ def write_events(path: str | Path, events: Iterable[dict]) -> None:
     ``vt_start``, a NaN ``log_prob``, a str subclass), is encoded by the
     module's sort-keys encoder alone, so every line is byte-identical to
     ``json.dumps``.
+
+    The file is created with mode ``0o666`` less the umask, as ``open(path,
+    "w")`` creates it.  An existing one is overwritten in place and then
+    truncated to the new length, so no old byte outlives a completed
+    write; a write cut short leaves the new lines followed by the old
+    bytes from that offset on.  A target that is not a regular file, such
+    as ``/dev/null`` or a FIFO, is written and never truncated.  Nothing
+    is fsynced.
     """
     lines = []
     for event in events:
@@ -156,8 +175,19 @@ def write_events(path: str | Path, events: Iterable[dict]) -> None:
         direct = _DIRECT_LINES.get(kind) if type(kind) is str else None
         line = direct(event) if direct is not None else None
         lines.append(_ENCODER.encode(event) if line is None else line)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n" if lines else "")
+    data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    # Truncating to zero first makes the filesystem free the old blocks and
+    # allocate new ones, an order of magnitude more than the write itself.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _one_object_per_line(data: bytes) -> bool:
@@ -209,11 +239,20 @@ def _shallow(data: bytes) -> bool:
         line.count(b"[") < _MAX_BRACKETS for line in data.split(b"\n"))
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Numbered, stripped lines of ``text``; a line ends at ``\\n``,
+    ``\\r\\n`` or ``\\r``, and a text ending in one has an empty last line."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return enumerate(map(str.strip, text.split("\n")), start=1)
+
+
 def _parse_line(line: str, line_number: int) -> dict:
     try:
         event = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON ({exc.msg})", line_number) from exc
+    except RecursionError as exc:  # arrays or objects nested about 1000 deep
+        raise SchemaError("invalid JSON (nested too deep)", line_number) from exc
     if not isinstance(event, dict):
         raise SchemaError("event is not an object", line_number)
     return validate_event(event, line_number)
@@ -226,7 +265,6 @@ def read_events(path: str | Path) -> list[dict]:
     orjson rejects, is parsed line by line by ``json.loads``, so both give
     what ``json.loads`` gives each line.  Lines end at ``\\n``, ``\\r\\n``
     or ``\\r``; blank lines are skipped, and line numbers count them.
-    Invalid UTF-8 raises ``UnicodeDecodeError``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -237,6 +275,13 @@ def read_events(path: str | Path) -> list[dict]:
             pass  # json.loads reads what orjson rejects, or names the bad line
         else:
             return [validate_event(e, i) for i, e in enumerate(events, start=1)]
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    lines = enumerate(map(str.strip, text.split("\n")), start=1)
-    return [_parse_line(line, i) for i, line in lines if line]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines before the one holding the bad byte keep their errors
+        *before, (bad, _) = _lines(data[:exc.start].decode("utf-8"))
+        for i, line in before:
+            if line:
+                _parse_line(line, i)
+        raise SchemaError(f"invalid UTF-8 ({exc.reason})", bad) from exc
+    return [_parse_line(line, i) for i, line in _lines(text) if line]

@@ -172,19 +172,37 @@ def test_report_rejects_two_inputs_of_one_name(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", ["empty", "header-only"])
+@pytest.mark.parametrize("content", ["empty", "header-only", "invalid-utf8"])
 def test_report_rejects_an_incomplete_trace_file(tmp_path, capsys, content):
     run = tmp_path / "r"
     main(["run", "--task-seed", "9", "--overlap", "4", "--episodes", "2",
           "--policy", "add-all", "--out", str(run)])
-    header = (run / "episode_00000.jsonl").read_text().splitlines(keepends=True)[0]
+    header = (run / "episode_00000.jsonl").read_bytes().splitlines(keepends=True)[0]
     bad = run / "episode_00002.jsonl"
-    bad.write_text(header if content == "header-only" else "")
+    contents = {"empty": b"", "header-only": header, "invalid-utf8": header + b"\xe9\n"}
+    bad.write_bytes(contents[content])
     capsys.readouterr()
     assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "SchemaError"
     assert str(bad) in record["message"]
+    if content == "invalid-utf8":
+        assert record["message"].endswith("line 2: invalid UTF-8 (invalid continuation byte)")
+
+
+def test_a_rerun_into_one_directory_reports_only_its_own_episodes(tmp_path):
+    from hivemem.metrics import RunMetrics, render_table
+
+    out = tmp_path / "run"
+    for policy, episodes in (("add-all", "4"), ("no-memory", "2")):
+        assert main(["run", "--policy", policy, "--episodes", episodes, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "episode_00000.jsonl", "episode_00001.jsonl", "metrics.json"]
+    rep = tmp_path / "rep"
+    assert main(["report", f"r={out}", "--out", str(rep)]) == 0
+    metrics = RunMetrics(**json.loads((out / "metrics.json").read_text()))
+    assert metrics.episodes == 2
+    assert (rep / "summary.txt").read_text() == render_table({"r": metrics.summary_row()})
 
 
 def test_report_rejects_a_metrics_only_directory(tmp_path, capsys):
@@ -309,6 +327,9 @@ def test_run_llm_keeps_episode_when_aggregation_fails(tmp_path, monkeypatch, cap
         monkeypatch.setenv("HIVEMEM_MODEL", "mock")
         monkeypatch.setenv("HIVEMEM_API_KEY", "sk-cli-test")
         out = tmp_path / "llm"
+        out.mkdir()
+        for stale in ("episode_00000.jsonl", "episode_00001.jsonl", "metrics.json"):
+            (out / stale).write_text("from an earlier run\n")
         code = main([
             "run", "--backend", "llm", "--query", "what color is the sky",
             "--k", "2", "--episodes", "1", "--out", str(out),
@@ -324,7 +345,8 @@ def test_run_llm_keeps_episode_when_aggregation_fails(tmp_path, monkeypatch, cap
         assert [json.loads(line)["status"] for line in calls.splitlines()] == [200, 200, 401]
         for text in (episode, calls, err.encode()):
             assert b"sk-cli-test" not in text
-        # the failed run's directory reports its episode; calls.jsonl is not one
+        # the failed run's directory reports its episode alone; calls.jsonl is
+        # not one, and the earlier run's files are gone
         assert sorted(p.name for p in out.iterdir()) == ["calls.jsonl", "episode_00000.jsonl"]
         rep = tmp_path / "rep"
         assert main(["report", f"llm={out}", "--out", str(rep)]) == 0

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -515,6 +517,19 @@ def test_unknown_kind_in_a_written_file_names_its_line(tmp_path, provider):
     assert "unknown event kind 'bogus'" in str(exc.value)
 
 
+def test_an_episode_with_a_second_score_fails_to_compute(tmp_path, provider):
+    # as a doubled append leaves it, or an in-place overwrite cut short
+    # before its truncate when the old tail is the old score line
+    path, lines = _written_episode(tmp_path, provider)
+    score = json.dumps({"kind": "score", "agg_score": 1.0, "first_score": 0.5}, sort_keys=True)
+    path.write_text("".join(line + "\n" for line in [*lines, score]), encoding="utf-8")
+    assert compute_metrics([path]).score_samples == [1.0]
+    path.write_text("".join(line + "\n" for line in [*lines, score, score]), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        compute_metrics([path])
+    assert str(exc.value) == f"{path}: episode 1 has 2 score events, not at most one"
+
+
 @pytest.mark.parametrize("variant", ["crlf", "padded_line", "blank_line"])
 def test_written_file_reads_back_the_same_when_reformatted(tmp_path, provider, variant):
     path, lines = _written_episode(tmp_path, provider)
@@ -604,22 +619,33 @@ def test_lone_carriage_return_ends_a_line(tmp_path):
     assert "invalid JSON" in str(exc.value)
 
 
-def test_arrays_nested_too_deep_for_json_loads_fail_as_it_does(tmp_path):
+def test_arrays_nested_too_deep_for_json_loads_name_their_line(tmp_path):
     path = tmp_path / "deep.jsonl"
-    path.write_text('{"agg_score": 1, "first_score": ' + "[" * 5000 + "]" * 5000
+    path.write_text(_SCORE + '\n{"agg_score": 1, "first_score": ' + "[" * 5000 + "]" * 5000
                     + ', "kind": "score"}\n')
     with pytest.raises(RecursionError):
+        json.loads(path.read_text().splitlines()[1])
+    with pytest.raises(SchemaError) as exc:
         read_events(path)
+    assert exc.value.line_number == 2
+    assert "invalid JSON (nested too deep)" in str(exc.value)
 
 
-def test_invalid_utf8_raises_unicode_decode_error(tmp_path):
+def test_invalid_utf8_names_its_line(tmp_path):
+    latin1 = b'{"agg_score": 1.0, "first_score": "caf\xe9", "kind": "score"}'
     path = tmp_path / "latin1.jsonl"
-    path.write_bytes(b'{"agg_score": 1.0, "first_score": "caf\xe9", "kind": "score"}\n')
-    with pytest.raises(UnicodeDecodeError) as expected:
-        path.read_text(encoding="utf-8")
-    with pytest.raises(UnicodeDecodeError) as got:
+    # \r\n ends line 1 and \r the blank line 2
+    path.write_bytes(_SCORE.encode() + b"\r\n\r" + latin1 + b"\n" + _SCORE.encode() + b"\n")
+    with pytest.raises(SchemaError) as exc:
         read_events(path)
-    assert str(got.value) == str(expected.value)
+    assert exc.value.line_number == 3
+    assert "invalid UTF-8 (invalid continuation byte)" in str(exc.value)
+    # a bad line before it is named first, as the line-by-line read names it
+    path.write_bytes(_SCORE[:-1].encode() + b"\n" + latin1 + b"\n")
+    with pytest.raises(SchemaError) as exc:
+        read_events(path)
+    assert exc.value.line_number == 1
+    assert "invalid JSON" in str(exc.value)
 
 
 # Pieces of the encoded separator, so strings often hold "}, {" itself.
@@ -627,9 +653,40 @@ _BRACES = st.lists(st.sampled_from(["{", "}", ",", " ", "}, {", '"', "\\", "\n"]
 
 
 @settings(max_examples=200, deadline=None)
-@given(events=_event_lists(_BRACES.map("".join)))
-def test_writer_matches_per_event_dumps_on_brace_heavy_strings(tmp_path_factory, events):
-    _assert_written_as_dumps(tmp_path_factory.getbasetemp() / "braces.jsonl", events)
+@given(events=_event_lists(_BRACES.map("".join)), junk=st.binary(max_size=600))
+def test_writer_matches_per_event_dumps_on_brace_heavy_strings(tmp_path_factory, events, junk):
+    path = tmp_path_factory.getbasetemp() / "braces.jsonl"
+    path.write_bytes(junk)  # written over, longer or shorter than the events
+    _assert_written_as_dumps(path, events)
+
+
+def test_writer_overwrites_in_place_and_leaves_no_stale_tail(tmp_path, provider):
+    path, _ = _written_episode(tmp_path, provider)
+    long = read_events(path)
+    short = [long[0], {"kind": "score", "agg_score": 1.0, "first_score": 0.5}]
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    for events in (short, long, [], short):
+        _assert_written_as_dumps(path, events)
+        assert (path.stat().st_ino, stat.S_IMODE(path.stat().st_mode)) == (inode, 0o640)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_writer_creates_a_file_with_the_mode_open_gives_it(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_events(tmp_path / "written.jsonl", [_ADMIT])
+        with open(tmp_path / "opened.jsonl", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("written.jsonl", "opened.jsonl")]
+    assert modes[0] == modes[1] == 0o666 & ~umask
+
+
+def test_writer_writes_to_a_device_it_cannot_truncate():
+    write_events(os.devnull, [_STEP, _DECISION, _ADMIT])
 
 
 def test_validate_event_accepts_known_kinds():
