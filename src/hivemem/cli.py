@@ -51,6 +51,22 @@ def _load_policy(args, provider):
     return variant_policy(args.policy)
 
 
+def _output_dir(path, make: bool = True) -> Path:
+    """``path`` checked, before any work, as an output directory: a
+    ValidationError naming it when it is a file or lies under one, or when
+    ``make`` cannot make it (with its parents)."""
+    out = Path(path)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValidationError(f"output directory {path}: {nearest} is not a directory")
+    if make:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"output directory {path}: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
 def _episode_name(i: int) -> str:
     return f"episode_{i:05d}.jsonl"
 
@@ -71,12 +87,11 @@ def _run_llm(args, provider, rule) -> int:
 
     if not args.query:
         raise ValidationError("--backend llm requires --query")
+    out = _output_dir(args.out)
     config = EndpointConfig.from_env()
     backend = LLMBackend(config)
     aggregator = LLMAggregator(config)
     task = TaskSpec(task_id="llm-task", query=args.query, step_cap=args.cap)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").unlink(missing_ok=True)  # written again only on success
     streams, written = [], []
     try:
@@ -113,9 +128,8 @@ def cmd_run(args) -> int:
         return _run_llm(args, provider, rule)
     tasks = _make_tasks(args)
     seeds = list(range(args.seed, args.seed + args.episodes))
+    out = _output_dir(args.out)
     metrics, traces = run_variant(tasks, rule, args.k, seeds, provider, keep_traces=True)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written = [_episode_name(i) for i in range(len(traces))]
     for name, trace in zip(written, traces):
         trace.write(out / name)
@@ -161,8 +175,7 @@ def _read_json_object(path: Path, what: str, build=dict):
 
 def cmd_train(args) -> int:
     cfg = _read_json_object(Path(args.config), "training config")
-    out = Path(args.out or cfg.get("out", "train_out"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out or cfg.get("out", "train_out"))
     tasks, policy, provider, config = training_setup(cfg, out)
     train(policy, tasks, provider, config)
     policy.save(str(out / "policy.npz"), provider_name=provider.name)
@@ -171,6 +184,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _output_dir(args.out, make=False)  # ``emit_report`` makes it once the inputs are read
     variants: dict[str, RunMetrics] = {}
     for spec in args.inputs:
         if "=" in spec:

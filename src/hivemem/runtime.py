@@ -14,6 +14,7 @@ index), and real threads for live endpoint-backed runs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import threading
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .bank import MemoryBank
 from .controller import (
@@ -264,11 +266,17 @@ class EpisodeTrace:
     def from_events(cls, events: list[dict]) -> "EpisodeTrace":
         """The trace of one episode's events: a header first, then one
         ``team_end`` per team and an ``aggregate`` among the rest."""
-        aggregate = [e for e in events if e["kind"] == "aggregate"]
+        ends, aggregate = [], []
+        for e in events:
+            kind = e["kind"]
+            if kind == "team_end":
+                ends.append(e)
+            elif kind == "aggregate":
+                aggregate.append(e)
         if not events or events[0]["kind"] != "header" or len(aggregate) != 1:
             raise SchemaError("an episode is a header first and exactly one aggregate event")
         header, agg = events[0], aggregate[0]
-        ends = _team_ends(events)
+        ends.sort(key=_team)
         return cls(
             header["task_id"], header["k"], header["mode"], header["query"], header["seed"],
             candidates=_candidates(ends),
@@ -286,11 +294,11 @@ class EpisodeTrace:
 
 def decision_events(events: list[dict]) -> list[dict]:
     """An episode's ``decision`` events, team-major, each team's in step order."""
-    return sorted((e for e in events if e["kind"] == "decision"), key=lambda e: e["team"])
+    return sorted((e for e in events if e["kind"] == "decision"), key=_team)
 
 
-def _team_ends(events: list[dict]) -> list[dict]:
-    return sorted((e for e in events if e["kind"] == "team_end"), key=lambda e: e["team"])
+def _team(event: dict) -> int:
+    return event["team"]
 
 
 def _candidates(team_ends: list[dict]) -> list[Candidate]:
@@ -310,10 +318,52 @@ def first_finisher(candidates: list[Candidate]) -> tuple[int | None, str]:
 # -- episode execution -------------------------------------------------------
 
 
+# Most (seed, spawn key) pairs whose seed words are kept, about 0.4 KB each.
+SEED_WORDS_LIMIT = 1024
+
+
+@functools.lru_cache(maxsize=SEED_WORDS_LIMIT)
+def _seed_words(seed: int, spawn_key: tuple[int, ...]) -> np.ndarray:
+    """The four uint64 words ``PCG64`` seeds itself with from
+    ``SeedSequence(seed, spawn_key=spawn_key)``, read-only."""
+    words = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _SeedWords(ISpawnableSeedSequence):
+    """``SeedSequence(seed, spawn_key=spawn_key)`` as ``default_rng`` sees it:
+    ``PCG64``'s state words come from ``_seed_words``, and anything else,
+    ``spawn`` included, from a real ``SeedSequence`` built on first use."""
+
+    def __init__(self, seed: int, spawn_key: tuple[int, ...]):
+        self._seed = seed
+        self._spawn_key = spawn_key
+        self._sequence: np.random.SeedSequence | None = None
+
+    def _real(self) -> np.random.SeedSequence:
+        if self._sequence is None:
+            self._sequence = np.random.SeedSequence(self._seed, spawn_key=self._spawn_key)
+        return self._sequence
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return _seed_words(self._seed, self._spawn_key)
+        return self._real().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._real().spawn(n_children)
+
+
+def _generator(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """``default_rng(SeedSequence(seed, spawn_key=spawn_key))``, same stream."""
+    return np.random.default_rng(_SeedWords(seed, spawn_key))
+
+
 class _LazyGenerator:
-    """The generator of ``SeedSequence(seed, spawn_key=spawn_key)``, built
-    on its first draw: greedy and fixed rules never draw, so their
-    episodes never pay for it.  Any attribute is the generator's."""
+    """The generator ``_generator(seed, spawn_key)``, built on its first
+    draw: greedy and fixed rules never draw, so their episodes never pay
+    for it.  Any attribute is the generator's."""
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...]):
         self._seed = seed
@@ -322,9 +372,7 @@ class _LazyGenerator:
 
     def __getattr__(self, name: str):
         if self._rng is None:
-            self._rng = np.random.default_rng(
-                np.random.SeedSequence(self._seed, spawn_key=self._spawn_key)
-            )
+            self._rng = _generator(self._seed, self._spawn_key)
         return getattr(self._rng, name)
 
 
@@ -363,7 +411,12 @@ def run_episode(
     ``spawn_key=(1, j)``, the streams ``SeedSequence(seed).spawn(2)`` and
     then ``spawn(k)`` on each child give; a decision generator is built on
     its first draw (see ``AdmissionRule``), so an episode under a greedy or
-    fixed rule builds k generators, not 2k.
+    fixed rule builds k generators, not 2k.  The streams are exactly
+    these, but the four seed words a generator starts from are derived once
+    per (seed, spawn key) and kept (up to ``SEED_WORDS_LIMIT`` pairs), so
+    the episodes of one seed on many tasks derive them once.  ``seed``
+    must be a non-negative integer, numpy's included; anything else is a
+    ``ValidationError`` before the first move.
 
     In deterministic mode all timing is virtual: move costs advance
     per-team clocks and the interleaving is fixed by the seed, so two
@@ -390,6 +443,8 @@ def run_episode(
         raise ValidationError(f"unknown mode {mode!r}")
     if rule is not None and not callable(getattr(rule, "decide_step", None)):
         raise ValidationError(f"rule must be an admission rule or None, not {type(rule).__name__}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
 
     events: list[dict] = []  # list.append is atomic: live teams and the bank share it
     sink = events.append
@@ -407,17 +462,19 @@ def run_episode(
     sink({"kind": "header", "schema": SCHEMA_VERSION, "task_id": task.task_id, "k": k,
           "mode": mode, "cap": task.step_cap, "query": task.query, "seed": seed})
 
-    team_rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, j)))
-                 for j in range(k)]
+    team_rngs = [_generator(seed, (0, j)) for j in range(k)]
     decision_rngs = [_LazyGenerator(seed, (1, j)) for j in range(k)]
     states = [_TeamState(i + 1) for i in range(k)]
     move_limit = task.step_cap * MOVE_LIMIT_FACTOR
+    team_ends: list[dict] = []
 
     def end_team(state: _TeamState, status: str, answer: str | None, vt: float) -> float:
         """Stop a team at ``vt`` and return it; ``answer`` None leaves no candidate."""
         state.done = True
-        sink({"kind": "team_end", "team": state.team, "step": state.steps, "status": status,
-              "answer": answer, "vt": vt})
+        end = {"kind": "team_end", "team": state.team, "step": state.steps, "status": status,
+               "answer": answer, "vt": vt}
+        sink(end)
+        team_ends.append(end)
         return vt
 
     def advance(state: _TeamState, now: float) -> float:
@@ -514,7 +571,7 @@ def run_episode(
                 heapq.heapreplace(heap, (state.clock, team, state))
         end_time = max(s.clock for s in states)
 
-    candidates = _candidates(_team_ends(events))
+    candidates = _candidates(sorted(team_ends, key=_team))
     first_team, first_answer = first_finisher(candidates)
     answer = NO_ANSWER
     agg_error: Exception | None = None

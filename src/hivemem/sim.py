@@ -59,15 +59,33 @@ def _digest(*parts) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:6]
 
 
+# Most answers one SimScorer remembers the score of; answers past the cap
+# are scored but not stored.
+SCORE_MEMO_LIMIT = 256
+
+
 class SimScorer:
-    """Weighted fraction of correct ``field=value`` pairs, in [0, 1]."""
+    """Weighted fraction of correct ``field=value`` pairs, in [0, 1].
+
+    The scorer remembers the score of each answer it has scored, up to
+    ``SCORE_MEMO_LIMIT`` answers: the episodes of one task mostly give the
+    same few answers."""
 
     def __init__(self, answer_key: dict[str, str]):
         if not answer_key:
             raise ValidationError("answer key must have at least one field")
         self.answer_key = dict(answer_key)
+        self._memo: dict[str, float] = {}
 
     def score(self, answer: str) -> float:
+        value = self._memo.get(answer)
+        if value is None:
+            value = self._score(answer)
+            if len(self._memo) < SCORE_MEMO_LIMIT:
+                self._memo[answer] = value
+        return value
+
+    def _score(self, answer: str) -> float:
         got: dict[str, str] = {}
         for part in answer.split(";"):
             if "=" in part:
@@ -89,11 +107,16 @@ class SimTask:
     instead, ``answer_key`` asks for all (``status=ok`` without any) and
     ``distractor_targets`` holds each lure's seeded shared subtask.
 
-    ``moves`` starts empty and holds the step moves ``ScriptedBackend``
-    derives from the task, each built once, on first use, and shared by
-    every episode and team that takes that step.  A move is immutable,
-    and the task bounds their number: one per node, team, lure, recovery
-    round and step cost (a cost per pollution level).
+    ``derived`` starts empty and holds what episodes of the task derive
+    from it, each built once, on first use (see ``derive``), and shared by
+    every episode and team that needs it: its ``TaskSpec`` and its
+    ``scorer`` (which keeps a bounded memo of scored answers), each team's
+    plan layout for a team count k (its own and foreign shared nodes, its
+    private nodes and its lures), and the step moves ``ScriptedBackend``
+    takes.  All are immutable but the scorer's memo, and the task bounds
+    their number: a move per node, team, lure, recovery round and step
+    cost (a cost per pollution level), a layout per team and k.  None of
+    it is a field, so none is in ``to_json``, equality or the hash.
     """
 
     seed: int
@@ -139,8 +162,18 @@ class SimTask:
             corrupt_values={node: _digest(self.seed, node, "corrupt") for node in shared},
             answer_key=dict(values) if shared else {"status": "ok"},
             distractor_targets=targets,
-            moves={},
+            derived={},
         )
+
+    def derive(self, build: Callable, *args):
+        """``build(self, *args)``, built on first use and kept in ``derived``.
+
+        Live team threads may race to build one; they build equal values."""
+        key = (build, *args)
+        value = self.derived.get(key)
+        if value is None:
+            value = self.derived[key] = build(self, *args)
+        return value
 
     @property
     def task_id(self) -> str:
@@ -160,10 +193,10 @@ class SimTask:
         return "complete the local calibration work"
 
     def task_spec(self) -> TaskSpec:
-        return TaskSpec(task_id=self.task_id, query=self.query, step_cap=self.step_cap)
+        return self.derive(_task_spec)
 
     def scorer(self) -> SimScorer:
-        return SimScorer(self.answer_key)
+        return self.derive(_scorer)
 
     def private_nodes(self, team: int) -> list[str]:
         return [
@@ -171,7 +204,7 @@ class SimTask:
         ]
 
     def render_answer(self, known_shared: dict[str, str]) -> str:
-        if not self.shared_nodes():
+        if not self.values:
             return "status=ok"
         return ";".join(f"{n}={known_shared[n]}" for n in sorted(known_shared))
 
@@ -186,9 +219,27 @@ class SimTask:
 generate_task = SimTask
 
 
+def _task_spec(task: SimTask) -> TaskSpec:
+    return TaskSpec(task_id=task.task_id, query=task.query, step_cap=task.step_cap)
+
+
+def _scorer(task: SimTask) -> SimScorer:
+    return SimScorer(task.answer_key)
+
+
+def _plan_layout(task: SimTask, team: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Team ``team``'s own and foreign shared nodes among ``k`` teams (it
+    owns every k-th chain), its private nodes and its lure indices."""
+    owned, foreign = [], []
+    for c, chain in enumerate(task.shared_chains):
+        (owned if c % k == team - 1 else foreign).extend(chain)
+    lures = tuple(i for i in range(task.distractor_count) if i % k == team - 1)
+    return tuple(owned), tuple(foreign), tuple(task.private_nodes(team)), lures
+
+
 # Step-move builders: each is a function of the task and the arguments its
-# texts depend on, plus the step's cost.  ``ScriptedBackend._move`` keeps
-# what they build in ``task.moves`` under the builder and its arguments.
+# texts depend on, plus the step's cost.  ``ScriptedBackend`` takes each
+# through ``task.derive``, so it is built once per task and arguments.
 
 
 def _retry_move(task: SimTask, node: str, cost: float) -> StepMove:
@@ -259,17 +310,12 @@ def _recovery_move(task: SimTask, team: int, round_: int, cost: float) -> StepMo
 class _TeamPlan:
     def __init__(self, task: SimTask, team: int, k: int):
         self.team = team
-        owned, foreign = [], []
-        for c, chain in enumerate(task.shared_chains):
-            (owned if c % k == team - 1 else foreign).extend(chain)
-        self.own_nodes = owned
-        self.foreign_nodes = foreign
-        self.private_nodes = task.private_nodes(team)
+        self.own_nodes, self.foreign_nodes, self.private_nodes, lures = task.derive(
+            _plan_layout, team, k
+        )
         self.own_idx = 0
         self.priv_idx = 0
-        self.lures: list[int] = [
-            i for i in range(task.distractor_count) if i % k == team - 1
-        ]
+        self.lures: list[int] = list(lures)
         self.lure_slot_open = True
         self.known_shared: dict[str, str] = {}
         self.consumed_ids: set[int] = set()
@@ -294,10 +340,11 @@ class ScriptedBackend:
     read like real results and spread through the bank).  A team
     recognizes its own lure output and is immune to it.
 
-    Step moves come from the task's ``moves``: each distinct step is built
-    once per task and the same immutable ``StepMove`` is returned to every
-    episode and team that takes it.  Only the team plans and the draws
-    from the team's generator differ between episodes.
+    Step moves and plan layouts come from the task's ``derived``: each
+    distinct step is built once per task and the same immutable
+    ``StepMove`` is returned to every episode and team that takes it.
+    Only the team plans' progress and the draws from the team's generator
+    differ between episodes.
     """
 
     def __init__(self, task: SimTask, k: int):
@@ -311,16 +358,6 @@ class ScriptedBackend:
         return self._plans[team]
 
     # -- helpers -------------------------------------------------------------
-
-    def _move(self, build: Callable[..., StepMove], *args) -> StepMove:
-        """The task's step move ``build(task, *args)``, built on first use.
-
-        Live team threads may race to build one; they build equal moves."""
-        key = (build, *args)
-        move = self.task.moves.get(key)
-        if move is None:
-            move = self.task.moves[key] = build(self.task, *args)
-        return move
 
     def _absorb_history(self, st: _TeamPlan, history: list[HistoryItem]) -> None:
         task = self.task
@@ -357,10 +394,10 @@ class ScriptedBackend:
         st.steps += 1
         cost = self._step_cost(st)
         if rng.random() < st.fail_p:
-            return self._move(_retry_move, node, cost)
+            return task.derive(_retry_move, node, cost)
         if kind == "private":
             st.priv_idx += 1
-            return self._move(_private_move, st.team, node, cost)
+            return task.derive(_private_move, st.team, node, cost)
         value = task.values[node]
         if st.pollution > 0:
             corrupt_p = min(0.8, st.pollution * task.pollution_corrupt_rate)
@@ -369,10 +406,10 @@ class ScriptedBackend:
         st.known_shared[node] = value
         if kind == "own":
             st.own_idx += 1
-        return self._move(_solve_move, node, value, cost)
+        return task.derive(_solve_move, node, value, cost)
 
     def _emit_lure(self, st: _TeamPlan) -> Move:
-        move = self._move(_lure_move, st.lures.pop(0), self._step_cost(st))
+        move = self.task.derive(_lure_move, st.lures.pop(0), self._step_cost(st))
         st.own_junk.add(move.triplet.agent_output)
         st.steps += 1
         st.lure_slot_open = False
@@ -401,7 +438,7 @@ class ScriptedBackend:
             st.recovery_pending -= 1
             st.recovery_count += 1
             st.steps += 1
-            return self._move(_recovery_move, team, st.recovery_count, self._step_cost(st))
+            return self.task.derive(_recovery_move, team, st.recovery_count, self._step_cost(st))
 
         while st.own_idx < len(st.own_nodes) and st.own_nodes[st.own_idx] in st.known_shared:
             st.own_idx += 1

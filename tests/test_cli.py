@@ -419,3 +419,44 @@ def test_run_reads_a_task_file(tmp_path):
     assert main(["run", "--task-file", str(task_file), "--policy", "add-all",
                  "--out", str(out)]) == 0
     assert json.loads((out / "metrics.json").read_text())["episodes"] == 1
+
+
+_OUT_COMMANDS = {
+    "run": ["run", "--episodes", "1"],
+    "eval": ["eval", "--policy", "add-all", "--tasks", "1"],
+    "report": ["report", "RUN_DIR"],
+    "train": ["train", "--config", str(PINNED / "train_config.json")],
+    "run-llm": ["run", "--backend", "llm", "--query", "q"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_out_that_cannot_be_a_directory_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, command, under
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("run_variant", "train", "compute_metrics"):
+        monkeypatch.setattr(f"hivemem.cli.{name}", no_work)
+    monkeypatch.setattr("hivemem.endpoint.EndpointConfig.from_env", no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    run_dir = tmp_path / "r"
+    run_dir.mkdir()
+    (run_dir / "episode_00000.jsonl").write_text("")
+    argv = [str(run_dir) if a == "RUN_DIR" else a for a in _OUT_COMMANDS[command]]
+    assert main([*argv, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert str(out) in record["message"]
+    assert afile.read_text() == "kept\n"
+
+
+def test_run_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["run", "--episodes", "1", "--seed", "-5", "--out", str(tmp_path / "x")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert "-5" in record["message"]

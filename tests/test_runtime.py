@@ -568,7 +568,7 @@ class _DrawSpy:
         return Decision(NO, 0.0, 0.0), len(bank)
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 123456789])
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 123456789, 2**32, 2**64 + 3])
 @pytest.mark.parametrize("k", [1, 3])
 def test_team_and_decision_generators_draw_the_spawned_streams(seed, k):
     import numpy as np
@@ -609,6 +609,104 @@ def test_an_episode_builds_only_the_generators_it_draws_from(monkeypatch, rule, 
     trace = run_sim(task, rule, seed=7)
     assert {e["team"] for e in trace.events if e["kind"] == "decision"} == {1, 2, 3}
     assert len(calls) == built
+
+
+class _GeneratorSpy:
+    """Backend and admission rule that keep each team's and each decision
+    generator's state before its first draw, the first draws of the
+    generators ``rng.spawn(2)`` gives, twice in a row, and six words of its
+    seed sequence's state."""
+
+    def __init__(self):
+        self.states: dict[tuple[int, int], dict] = {}
+        self.children: dict[tuple[int, int], list[float]] = {}
+        self.words: dict[tuple[int, int], list[int]] = {}
+        self.team = 0
+
+    def _note(self, kind, team, rng):
+        if (kind, team) not in self.states:
+            self.states[kind, team] = rng.bit_generator.state
+            children = rng.spawn(2) + rng.spawn(2)
+            self.children[kind, team] = [c.random() for c in children]
+            self.words[kind, team] = rng.bit_generator.seed_seq.generate_state(6).tolist()
+        rng.random()
+
+    def next_move(self, team, query, history, visible_keys, rng):
+        self._note(0, team, rng)
+        self.team = team
+        if len(history) > 2:
+            return FinalMove("done")
+        return StepMove(StepTriplet("in", f"summary {team}", "out"), label="step")
+
+    def decide_step(self, query, bank, triplet, provider, rng):
+        self._note(1, self.team, rng)
+        return Decision(NO, 0.0, 0.0), len(bank)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3])
+def test_team_and_decision_generators_start_where_the_reference_ones_do(seed):
+    import numpy as np
+
+    from hivemem import runtime
+
+    runtime._seed_words.cache_clear()
+    for _ in range(2):  # the seed words derived, then kept
+        spy = _GeneratorSpy()
+        run_episode(TaskSpec("t", "q"), 3, spy, spy, _PROVIDER, MajorityAggregator(), seed=seed)
+        assert sorted(spy.states) == [(t, j) for t in (0, 1) for j in (1, 2, 3)]
+        for (t, team), state in spy.states.items():
+            reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, team - 1)))
+            assert state == reference.bit_generator.state
+            children = reference.spawn(2) + reference.spawn(2)
+            assert spy.children[t, team] == [c.random() for c in children]
+            words = reference.bit_generator.seed_seq.generate_state(6)
+            assert spy.words[t, team] == words.tolist()
+    assert runtime._seed_words.cache_info().hits >= 6
+
+
+def test_the_generator_caches_never_show_in_a_trace():
+    from hivemem import runtime
+    from hivemem.sim import run_variant, score_event
+
+    task_seeds, seeds = (1, 2, 3), [0, 1, 5, 2**40]
+    policy = _mixed_policy()
+    for k in (1, 3):
+        tasks = [generate_task(seed=s, **_HEAVY) for s in task_seeds]
+        warm = [
+            [t.events for t in run_variant(tasks, LearnedAdmission(policy, mode="sampled"), k,
+                                           seeds, _PROVIDER, keep_traces=True)[1]]
+            for _ in range(2)  # the second call finds every cache filled
+        ]
+        cold = []
+        for task_seed in task_seeds:
+            for seed in seeds:
+                task = generate_task(seed=task_seed, **_HEAVY)  # nothing derived yet
+                runtime._seed_words.cache_clear()
+                trace = run_sim(task, LearnedAdmission(policy, mode="sampled"), seed=seed, k=k)
+                cold.append([*trace.events, score_event(trace, task.scorer().score)])
+        assert {YES, NO} <= {e.get("action") for events in cold for e in events}
+        assert warm[0] == warm[1] == cold
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "live"])
+@pytest.mark.parametrize("seed", [-1, -5, 1.0, "3", None, [1, 2], -(2**70)])
+def test_run_episode_refuses_a_seed_that_is_no_non_negative_integer(mode, seed):
+    spy = _DrawSpy()
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        run_episode(TaskSpec("t", "q"), 2, spy, spy, _PROVIDER, MajorityAggregator(),
+                    seed=seed, mode=mode)
+    assert spy.team_draws == spy.decision_draws == {}
+
+
+def test_run_episode_takes_numpy_integer_seeds():
+    import numpy as np
+
+    task = generate_task(seed=1, **_HEAVY)
+    reference = run_sim(task, variant_policy("add-all"), seed=9).events
+    for seed in (np.int64(9), np.uint32(9), np.uint64(9)):
+        assert run_sim(task, variant_policy("add-all"), seed=seed).events == reference
+    with pytest.raises(ValidationError):
+        run_sim(task, variant_policy("add-all"), seed=np.int64(-9))
 
 
 def test_learned_admission_rejects_a_bad_mode_or_temperature_up_front():

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hivemem.controller import AdmissionPolicy
 from hivemem.errors import ValidationError
 from hivemem.runtime import MajorityAggregator, StepMove, run_episode
 from hivemem.sim import (
+    SCORE_MEMO_LIMIT,
     ScriptedBackend,
+    SimScorer,
     SimTask,
     canonical_key,
     generate_task,
@@ -120,6 +123,39 @@ def test_scorer_properties():
     more_fields = dict(list(task.values.items())[:3])
     more = ";".join(f"{k}={v}" for k, v in more_fields.items())
     assert scorer.score(more) > scorer.score(partial)
+
+
+_SCORE_KEY = {"s0": "a1", "s1": "b", "s 2": "=", "a": "1"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="s012ab=; \t\n", max_size=16), max_size=20))
+def test_a_memoizing_scorer_scores_as_a_fresh_one(answers):
+    scorer = SimScorer(_SCORE_KEY)
+    for answer in answers + answers[::-1]:  # every answer again, from its memo
+        got = scorer.score(answer)
+        assert type(got) is float
+        assert got == SimScorer(_SCORE_KEY).score(answer)
+
+
+def test_the_score_memo_stops_growing_at_its_cap():
+    scorer = SimScorer(_SCORE_KEY)
+    answers = [f"s0=a1;s1={i}" for i in range(SCORE_MEMO_LIMIT + 10)]
+    for answer in answers * 2:
+        assert scorer.score(answer) == 0.25  # s0 right, s1 wrong
+    assert len(scorer._memo) == SCORE_MEMO_LIMIT
+
+
+def test_a_task_derives_on_first_use_and_its_derived_data_is_no_parameter(provider):
+    params = dict(seed=6, depth=2, width=1, overlap_count=4, distractor_count=2)
+    task = generate_task(**params)
+    assert task.derived == {}
+    assert task.task_spec() is task.task_spec()
+    assert task.scorer() is task.scorer()
+    run_variant([task], variant_policy("add-all"), 3, [0, 1], provider)
+    fresh = generate_task(**params)
+    assert len(task.derived) > 2 and fresh.derived == {}
+    assert task == fresh and hash(task) == hash(fresh) and task.to_json() == fresh.to_json()
 
 
 def test_zero_overlap_yields_zero_savings(provider):
