@@ -51,14 +51,26 @@ def _load_policy(args, provider):
     return variant_policy(args.policy)
 
 
+def _episode_files(directory: Path) -> list[Path]:
+    """The ``episode_*.jsonl`` paths in ``directory``, sorted; a
+    ValidationError names the first that is a directory."""
+    paths = sorted(directory.glob("episode_*.jsonl"))
+    for path in paths:
+        if path.is_dir():
+            raise ValidationError(f"{path} is a directory, not an episode trace file")
+    return paths
+
+
 def _output_dir(path, make: bool = True) -> Path:
     """``path`` checked, before any work, as an output directory: a
-    ValidationError naming it when it is a file or lies under one, or when
-    ``make`` cannot make it (with its parents)."""
+    ValidationError naming it when it is a file or lies under one, when it
+    holds a directory named ``episode_*.jsonl``, or when ``make`` cannot
+    make it (with its parents)."""
     out = Path(path)
     nearest = next(p for p in (out, *out.parents) if p.exists())
     if not nearest.is_dir():
         raise ValidationError(f"output directory {path}: {nearest} is not a directory")
+    _episode_files(out)
     if make:
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -75,7 +87,7 @@ def _remove_other_episodes(out: Path, written: list[str]) -> None:
     """Delete each ``episode_*.jsonl`` in ``out`` but the ``written`` ones,
     so ``report`` reads back this run alone."""
     keep = set(written)
-    for path in out.glob("episode_*.jsonl"):
+    for path in _episode_files(out):
         if path.name not in keep:
             path.unlink()
 
@@ -194,7 +206,7 @@ def cmd_report(args) -> int:
             name = Path(spec).name
         if name in variants:
             raise ValidationError(f"two report inputs are named {name!r}; name them name=path")
-        traces = sorted(Path(path).glob("episode_*.jsonl"))
+        traces = _episode_files(Path(path))
         if not traces:
             raise ValidationError(f"{path} holds no episode_*.jsonl trace files")
         variants[name] = compute_metrics(traces)

@@ -19,6 +19,7 @@ finite differences, and the benchmark tracer wraps them.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -125,6 +126,11 @@ def sample_binary_decision(
     broken controller can never flood the memory bank.  The two logits
     are worked on as Python floats with ``softmax``'s formula and numpy's
     ``exp`` and ``log``, so the probabilities match ``softmax`` bit for bit.
+
+    A greedy decision depends on the logits alone, so it is built once per
+    pair of finite logits and then shared: up to ``GREEDY_CACHE_SIZE``
+    pairs, least recently used first out (``_greedy_decision``).  Every
+    decision is still one call here; sampled decisions are never cached.
     """
     if temperature <= 0:
         raise ValidationError("temperature must be > 0")
@@ -136,18 +142,41 @@ def sample_binary_decision(
         logger.warning("non-finite controller logits %s; failing closed to NO", logits)
         return _FAIL_CLOSED
     if mode == "greedy":
-        temperature = 1.0
-    elif mode == "sampled":
-        if rng is None:
-            raise ValidationError("sampled mode requires a random generator")
-    else:
+        return _greedy_decision(yes, no)
+    if mode != "sampled":
         raise ValidationError(f"unknown decision mode {mode!r}")
-    yes, no = yes / temperature, no / temperature
+    if rng is None:
+        raise ValidationError("sampled mode requires a random generator")
+    p_yes, p_no = _two_way_softmax(yes / temperature, no / temperature)
+    take_yes = rng.random() < p_yes
+    return Decision(
+        action=YES if take_yes else NO,
+        prob_yes=p_yes,
+        log_prob_action=float(np.log(p_yes if take_yes else p_no)),
+    )
+
+
+def _two_way_softmax(yes: float, no: float) -> tuple[float, float]:
+    """``softmax``'s formula on two finite Python floats."""
     top = max(yes, no)
     e_yes, e_no = float(np.exp(yes - top)), float(np.exp(no - top))
-    p_yes, p_no = e_yes / (e_yes + e_no), e_no / (e_yes + e_no)
-    # greedy runs at temperature 1, so ``yes >= no`` compares the raw logits
-    take_yes = yes >= no if mode == "greedy" else rng.random() < p_yes
+    return e_yes / (e_yes + e_no), e_no / (e_yes + e_no)
+
+
+# A cached pair costs about 350 bytes; an eval pass of the benchmark meets about 2k pairs.
+GREEDY_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=GREEDY_CACHE_SIZE)
+def _greedy_decision(yes: float, no: float) -> Decision:
+    """The greedy Decision of two finite logits, at temperature 1; ties go to YES.
+
+    0.0 and -0.0 compare and hash equal, so they share a key; they give
+    the same bits too, since a zero's sign reaches ``exp`` only as the
+    sign of a zero, and ``exp`` maps both zeros to 1.
+    """
+    p_yes, p_no = _two_way_softmax(yes, no)
+    take_yes = yes >= no
     return Decision(
         action=YES if take_yes else NO,
         prob_yes=p_yes,

@@ -173,16 +173,19 @@ class LearnedAdmission:
     """Wraps a trainable policy: snapshot the bank, evaluate, decide.
 
     The rule remembers the logits row of every decision input it has
-    evaluated: the query, the step triplet, the memory size and the bank's
-    key sum, for one provider.  A repeated input (the same task step under
-    another episode seed, say) skips ``build_context`` and the forward
-    pass.  The decision itself is drawn anew every time, so rng draws,
-    ``fail_closed`` and the trace are as without the memo.  The memo lives
-    as long as the rule, so the policy's parameters must not change while
-    a rule is in use.  ``run_variant`` given an ``AdmissionPolicy`` builds
-    one greedy rule per call, and training one sampled rule per rollout
-    group, before the group's updates.  A call with another provider
-    empties the memo.  Live mode's team threads share it: a race can only
+    evaluated: the query, the step triplet's three strings, the memory
+    size and the bank's key sum bytes, for one provider, as one flat tuple
+    whose hash reuses the strings' cached hashes.  A repeated input (the
+    same task step under another episode seed, say) skips ``build_context``
+    and the forward pass.  Every decision is still one
+    ``sample_binary_decision`` call on the row, which in greedy mode
+    returns a Decision shared through the controller's bounded cache and
+    in sampled mode draws anew, so rng draws, ``fail_closed`` and the
+    trace are as without the memo.  The memo lives as long as the rule,
+    so the policy's parameters must not change while a rule is in use.
+    ``run_variant`` given an ``AdmissionPolicy`` builds one greedy rule per
+    call, and training one sampled rule per rollout group, before the
+    group's updates.  A call with another provider empties the memo.  Live mode's team threads share it: a race can only
     recompute a row, never pair an input with another input's row.
     """
 
@@ -208,7 +211,8 @@ class LearnedAdmission:
         if provider is not self._provider:
             self._provider = provider
             self._logits.clear()
-        key = (query, triplet, size, snapshot[1].tobytes())
+        key = (query, triplet.agent_input, triplet.step_summary, triplet.agent_output, size,
+               snapshot[1].tobytes())
         logits = self._logits.get(key)
         if logits is None:
             context = build_context(query, bank, triplet, provider, snapshot)

@@ -71,6 +71,35 @@ def test_tracer_counts_every_decision_but_fewer_forward_passes():
         assert 0 < metrics[f"{name}.calls"] < decisions, name
 
 
+def test_tracer_yes_ratio_is_the_yes_share_of_a_greedy_run_variant():
+    # Greedy decisions are shared objects from the controller's cache; the
+    # tracer must still count one per decision, each by its own action.
+    import numpy as np
+
+    from hivemem.controller import _greedy_decision
+
+    tasks = [
+        generate_task(seed=seed, depth=2, width=1, overlap_count=6, distractor_count=6,
+                      step_cap=14, p_fail=0.08)
+        for seed in (1, 2)
+    ]
+    policy = AdmissionPolicy(64, 8)
+    policy.params["w_out"] = np.random.default_rng(0).normal(0, 0.5, (2, 32))
+    _greedy_decision.cache_clear()
+    tracer = _load_tracing().Tracer()
+    tracer.install(hivemem)
+    try:
+        _, traces = hivemem.sim.run_variant(tasks, policy, 3, [0, 1, 2], HashingEmbedder(64),
+                                            keep_traces=True)
+    finally:
+        tracer.restore()
+    actions = [e["action"] for trace in traces for e in trace.events if e["kind"] == "decision"]
+    assert 0 < actions.count("YES") < len(actions)
+    assert _greedy_decision.cache_info().hits > 0
+    metrics, _ = tracer.layer_metrics(passes=1)
+    assert metrics["controller.yes_ratio"] == actions.count("YES") / len(actions)
+
+
 def test_tracer_counts_the_bank_reads_of_an_add_all_run():
     # run-addall's bank layer: the counters come from the patched admit and
     # retrieve calls and must agree with the episodes' own events.

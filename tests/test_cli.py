@@ -455,6 +455,30 @@ def test_out_that_cannot_be_a_directory_fails_before_any_work(
     assert afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "report", "run", "run-llm"])
+def test_a_directory_named_like_an_episode_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the episode files were checked")
+
+    for name in ("run_variant", "compute_metrics"):
+        monkeypatch.setattr(f"hivemem.cli.{name}", no_work)
+    monkeypatch.setattr("hivemem.endpoint.EndpointConfig.from_env", no_work)
+    run_dir = tmp_path / "r"
+    run_dir.mkdir()
+    (run_dir / "episode_00000.jsonl").write_text("")
+    offending = run_dir / "episode_99999.jsonl"
+    offending.mkdir()
+    out = tmp_path / "rep" if command == "report" else run_dir
+    argv = [str(run_dir) if a == "RUN_DIR" else a for a in _OUT_COMMANDS[command]]
+    assert main([*argv, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert str(offending) in record["message"]
+    assert offending.is_dir() and (run_dir / "episode_00000.jsonl").read_text() == ""
+
+
 def test_run_refuses_a_negative_seed(tmp_path, capsys):
     assert main(["run", "--episodes", "1", "--seed", "-5", "--out", str(tmp_path / "x")]) == 1
     record = json.loads(capsys.readouterr().err.strip())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hivemem.bank import MemoryBank
 from hivemem.controller import (
     NO,
     YES,
+    GREEDY_CACHE_SIZE,
     AdmissionPolicy,
     ControllerContext,
     StepTriplet,
+    _greedy_decision,
     build_context,
     decide,
     log_prob,
@@ -142,6 +145,84 @@ def test_decision_matches_the_softmax_reference_bit_for_bit(yes, no, tie, temper
         decision = sample_binary_decision(logits, mode, rng, temperature)
         assert _bits(decision) == reference
         assert rng.random() == ref_rng.random()  # the same number of draws
+
+
+def _reference_bits(yes, no):
+    """A greedy decision's bits by ``softmax``, as ``_bits`` gives them."""
+    probs = softmax(np.array([yes, no]), 1.0)
+    take_yes = yes >= no
+    return (YES if take_yes else NO, float(probs[0]).hex(),
+            float(np.log(probs[0] if take_yes else probs[1])).hex(), False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(yes=_LOGITS, no=_LOGITS, tie=st.booleans())
+def test_cached_greedy_decision_matches_the_softmax_reference_bit_for_bit(yes, no, tie):
+    logits = np.array([yes, yes if tie else no])
+    first = sample_binary_decision(logits, "greedy")
+    second = sample_binary_decision(logits.copy(), "greedy")
+    assert second is first  # the second call is a cache hit
+    assert _bits(second) == _reference_bits(*logits.tolist())
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 700.0, -700.0]
+
+
+@pytest.mark.parametrize("yes", _EDGES)
+@pytest.mark.parametrize("no", _EDGES)
+def test_signed_zeros_and_ties_share_cached_decisions_bit_for_bit(yes, no):
+    def flip_zero(x):
+        return -x if x == 0 else x
+
+    _greedy_decision.cache_clear()  # (yes, no) fills the cache; the zero flips may hit it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in ((yes, no), (flip_zero(yes), no), (yes, flip_zero(no)),
+                     (flip_zero(yes), flip_zero(no))):
+            assert _bits(sample_binary_decision(np.array(pair), "greedy")) == _reference_bits(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(yes=_LOGITS, no=_LOGITS, temperature=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_decisions_raise_no_runtime_warning(yes, no, temperature, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            sample_binary_decision(np.array([yes, no]), "greedy")
+            sample_binary_decision(np.array([yes, no]), "sampled",
+                                   np.random.default_rng(seed), temperature)
+
+
+def test_greedy_cache_stops_at_its_cap():
+    _greedy_decision.cache_clear()
+    for i in range(GREEDY_CACHE_SIZE + 100):
+        sample_binary_decision(np.array([float(i), 0.5]), "greedy")
+    info = _greedy_decision.cache_info()
+    assert info.currsize == info.maxsize == GREEDY_CACHE_SIZE
+    assert info.misses == GREEDY_CACHE_SIZE + 100
+    sample_binary_decision(np.array([0.0, 0.5]), "greedy")  # the first pair was evicted
+    assert _greedy_decision.cache_info().misses == GREEDY_CACHE_SIZE + 101
+    _greedy_decision.cache_clear()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_logits_are_never_cached_and_warn_every_call(caplog, bad):
+    _greedy_decision.cache_clear()
+    with caplog.at_level("WARNING", logger="hivemem.controller"):
+        for _ in range(3):
+            decision = sample_binary_decision(np.array([bad, 1.0]), "greedy")
+            assert decision.fail_closed
+    assert sum("non-finite" in r.getMessage() for r in caplog.records) == 3
+    assert _greedy_decision.cache_info() == (0, 0, GREEDY_CACHE_SIZE, 0)
+
+
+def test_sampled_decisions_leave_the_greedy_cache_untouched():
+    _greedy_decision.cache_clear()
+    rng = np.random.default_rng(0)
+    first = sample_binary_decision(np.array([0.3, -0.2]), "sampled", rng)
+    again = sample_binary_decision(np.array([0.3, -0.2]), "sampled", rng, 1.0)
+    assert again is not first
+    assert _greedy_decision.cache_info() == (0, 0, GREEDY_CACHE_SIZE, 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -529,6 +529,43 @@ def test_run_variant_skips_the_forward_pass_on_repeated_decisions(monkeypatch):
     assert 0 < len(calls) < decisions
 
 
+def _memo_forwards(monkeypatch, triplets):
+    """Forward passes of one greedy rule deciding each triplet on one bank."""
+    from hivemem.bank import MemoryBank
+    from hivemem.controller import AdmissionPolicy
+
+    forward = AdmissionPolicy.forward
+    calls = []
+
+    def counted(self, context):
+        calls.append(context)
+        return forward(self, context)
+
+    monkeypatch.setattr(AdmissionPolicy, "forward", counted)
+    rule, bank = LearnedAdmission(_mixed_policy()), MemoryBank(_PROVIDER.dimension)
+    for triplet in triplets:
+        rule.decide_step("q", bank, triplet, _PROVIDER, None)
+    return len(calls)
+
+
+def test_equal_triplets_share_one_memo_row(monkeypatch):
+    fields = ["in", "sum", "out"]
+    twins = [StepTriplet(*["".join(f) for f in fields]) for _ in range(3)]  # equal, not identical
+    assert twins[0] is not twins[1] and twins[0].agent_input is not twins[1].agent_input
+    assert _memo_forwards(monkeypatch, twins) == 1
+
+
+@pytest.mark.parametrize("other", [
+    StepTriplet("in2", "sum", "out"),
+    StepTriplet("in", "sum2", "out"),
+    StepTriplet("in", "sum", "out2"),
+    StepTriplet("sum", "in", "out"),
+    StepTriplet("in", "out", "sum"),
+], ids=["input", "summary", "output", "input-summary-swapped", "summary-output-swapped"])
+def test_a_triplet_that_differs_gets_its_own_memo_row(monkeypatch, other):
+    assert _memo_forwards(monkeypatch, [StepTriplet("in", "sum", "out"), other]) == 2
+
+
 def test_decision_memo_does_not_outlive_a_run_variant_call():
     import copy
 
