@@ -391,56 +391,44 @@ def step_loss_grads(
     actions: np.ndarray,
     advantages: np.ndarray,
     lambda_sparse: float,
-    loss_weights: np.ndarray,
-    logp_collect: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    loss_weight: float,
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Per-decision loss pieces of N decisions and their summed gradient.
 
     Runs one forward pass over ``context``; ``actions`` are action indices,
     and the loss is taken at temperature 1.  Returns
-    (policy_terms, sparsity_terms, weights, grads): -advantages * log
-    pi(action), pi(YES), the loss weights, and the gradient of
-    sum_n weights[n] * (policy_terms[n] + lambda_sparse * sparsity_terms[n]).
-    With ``logp_collect`` each weight is multiplied by the importance ratio
-    exp(log pi(action) - logp_collect), held constant in the gradient.
+    (policy_terms, sparsity_terms, grads): -advantages * log pi(action),
+    pi(YES), and the gradient of
+    sum_n loss_weight * (policy_terms[n] + lambda_sparse * sparsity_terms[n]).
     """
     logits, cache = policy.forward(context)
     probs = softmax(logits, 1.0)
     logp = np.log(probs[np.arange(len(actions)), actions])
-    weights = loss_weights
-    if logp_collect is not None:
-        weights = loss_weights * np.exp(logp - logp_collect)
     dlogp = _ONE_HOT[actions] - probs
     dpyes = probs[:, :1] * (_ONE_HOT[0] - probs)
-    dlogits = weights[:, None] * (-advantages[:, None] * dlogp + lambda_sparse * dpyes)
-    return -advantages * logp, probs[:, 0], weights, policy.backward_batch(cache, dlogits)
+    dlogits = loss_weight * (-advantages[:, None] * dlogp + lambda_sparse * dpyes)
+    return -advantages * logp, probs[:, 0], policy.backward_batch(cache, dlogits)
 
 
 def log_prob(
     policy: AdmissionPolicy,
     context: ControllerContext,
     action: str,
-    temperature: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """log pi(action | context) and its gradient w.r.t. all parameters."""
+    """log pi(action | context) at temperature 1 and its gradient w.r.t. all parameters."""
     idx = action_index(action)
-    if temperature <= 0:
-        raise ValidationError("temperature must be > 0")
     logits, cache = policy.forward(context)
-    probs = softmax(logits[0], temperature)
-    dlogits = (_ONE_HOT[idx] - probs) / temperature
+    probs = softmax(logits[0], 1.0)
+    dlogits = _ONE_HOT[idx] - probs
     return float(np.log(probs[idx])), policy.backward_batch(cache, dlogits[None])
 
 
 def prob_yes_with_grad(
     policy: AdmissionPolicy,
     context: ControllerContext,
-    temperature: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """pi(YES | context) and its gradient; the sparsity penalty term."""
-    if temperature <= 0:
-        raise ValidationError("temperature must be > 0")
+    """pi(YES | context) at temperature 1 and its gradient; the sparsity penalty term."""
     logits, cache = policy.forward(context)
-    probs = softmax(logits[0], temperature)
-    dlogits = probs[0] * (_ONE_HOT[0] - probs) / temperature
+    probs = softmax(logits[0], 1.0)
+    dlogits = probs[0] * (_ONE_HOT[0] - probs)
     return float(probs[0]), policy.backward_batch(cache, dlogits[None])

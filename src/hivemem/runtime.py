@@ -185,8 +185,9 @@ class LearnedAdmission:
     so the policy's parameters must not change while a rule is in use.
     ``run_variant`` given an ``AdmissionPolicy`` builds one greedy rule per
     call, and training one sampled rule per rollout group, before the
-    group's updates.  A call with another provider empties the memo.  Live mode's team threads share it: a race can only
-    recompute a row, never pair an input with another input's row.
+    group's updates.  A call with another provider empties the memo.
+    Live mode's team threads share it: a race can only recompute a row,
+    never pair an input with another input's row.
     """
 
     def __init__(

@@ -8,9 +8,12 @@ rollouts of the same task, each admission decision gets its episode's
 base advantage plus a usage bonus when its entry was actually retrieved
 in a rewarded episode, and the policy minimizes the advantage-weighted
 negative log-likelihood plus a sparsity penalty on the admit
-probability.  Rollout trajectories are replayed several times per epoch
-with log-probabilities recomputed against the current parameters;
-actions and advantages stay fixed.  Each group's decisions are packed
+probability, both at temperature 1.  Rollout trajectories are replayed
+``replay_factor`` times per epoch, each update treated as on-policy:
+log-probabilities are recomputed against the current parameters, and
+actions and advantages stay fixed.  The behaviour log-prob of each
+decision, at the sampling temperature, stays in its ``decision`` event
+and is not used by the loss.  Each group's decisions are packed
 into row matrices once per epoch, from the ``decision``, ``step`` and
 ``admit`` events, so a replay update is one batched forward and
 backward pass over its stored rows.  A group's rollouts share one
@@ -36,7 +39,6 @@ from .controller import (
     StepTriplet,
     action_index,
     embed,
-    softmax,
     step_loss_grads,
     step_mean,
 )
@@ -144,19 +146,28 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
     k: int = 3
-    importance_weighting: bool = False
     checkpoint_dir: str | None = None
     report_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("group_size", "epochs", "replay_factor", "seed", "k"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is no count
+                raise ValidationError(f"{name} must be an int, not {value!r}")
+        for name in ("beta", "lambda_sparse", "sample_temperature", "lr", "weight_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, not {value!r}")
         if self.group_size < 2:
             raise ValidationError("group_size must be >= 2 for a defined std")
         if self.epochs < 1 or self.replay_factor < 1:
             raise ValidationError("epochs and replay_factor must be >= 1")
-        if self.sample_temperature <= 0:
-            raise ValidationError("sample_temperature must be > 0")
-        if self.lambda_sparse < 0:
-            raise ValidationError("lambda_sparse must be >= 0")
+        if self.seed < 0 or self.k < 1:
+            raise ValidationError("seed must be >= 0 and k >= 1")
+        if self.sample_temperature <= 0 or self.lr <= 0:
+            raise ValidationError("sample_temperature and lr must be > 0")
+        if self.lambda_sparse < 0 or self.weight_decay < 0:
+            raise ValidationError("lambda_sparse and weight_decay must be >= 0")
 
 
 @dataclass
@@ -182,23 +193,22 @@ class _ReplayGroup:
     context: ControllerContext
     actions: np.ndarray        # (n,) action index, 0 = YES
     advantages: np.ndarray     # (n,)
-    logp_collect: np.ndarray   # (n,) at temperature 1, under collection-time params
 
 
 def _store_group(
     streams: list[list[dict]],
     rewards: list[float],
     config: TrainConfig,
-    policy: AdmissionPolicy,
     provider: EmbeddingProvider,
 ) -> _ReplayGroup:
     """Freeze one group's advantages and pack its decisions into rows.
 
     Each stream is one rollout's events.  A decision is joined with its
     ``step`` event on (team, step); the bank's key rows are rebuilt from
-    the ``admit`` events in file order.  ``logp_collect`` comes from one
-    forward pass over the whole group; a row's logits do not depend on
-    the rows batched with it.
+    the ``admit`` events in file order.  No forward pass runs here: the
+    rows are replayed against the parameters of each update, and the
+    behaviour log-prob of a decision, at the temperature it was sampled
+    with, is its ``decision`` event's ``log_prob``.
     """
     d_e = provider.dimension
     kept: list[tuple[dict, dict, float]] = []  # decision event, its step event, advantage
@@ -239,13 +249,10 @@ def _store_group(
         memory_sizes=np.array([d["mem_size"] for d, _, _ in kept], dtype=np.intp),
         step_means=np.array([step_mean(provider, t) for t in triplets]).reshape(n, d_e),
     )
-    actions = np.array([action_index(d["action"]) for d, _, _ in kept], dtype=np.intp)
-    logits, _ = policy.forward(context)
     return _ReplayGroup(
         context=context,
-        actions=actions,
+        actions=np.array([action_index(d["action"]) for d, _, _ in kept], dtype=np.intp),
         advantages=np.array([adv for _, _, adv in kept], dtype=np.float64),
-        logp_collect=np.log(softmax(logits, 1.0)[np.arange(n), actions]),
     )
 
 
@@ -287,17 +294,12 @@ def _group_loss_and_grads(
     per-decision losses.  One forward and one backward pass over every
     decision of the group.
     """
-    p_terms, s_terms, weights, grads = step_loss_grads(
-        policy,
-        group.context,
-        group.actions,
-        group.advantages,
-        config.lambda_sparse,
-        np.full(len(group.actions), 1.0 / config.group_size),
-        group.logp_collect if config.importance_weighting else None,
+    weight = 1.0 / config.group_size
+    p_terms, s_terms, grads = step_loss_grads(
+        policy, group.context, group.actions, group.advantages, config.lambda_sparse, weight
     )
     # Python sums left to right, not pairwise as np.sum; the epoch rows rely on it
-    return sum((weights * p_terms).tolist()), sum((weights * s_terms).tolist()), grads
+    return sum((weight * p_terms).tolist()), sum((weight * s_terms).tolist()), grads
 
 
 def train(
@@ -332,7 +334,7 @@ def train(
         admit_flags: list[bool] = []
         for task_index, task in enumerate(tasks):
             streams, rewards = _rollout_group(policy, task, provider, config, epoch, task_index)
-            groups.append(_store_group(streams, rewards, config, policy, provider))
+            groups.append(_store_group(streams, rewards, config, provider))
             reward_values.extend(rewards)
             for events in streams:
                 admit_flags.extend(d["action"] == YES for d in decision_events(events))

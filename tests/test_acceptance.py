@@ -130,9 +130,7 @@ def test_c02_gradient_correctness():
             chosen = logp[np.arange(len(actions)), actions]
             return float(np.sum(-advantages * chosen + lam * np.exp(logp[:, 0])))
 
-        *_, grads = step_loss_grads(
-            policy, context, actions, advantages, lam, np.ones(3)
-        )
+        *_, grads = step_loss_grads(policy, context, actions, advantages, lam, 1.0)
         for key in policy.params:
             flat = policy.params[key].ravel()
             for i in range(flat.size):

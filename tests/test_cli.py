@@ -125,6 +125,31 @@ def test_train_rejects_a_config_that_is_no_json_object(tmp_path, capsys, body):
     assert str(cfg_path) in record["message"]
 
 
+@pytest.mark.parametrize("override", [
+    {"lr": -0.001}, {"lr": 0.0}, {"weight_decay": -0.01}, {"beta": float("nan")},
+    {"lambda_sparse": float("inf")}, {"epochs": 1.5}, {"replay_factor": True},
+    {"seed": -1}, {"k": 0}, {"momentum": 0.9},
+], ids=lambda o: "-".join(f"{key}={value}" for key, value in o.items()))
+def test_train_rejects_a_bad_train_value_before_any_rollout(tmp_path, capsys, override):
+    config = {
+        "tasks": {"seed0": 500, "count": 1,
+                  "family": {"depth": 1, "width": 1, "overlap_count": 2,
+                             "distractor_count": 1, "step_cap": 10, "p_fail": 0.05}},
+        "policy": {"embed_dim": 32, "controller_dim": 8},
+        "train": {"group_size": 2, "epochs": 1, "replay_factor": 1,
+                  "lr": 0.001, "seed": 1, "k": 2, **override},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))  # NaN and Infinity as Python's json reads them
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert next(iter(override)) in record["message"]
+    # train() makes the checkpoint directory first; it never started
+    assert not (out / "checkpoints").exists() and not (out / "policy.npz").exists()
+
+
 def test_eval_add_all(tmp_path):
     out = tmp_path / "eval"
     code = main([

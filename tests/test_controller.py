@@ -371,14 +371,13 @@ def test_step_loss_grads_consistency():
     rng = np.random.default_rng(2)
     policy = randomized_policy(5, 4, 2)
     c = random_context(5, 2, rng)
-    p_terms, s_terms, weights, grads = step_loss_grads(
-        policy, c, np.array([0]), np.array([0.7]), 0.05, np.array([2.0])
+    p_terms, s_terms, grads = step_loss_grads(
+        policy, c, np.array([0]), np.array([0.7]), 0.05, 2.0
     )
     lp, lp_grads = log_prob(policy, c, YES)
     py, py_grads = prob_yes_with_grad(policy, c)
     assert p_terms[0] == pytest.approx(-0.7 * lp, abs=1e-12)
     assert s_terms[0] == pytest.approx(py, abs=1e-12)
-    assert weights[0] == 2.0
     for key in policy.params:  # weight * (-advantage * dlog pi + lambda * dpi(YES))
         expected = 2.0 * (-0.7 * lp_grads[key] + 0.05 * py_grads[key])
         np.testing.assert_allclose(grads[key], expected, rtol=0.0, atol=1e-12)

@@ -45,3 +45,13 @@ def test_an_undeclared_import_is_found(tmp_path):
     assert undeclared_imports(package, pyproject) == {"orjson"}
     pyproject.write_text('[project]\ndependencies = ["numpy>=1.24", "orjson>=3.8"]\n')
     assert undeclared_imports(package, pyproject) == set()
+
+
+def test_no_package_line_is_longer_than_100_columns():
+    long_lines = [
+        f"{source.name}:{number}"
+        for source in sorted((ROOT / "src" / "hivemem").glob("*.py"))
+        for number, line in enumerate(source.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from hivemem.controller import (
     decide,
     log_prob,
     prob_yes_with_grad,
+    softmax,
     step_loss_grads,
 )
 from hivemem.embeddings import HashingEmbedder
@@ -54,13 +54,13 @@ def pooled_context(query, keys, steps):
 
 def step_loss(policy, context, action, advantage, lambda_sparse, loss_weight=1.0):
     """``step_loss_grads`` on a one-row context: (policy term, sparsity term, grads)."""
-    p_terms, s_terms, _, grads = step_loss_grads(
+    p_terms, s_terms, grads = step_loss_grads(
         policy,
         context,
         np.array([action_index(action)]),
         np.array([float(advantage)]),
         lambda_sparse,
-        np.array([float(loss_weight)]),
+        float(loss_weight),
     )
     return float(p_terms[0]), float(s_terms[0]), grads
 
@@ -457,16 +457,6 @@ def test_nonfinite_logits_fail_closed_in_rollout():
     assert all(d["fail_closed"] for d in decision_events(trace.events))
 
 
-def test_importance_weighting_flag():
-    # replayed passes optionally reweight stale trajectories; both modes run
-    for weighted in (False, True):
-        policy = AdmissionPolicy(32, 8, seed=0)
-        cfg = TrainConfig(group_size=2, epochs=1, replay_factor=3, lr=1e-3, seed=11,
-                          k=2, importance_weighting=weighted)
-        report = train(policy, small_tasks(1), PROVIDER, cfg)
-        assert np.isfinite(report.epochs[0]["mean_total_loss"])
-
-
 def test_group_size_validation():
     with pytest.raises(ValidationError):
         TrainConfig(group_size=1)
@@ -543,22 +533,21 @@ def test_rollout_group_shares_a_rule_without_changing_a_trace(monkeypatch):
     assert shared_forwards < len(forwards) <= sum(len(decision_events(e)) for e in streams)
 
 
-def _heavy_group(importance_weighting):
+def _heavy_group():
     """One sampled HEAVY group (k=3, G=5), packed, and the per-step reference.
 
     One decision event is marked fail-closed, and the parameters move after
     the group is packed, as they do between replay passes.  Returns the
     policy, config, the packed group, and per kept decision (context,
-    action, advantage, log-prob at collection time), built from the events.
+    action, advantage), built from the events.
     """
     rng = np.random.default_rng(8)
     policy = _heavy_policy(rng)
-    config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2,
-                         importance_weighting=importance_weighting)
+    config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2)
     task = generate_task(seed=1005, **HEAVY)
     streams, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
     decision_events(streams[1])[2]["fail_closed"] = True
-    group = _store_group(streams, rewards, config, policy, HEAVY_PROVIDER)
+    group = _store_group(streams, rewards, config, HEAVY_PROVIDER)
     reference = []
     for events, reward, a in zip(streams, rewards, group_advantage(rewards)):
         steps = {(e["team"], e["step"]): e for e in events if e["kind"] == "step"}
@@ -576,8 +565,7 @@ def _heavy_group(importance_weighting):
                 np.stack([HEAVY_PROVIDER.embed(step[x]) for x in
                           ("agent_input", "step_summary", "agent_output")]),
             )
-            action = d["action"]
-            reference.append((context, action, adv, log_prob(policy, context, action)[0]))
+            reference.append((context, d["action"], adv))
     assert len(reference) == sum(len(decision_events(e)) for e in streams) - 1
     for key in policy.params:
         policy.params[key] += rng.normal(0.0, 0.05, policy.params[key].shape)
@@ -588,11 +576,8 @@ def _reference_loss_and_grads(policy, config, reference):
     """The per-step replay loop: one one-row step_loss_grads call per decision, in order."""
     grads = policy.zero_grads()
     per_policy, per_sparse = [], []
-    for context, action, adv, logp_collect in reference:
-        weight = 1.0 / config.group_size
-        if config.importance_weighting:
-            logp_now, _ = log_prob(policy, context, action)
-            weight *= math.exp(logp_now - logp_collect)
+    weight = 1.0 / config.group_size
+    for context, action, adv in reference:
         p_term, s_term, g = step_loss(policy, context, action, adv,
                                       config.lambda_sparse, loss_weight=weight)
         per_policy.append(weight * p_term)
@@ -603,18 +588,33 @@ def _reference_loss_and_grads(policy, config, reference):
 
 
 def test_packed_group_covers_empty_memory_and_fail_closed_steps():
-    policy, _, group, reference = _heavy_group(False)
+    policy, _, group, reference = _heavy_group()
     assert len(group.actions) == len(group.advantages) == len(reference)
-    assert [action_index(action) for _, action, _, _ in reference] == group.actions.tolist()
-    assert [adv for _, _, adv, _ in reference] == group.advantages.tolist()
+    assert [action_index(action) for _, action, _ in reference] == group.actions.tolist()
+    assert [adv for _, _, adv in reference] == group.advantages.tolist()
     empty = group.context.memory_sizes == 0
     assert empty.any() and not empty.all()
     # rows of the group's forward equal the one-row forwards, bit for bit
     logits, _ = policy.forward(group.context)
     for row, (context, *_) in zip(logits, reference):
         assert np.array_equal(row, policy.forward(context)[0][0])
-    # taken from one forward over the group, before the parameters moved
-    assert group.logp_collect.tolist() == [logp for *_, logp in reference]
+
+
+def test_decision_events_carry_the_sampling_temperature_log_prob():
+    # a decision event's log_prob is the behaviour policy's log-prob of its
+    # action at the sampling temperature, on the row the group packs for it
+    policy = _heavy_policy(np.random.default_rng(8))
+    config = TrainConfig(group_size=5, k=3, seed=2, sample_temperature=1.2)
+    task = generate_task(seed=1005, **HEAVY)
+    streams, rewards = _rollout_group(policy, task, HEAVY_PROVIDER, config, 0, 0)
+    group = _store_group(streams, rewards, config, HEAVY_PROVIDER)
+    logged = [d["log_prob"] for events in streams for d in decision_events(events)
+              if not d["fail_closed"]]
+    logits, _ = policy.forward(group.context)
+    rows = np.arange(len(group.actions))
+    behaviour = np.log(softmax(logits, config.sample_temperature)[rows, group.actions])
+    assert len(logged) == len(rows) and set(group.actions.tolist()) == {0, 1}
+    assert logged == behaviour.tolist()
 
 
 def test_a_group_read_back_from_trace_files_packs_the_same_rows(tmp_path):
@@ -633,12 +633,12 @@ def test_a_group_read_back_from_trace_files_packs_the_same_rows(tmp_path):
     assert read_back == streams
     read_rewards = [episode_reward(events) for events in read_back]
     assert read_rewards == rewards and len(set(rewards)) > 1
-    group = _store_group(streams, rewards, config, policy, HEAVY_PROVIDER)
-    from_files = _store_group(read_back, read_rewards, config, policy, HEAVY_PROVIDER)
+    group = _store_group(streams, rewards, config, HEAVY_PROVIDER)
+    from_files = _store_group(read_back, read_rewards, config, HEAVY_PROVIDER)
     for name in ("queries", "memory_means", "memory_sizes", "step_means"):
         packed, reread = getattr(group.context, name), getattr(from_files.context, name)
         assert packed.dtype == reread.dtype and np.array_equal(packed, reread), name
-    for name in ("actions", "advantages", "logp_collect"):
+    for name in ("actions", "advantages"):
         packed, reread = getattr(group, name), getattr(from_files, name)
         assert packed.dtype == reread.dtype and np.array_equal(packed, reread), name
     assert len(group.actions) == sum(len(decision_events(e)) for e in streams) - 1
@@ -653,18 +653,18 @@ def _packed_loss_and_grads(policy, config, group, monkeypatch):
     calls = []
 
     def recording(*args):
-        calls.append(step_loss_grads(*args))
-        return calls[-1]
+        calls.append((args[5], step_loss_grads(*args)))  # its loss weight, and the result
+        return calls[-1][1]
 
     monkeypatch.setattr(training_mod, "step_loss_grads", recording)
     policy_term, sparsity_term, grads = _group_loss_and_grads(policy, group, config)
-    ((p_terms, s_terms, weights, _),) = calls
-    per_policy, per_sparse = (weights * p_terms).tolist(), (weights * s_terms).tolist()
+    ((weight, (p_terms, s_terms, _)),) = calls
+    per_policy, per_sparse = (weight * p_terms).tolist(), (weight * s_terms).tolist()
     return per_policy, per_sparse, policy_term, sparsity_term, grads
 
 
 def test_packed_replay_equals_per_step_loop_bit_for_bit(monkeypatch):
-    policy, config, group, reference = _heavy_group(False)
+    policy, config, group, reference = _heavy_group()
     packed_policy, packed_sparse, policy_term, sparsity_term, grads = _packed_loss_and_grads(
         policy, config, group, monkeypatch)
     per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
@@ -676,17 +676,3 @@ def test_packed_replay_equals_per_step_loop_bit_for_bit(monkeypatch):
     for key in policy.params:
         assert np.array_equal(grads[key], ref_grads[key]), key
 
-
-def test_packed_replay_with_importance_weights_matches_loop(monkeypatch):
-    policy, config, group, reference = _heavy_group(True)
-    packed_policy, packed_sparse, _, _, grads = _packed_loss_and_grads(
-        policy, config, group, monkeypatch)
-    per_policy, per_sparse, ref_grads = _reference_loss_and_grads(policy, config, reference)
-    # the ratios are not all 1: the parameters moved after collection
-    plain = _reference_loss_and_grads(
-        policy, dataclasses.replace(config, importance_weighting=False), reference)
-    assert not np.allclose(plain[0], per_policy, rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(packed_policy, per_policy, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(packed_sparse, per_sparse, rtol=0.0, atol=1e-12)
-    for key in policy.params:
-        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0.0, atol=1e-12)
