@@ -24,31 +24,49 @@ from .sim import VARIANT_NAMES, SimTask, generate_task, run_variant, variant_pol
 from .training import TrainConfig, train
 
 
-def _make_tasks(args) -> list[SimTask]:
-    if args.task_file:
-        return [_read_json_object(Path(args.task_file), "task file", lambda f: SimTask(**f))]
-    return [
-        generate_task(
-            seed=args.task_seed + i,
-            depth=args.depth,
-            width=args.width,
-            overlap_count=args.overlap,
-            distractor_count=args.distractors,
-            step_cap=args.cap,
-            p_fail=args.p_fail,
+def _exact_keys(what: str, block, keys: tuple[str, ...]) -> None:
+    """A ValidationError unless ``block`` is an object with exactly ``keys``."""
+    if not isinstance(block, dict):
+        raise ValidationError(f"{what} is {type(block).__name__}, not an object")
+    unknown, missing = sorted(set(block) - set(keys)), sorted(set(keys) - set(block))
+    if unknown or missing:
+        raise ValidationError(
+            f"{what} holds exactly {', '.join(keys)}: unknown {unknown}, missing {missing}"
         )
-        for i in range(args.tasks)
-    ]
 
 
-def _load_policy(args, provider):
-    """The admission rule ``--policy`` names; None for ``no-memory``."""
+def task_family(block) -> list[SimTask]:
+    """The tasks of a ``tasks`` block: ``generate_task(seed=s, **family)``
+    for each ``s`` from ``seed0`` to ``seed0 + count - 1``.
+
+    The block holds exactly ``seed0``, an int >= 0, ``count``, an int >= 1,
+    and ``family``, an object of ``SimTask``'s fields but ``seed``; those it
+    leaves out keep their defaults.  Anything else, or a family ``SimTask``
+    rejects, is a ValidationError.
+    """
+    _exact_keys("tasks", block, ("seed0", "count", "family"))
+    seed0, count, family = block["seed0"], block["count"], block["family"]
+    for name, value, least in (("seed0", seed0, 0), ("count", count, 1)):
+        if type(value) is not int or value < least:  # a bool is no int here
+            raise ValidationError(f"tasks.{name} must be an int >= {least}, not {value!r}")
+    if not isinstance(family, dict):
+        raise ValidationError(f"tasks.family is {type(family).__name__}, not an object")
+    try:
+        return [generate_task(seed=s, **family) for s in range(seed0, seed0 + count)]
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"tasks.family: {exc}") from exc
+
+
+def _load_policy(args):
+    """The admission rule ``--policy`` names (None for ``no-memory``) and
+    the embedder it reads keys with: a learned policy's is as wide as its
+    checkpoint; no fixed rule reads the key embeddings."""
     if args.policy == "learned":
         if not args.checkpoint:
             raise ValidationError("--policy learned requires --checkpoint")
-        policy, _ = AdmissionPolicy.load(args.checkpoint, expected_embed_dim=provider.dimension)
-        return variant_policy("learned", policy)
-    return variant_policy(args.policy)
+        policy, _ = AdmissionPolicy.load(args.checkpoint)
+        return variant_policy("learned", policy), HashingEmbedder(policy.embed_dim)
+    return variant_policy(args.policy), HashingEmbedder()
 
 
 def _episode_files(directory: Path) -> list[Path]:
@@ -103,7 +121,8 @@ def _run_llm(args, provider, rule) -> int:
     config = EndpointConfig.from_env()
     backend = LLMBackend(config)
     aggregator = LLMAggregator(config)
-    task = TaskSpec(task_id="llm-task", query=args.query, step_cap=args.cap)
+    cap = {} if args.cap is None else {"step_cap": args.cap}
+    task = TaskSpec(task_id="llm-task", query=args.query, **cap)
     (out / "metrics.json").unlink(missing_ok=True)  # written again only on success
     streams, written = [], []
     try:
@@ -134,11 +153,21 @@ def _run_llm(args, provider, rule) -> int:
 def cmd_run(args) -> int:
     """``run`` and ``eval``: episodes under one admission rule, written to
     ``--out`` as trace files and a ``metrics.json`` nothing reads back."""
-    provider = HashingEmbedder(args.embed_dim)
-    rule = _load_policy(args, provider)
-    if getattr(args, "backend", "sim") == "llm":  # only ``run`` has --backend
+    if args.episodes < 1:
+        raise ValidationError(f"--episodes must be >= 1, not {args.episodes}")
+    if args.backend == "llm":
+        unread = {"--tasks": args.tasks}
+    else:
+        unread = {"--query": args.query, "--cap": args.cap}
+    for flag, value in unread.items():
+        if value is not None:
+            raise ValidationError(f"--backend {args.backend} does not read {flag}")
+    rule, provider = _load_policy(args)
+    if args.backend == "llm":
         return _run_llm(args, provider, rule)
-    tasks = _make_tasks(args)
+    if args.tasks is None:
+        raise ValidationError("the sim backend requires --tasks FILE")
+    tasks = _read_json(Path(args.tasks), "tasks file", task_family)
     seeds = list(range(args.seed, args.seed + args.episodes))
     out = _output_dir(args.out)
     metrics, traces = run_variant(tasks, rule, args.k, seeds, provider, keep_traces=True)
@@ -154,41 +183,38 @@ def cmd_run(args) -> int:
 def training_setup(cfg: dict, out: Path):
     """Tasks, policy, embedder and ``TrainConfig`` of a ``hivemem train`` config.
 
-    ``tasks.family`` holds ``generate_task``'s keywords, ``policy``
-    ``AdmissionPolicy``'s and ``train`` ``TrainConfig``'s; checkpoints and
-    the report go under ``out``.
+    The config holds exactly ``tasks``, a block ``task_family`` reads,
+    ``policy``, ``AdmissionPolicy``'s keywords, and ``train``,
+    ``TrainConfig``'s; checkpoints and the report go under ``out``.
     """
+    _exact_keys("training config", cfg, ("tasks", "policy", "train"))
+    tasks = task_family(cfg["tasks"])
     try:
-        task_cfg = cfg["tasks"]
-        seeds = range(task_cfg["seed0"], task_cfg["seed0"] + task_cfg["count"])
-        tasks = [generate_task(seed=s, **task_cfg["family"]) for s in seeds]
         policy = AdmissionPolicy(**cfg["policy"])
         config = TrainConfig(
             **cfg["train"],
             checkpoint_dir=str(out / "checkpoints"),
             report_path=str(out / "report.jsonl"),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad training config: {type(exc).__name__}: {exc}") from exc
+    except TypeError as exc:  # an unknown or missing keyword
+        raise ValidationError(str(exc)) from exc
     return tasks, policy, HashingEmbedder(policy.embed_dim), config
 
 
-def _read_json_object(path: Path, what: str, build=dict):
-    """``build`` of the JSON object in ``path``; a ValidationError naming the
-    file when it cannot be read, holds no object or ``build`` rejects it."""
+def _read_json(path: Path, what: str, build):
+    """``build`` of the JSON value in ``path``; a ValidationError naming the
+    file when it cannot be read or parsed, or ``build`` rejects the value."""
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(value, dict):
-            raise TypeError(f"{type(value).__name__}, not an object")
-        return build(value)
-    except (OSError, TypeError, ValueError) as exc:  # ValueError includes bad JSON
+        return build(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, ValidationError) as exc:  # ValueError: bad JSON or UTF-8
         raise ValidationError(f"bad {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
-    cfg = _read_json_object(Path(args.config), "training config")
-    out = _output_dir(args.out or cfg.get("out", "train_out"))
-    tasks, policy, provider, config = training_setup(cfg, out)
+    tasks, policy, provider, config = _read_json(
+        Path(args.config), "training config", lambda cfg: training_setup(cfg, Path(args.out))
+    )
+    out = _output_dir(args.out)
     train(policy, tasks, provider, config)
     policy.save(str(out / "policy.npz"), provider_name=provider.name)
     sys.stdout.write(f"trained policy written to {out / 'policy.npz'}\n")
@@ -226,20 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags ``run`` and ``eval`` share
     episodes = argparse.ArgumentParser(add_help=False)
     episodes.add_argument(
-        "--task-file", help="load a sim task, a JSON object of SimTask's parameters"
+        "--tasks", metavar="FILE",
+        help="sim tasks: a JSON object of seed0, count and family, as in a training config",
     )
-    episodes.add_argument("--task-seed", type=int, default=0, help="seed for task generation")
-    episodes.add_argument("--depth", type=int, default=2, help="chain depth")
-    episodes.add_argument("--width", type=int, default=1, help="private chains per team")
-    episodes.add_argument("--overlap", type=int, default=6, help="shared subtask count")
-    episodes.add_argument("--distractors", type=int, default=0, help="distractor lure count")
-    episodes.add_argument("--p-fail", type=float, default=0.15, help="per-step retry probability")
-    episodes.add_argument("--cap", type=int, default=30, help="per-team step cap (default 30)")
     episodes.add_argument("--k", type=int, default=3, help="parallel teams (default 3)")
     episodes.add_argument("--checkpoint", help="policy checkpoint for --policy learned")
-    episodes.add_argument("--seed", type=int, default=0)
-    episodes.add_argument("--episodes", type=int, default=1)
-    episodes.add_argument("--embed-dim", type=int, default=64)
+    episodes.add_argument("--seed", type=int, default=0, help="first episode seed")
+    episodes.add_argument("--episodes", type=int, default=1, help="episode seeds per task")
     episodes.add_argument(
         "--out", required=True,
         help="output directory for traces and metrics; a run removes the episode_*.jsonl "
@@ -255,20 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="sim: deterministic scripted teams; llm: chat endpoint from env config",
     )
     p_run.add_argument("--query", help="task query for --backend llm")
-    p_run.add_argument("--tasks", type=int, default=1, help="number of generated tasks")
+    p_run.add_argument("--cap", type=int, help="per-team step cap for --backend llm (default 30)")
     p_run.set_defaults(func=cmd_run)
 
     p_train = sub.add_parser("train", help="train the admission controller")
     p_train.add_argument("--config", required=True, help="JSON training config file")
-    p_train.add_argument("--out", help="output directory (checkpoints, report)")
+    p_train.add_argument("--out", required=True, help="output directory (checkpoints, report)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser(
         "eval", parents=[episodes], help="evaluate a checkpoint or baseline variant"
     )
     p_eval.add_argument("--policy", default="learned", choices=VARIANT_NAMES)
-    p_eval.add_argument("--tasks", type=int, default=10, help="number of generated tasks")
-    p_eval.set_defaults(func=cmd_run)
+    p_eval.set_defaults(func=cmd_run, backend="sim", query=None, cap=None)  # run's sim defaults
 
     p_report = sub.add_parser("report", help="summary tables and plot data from run dirs")
     p_report.add_argument("inputs", nargs="+", help="run directories, optionally name=path")

@@ -11,10 +11,20 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = ROOT / "hivebench" / "pinned"
 
 
+def _tasks_file(directory, seed0=0, count=1, **family) -> str:
+    """A ``--tasks`` file in ``directory``: ``count`` tasks from ``seed0``
+    of a family of depth 2, width 1 and 6 shared subtasks, or as ``family``
+    overrides it."""
+    path = directory / f"tasks_{seed0}_{count}.json"
+    family = {"depth": 2, "width": 1, "overlap_count": 6, **family}
+    path.write_text(json.dumps({"seed0": seed0, "count": count, "family": family}))
+    return str(path)
+
+
 def test_run_no_memory(tmp_path, capsys):
     out = tmp_path / "run"
     code = main([
-        "run", "--task-seed", "5", "--overlap", "4", "--episodes", "2",
+        "run", "--tasks", _tasks_file(tmp_path, 5, overlap_count=4), "--episodes", "2",
         "--policy", "no-memory", "--out", str(out),
     ])
     assert code == 0
@@ -30,11 +40,24 @@ def test_run_defaults_documented():
 
     parser = build_parser()
     args = parser.parse_args(["run", "--out", "x"])
-    assert args.k == 3
-    assert args.cap == 30
+    assert (args.k, args.seed, args.episodes, args.policy, args.backend) == (
+        3, 0, 1, "no-memory", "sim")
+    assert (args.tasks, args.cap, args.query, args.checkpoint) == (None,) * 4
     args = parser.parse_args(["eval", "--out", "x"])
-    assert (args.k, args.cap, args.seed, args.episodes, args.embed_dim) == (3, 30, 0, 1, 64)
-    assert (args.policy, args.tasks, args.checkpoint) == ("learned", 10, None)
+    assert (args.k, args.seed, args.episodes, args.policy) == (3, 0, 1, "learned")
+    assert (args.tasks, args.checkpoint) == (None, None)
+    # each command's options, --help aside
+    options = {name: sorted(a.dest for a in sub._actions if a.dest != "help")
+               for name, sub in parser._subparsers._group_actions[0].choices.items()}
+    assert options == {
+        "run": ["backend", "cap", "checkpoint", "episodes", "k", "out", "policy", "query",
+                "seed", "tasks"],
+        "eval": ["checkpoint", "episodes", "k", "out", "policy", "seed", "tasks"],
+        "train": ["config", "out"],
+        "report": ["inputs", "out"],
+    }
+    with pytest.raises(SystemExit):  # train writes only where --out says
+        parser.parse_args(["train", "--config", "c.json"])
 
 
 def test_train_then_eval_learned(tmp_path):
@@ -55,11 +78,11 @@ def test_train_then_eval_learned(tmp_path):
     assert (out / "checkpoints" / "epoch_000.npz").exists()
 
     eval_out = tmp_path / "eval"
-    code = main([
+    held_out = {**config["tasks"], "seed0": 600}
+    (tmp_path / "held_out.json").write_text(json.dumps(held_out))
+    code = main([  # the checkpoint fixes the embedding size: 32
         "eval", "--checkpoint", str(out / "policy.npz"), "--policy", "learned",
-        "--task-seed", "600", "--tasks", "2", "--depth", "1", "--overlap", "2",
-        "--distractors", "1", "--cap", "10", "--embed-dim", "32",
-        "--out", str(eval_out),
+        "--tasks", str(tmp_path / "held_out.json"), "--out", str(eval_out),
     ])
     assert code == 0
     assert len(list(eval_out.glob("episode_*.jsonl"))) == 2  # one episode per task
@@ -153,7 +176,7 @@ def test_train_rejects_a_bad_train_value_before_any_rollout(tmp_path, capsys, ov
 def test_eval_add_all(tmp_path):
     out = tmp_path / "eval"
     code = main([
-        "eval", "--policy", "add-all", "--tasks", "2", "--overlap", "4",
+        "eval", "--policy", "add-all", "--tasks", _tasks_file(tmp_path, count=2, overlap_count=4),
         "--out", str(out),
     ])
     assert code == 0
@@ -164,7 +187,7 @@ def test_eval_add_all(tmp_path):
 
 def test_report_combines_dirs(tmp_path, capsys):
     for name, policy in (("a", "no-memory"), ("b", "add-all")):
-        main(["run", "--task-seed", "7", "--overlap", "4", "--episodes", "2",
+        main(["run", "--tasks", _tasks_file(tmp_path, 7, overlap_count=4), "--episodes", "2",
               "--policy", policy, "--out", str(tmp_path / name)])
     out = tmp_path / "report"
     code = main([
@@ -177,7 +200,7 @@ def test_report_combines_dirs(tmp_path, capsys):
 
 
 def test_report_from_trace_files(tmp_path):
-    main(["run", "--task-seed", "9", "--overlap", "4", "--episodes", "1",
+    main(["run", "--tasks", _tasks_file(tmp_path, 9, overlap_count=4), "--episodes", "1",
           "--policy", "add-all", "--out", str(tmp_path / "r")])
     out = tmp_path / "rep"
     assert main(["report", str(tmp_path / "r"), "--out", str(out)]) == 0
@@ -185,7 +208,7 @@ def test_report_from_trace_files(tmp_path):
 
 def test_report_rejects_two_inputs_of_one_name(tmp_path, capsys):
     for parent in ("b", "x"):
-        main(["run", "--task-seed", "7", "--overlap", "4", "--policy", "add-all",
+        main(["run", "--tasks", _tasks_file(tmp_path, 7, overlap_count=4), "--policy", "add-all",
               "--out", str(tmp_path / parent / "a")])
     capsys.readouterr()
     out = tmp_path / "rep"
@@ -200,7 +223,7 @@ def test_report_rejects_two_inputs_of_one_name(tmp_path, capsys):
 @pytest.mark.parametrize("content", ["empty", "header-only", "invalid-utf8"])
 def test_report_rejects_an_incomplete_trace_file(tmp_path, capsys, content):
     run = tmp_path / "r"
-    main(["run", "--task-seed", "9", "--overlap", "4", "--episodes", "2",
+    main(["run", "--tasks", _tasks_file(tmp_path, 9, overlap_count=4), "--episodes", "2",
           "--policy", "add-all", "--out", str(run)])
     header = (run / "episode_00000.jsonl").read_bytes().splitlines(keepends=True)[0]
     bad = run / "episode_00002.jsonl"
@@ -219,8 +242,10 @@ def test_a_rerun_into_one_directory_reports_only_its_own_episodes(tmp_path):
     from hivemem.metrics import RunMetrics, render_table
 
     out = tmp_path / "run"
+    tasks = _tasks_file(tmp_path)
     for policy, episodes in (("add-all", "4"), ("no-memory", "2")):
-        assert main(["run", "--policy", policy, "--episodes", episodes, "--out", str(out)]) == 0
+        assert main(["run", "--tasks", tasks, "--policy", policy, "--episodes", episodes,
+                     "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "episode_00000.jsonl", "episode_00001.jsonl", "metrics.json"]
     rep = tmp_path / "rep"
@@ -245,7 +270,7 @@ def test_report_rejects_a_metrics_only_directory(tmp_path, capsys):
 def _write_checkpoint(path, meta=None):
     from hivemem.controller import AdmissionPolicy
 
-    AdmissionPolicy(64, 4).save(str(path))  # the CLI's default --embed-dim
+    AdmissionPolicy(64, 4).save(str(path))
     if meta is not None:  # swap in another meta blob
         with np.load(path) as data:
             params = {key: data[key] for key in data.files if key != "__meta__"}
@@ -278,7 +303,7 @@ def _bad_checkpoint(path, kind):
 def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys, kind):
     checkpoint = tmp_path / "policy.npz"
     _bad_checkpoint(checkpoint, kind)
-    assert main(["eval", "--checkpoint", str(checkpoint), "--tasks", "1",
+    assert main(["eval", "--checkpoint", str(checkpoint), "--tasks", _tasks_file(tmp_path),
                  "--out", str(tmp_path / "eval")]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigurationError"
@@ -399,60 +424,88 @@ def test_error_record_on_failure(tmp_path, capsys):
     assert "checkpoint" in record["message"]
 
 
-def test_error_record_bad_task_params(tmp_path, capsys):
-    code = main(["run", "--depth", "0", "--out", str(tmp_path / "x")])
-    assert code != 0
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ValidationError"
+_FAMILY = {"depth": 1, "width": 1, "overlap_count": 2}
 
 
-def _task_fields() -> dict:
-    from hivemem.sim import generate_task
-
-    return json.loads(generate_task(seed=1, depth=1, width=1, overlap_count=2).to_json())
+def _tasks_body(family=(), **block) -> str:
+    """A tasks block of one task from seed 1, with ``family`` and ``block``
+    changing or adding fields."""
+    return json.dumps({"seed0": 1, "count": 1, "family": {**_FAMILY, **dict(family)}, **block})
 
 
 @pytest.mark.parametrize("body", [
     "{",
-    json.dumps({**_task_fields(), "bogus": 1}),
-    json.dumps({**_task_fields(), "p_fail": 3.0}),
-    json.dumps({**_task_fields(), "solve_cost": -5.0}),
-    json.dumps({**_task_fields(), "width": 0}),
-    json.dumps({**_task_fields(), "depth": 0}),
-    json.dumps({**_task_fields(), "pollution_corrupt_rate": 7.0}),
-    json.dumps({**_task_fields(), "shared_chains": [["s0", "zz"]]}),
-    json.dumps({**_task_fields(), "values": {"s0": "000000", "s1": "000000"}}),
+    _tasks_body({"bogus": 1}),
+    _tasks_body({"p_fail": 3.0}),
+    _tasks_body({"solve_cost": -5.0}),
+    _tasks_body({"width": 0}),
+    _tasks_body({"depth": 0}),
+    _tasks_body({"pollution_corrupt_rate": 7.0}),
+    _tasks_body({"shared_chains": [["s0", "zz"]]}),
+    _tasks_body({"values": {"s0": "000000", "s1": "000000"}}),
     None,
+    _tasks_body({"seed": 3}),
+    _tasks_body(count=0),
+    _tasks_body(seed0=True),
+    _tasks_body(seed0=-1),
+    _tasks_body(count=2.0),
+    _tasks_body(sede0=1),
+    json.dumps({"seed0": 1, "family": _FAMILY}),
+    json.dumps({"seed0": 1, "count": 1, "family": [1]}),
+    "[1]",
 ], ids=["malformed-json", "unknown-key", "p_fail-out-of-range", "negative-solve-cost",
         "zero-width", "zero-depth", "corrupt-rate-above-one", "chain-of-an-unknown-node",
-        "stale-values", "missing-file"])
+        "stale-values", "missing-file", "seed-in-family", "count-zero", "seed0-a-bool",
+        "negative-seed0", "count-a-float", "misspelt-block-key", "missing-count",
+        "family-not-an-object", "not-an-object"])
 def test_run_rejects_a_bad_task_file(tmp_path, capsys, body):
-    task_file = tmp_path / "task.json"
+    task_file = tmp_path / "tasks.json"
     if body is not None:
         task_file.write_text(body)
     out = tmp_path / "run"
-    assert main(["run", "--task-file", str(task_file), "--out", str(out)]) == 1
+    assert main(["run", "--tasks", str(task_file), "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
+    assert str(task_file) in record["message"]
     assert not out.exists()
 
 
 def test_run_reads_a_task_file(tmp_path):
-    task_file = tmp_path / "task.json"
-    task_file.write_text(json.dumps(_task_fields()))
+    # run writes the episodes run_variant gives on the tasks the block describes
+    from hivemem.embeddings import HashingEmbedder
+    from hivemem.sim import generate_task, run_variant, variant_policy
+    from hivemem.tracefile import write_events
+
+    family = {"depth": 2, "width": 1, "overlap_count": 4, "distractor_count": 2, "p_fail": 0.1}
     out = tmp_path / "run"
-    assert main(["run", "--task-file", str(task_file), "--policy", "add-all",
+    assert main(["run", "--tasks", _tasks_file(tmp_path, 30, count=2, **family),
+                 "--policy", "add-all", "--k", "2", "--seed", "3", "--episodes", "2",
                  "--out", str(out)]) == 0
-    assert json.loads((out / "metrics.json").read_text())["episodes"] == 1
+    tasks = [generate_task(seed=s, **family) for s in (30, 31)]
+    _, traces = run_variant(tasks, variant_policy("add-all"), 2, [3, 4], HashingEmbedder(),
+                            keep_traces=True)
+    files = sorted(out.glob("episode_*.jsonl"))
+    assert len(files) == len(traces) == 4
+    expected = tmp_path / "expected.jsonl"
+    for path, trace in zip(files, traces):
+        write_events(expected, trace.events)
+        assert path.read_bytes() == expected.read_bytes(), path.name
+    assert json.loads((out / "metrics.json").read_text())["episodes"] == 4
 
 
 _OUT_COMMANDS = {
-    "run": ["run", "--episodes", "1"],
-    "eval": ["eval", "--policy", "add-all", "--tasks", "1"],
+    "run": ["run", "--tasks", "TASKS", "--episodes", "1"],
+    "eval": ["eval", "--policy", "add-all", "--tasks", "TASKS"],
     "report": ["report", "RUN_DIR"],
     "train": ["train", "--config", str(PINNED / "train_config.json")],
     "run-llm": ["run", "--backend", "llm", "--query", "q"],
 }
+
+
+def _argv(command, tmp_path, run_dir) -> list[str]:
+    """``command``'s arguments, with a run directory and a tasks file filled in."""
+    fill = {"RUN_DIR": str(run_dir), "TASKS": _tasks_file(tmp_path)}
+    return [fill.get(a, a) for a in _OUT_COMMANDS[command]]
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
@@ -472,8 +525,7 @@ def test_out_that_cannot_be_a_directory_fails_before_any_work(
     run_dir = tmp_path / "r"
     run_dir.mkdir()
     (run_dir / "episode_00000.jsonl").write_text("")
-    argv = [str(run_dir) if a == "RUN_DIR" else a for a in _OUT_COMMANDS[command]]
-    assert main([*argv, "--out", str(out)]) == 1
+    assert main([*_argv(command, tmp_path, run_dir), "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
     assert str(out) in record["message"]
@@ -496,8 +548,7 @@ def test_a_directory_named_like_an_episode_fails_before_any_work(
     offending = run_dir / "episode_99999.jsonl"
     offending.mkdir()
     out = tmp_path / "rep" if command == "report" else run_dir
-    argv = [str(run_dir) if a == "RUN_DIR" else a for a in _OUT_COMMANDS[command]]
-    assert main([*argv, "--out", str(out)]) == 1
+    assert main([*_argv(command, tmp_path, run_dir), "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
     assert str(offending) in record["message"]
@@ -505,7 +556,103 @@ def test_a_directory_named_like_an_episode_fails_before_any_work(
 
 
 def test_run_refuses_a_negative_seed(tmp_path, capsys):
-    assert main(["run", "--episodes", "1", "--seed", "-5", "--out", str(tmp_path / "x")]) == 1
+    assert main(["run", "--tasks", _tasks_file(tmp_path), "--episodes", "1", "--seed", "-5",
+                 "--out", str(tmp_path / "x")]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
     assert "-5" in record["message"]
+
+
+@pytest.mark.parametrize("bad", [["--episodes", "0"], ["--episodes", "-2"], ["count", "0"]],
+                         ids=["no-episodes", "negative-episodes", "no-tasks"])
+def test_a_run_of_no_episodes_fails_before_out_is_touched(tmp_path, monkeypatch, capsys, bad):
+    out = tmp_path / "run"
+    tasks = _tasks_file(tmp_path)
+    assert main(["run", "--tasks", tasks, "--policy", "add-all", "--episodes", "3",
+                 "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 4  # three episodes and metrics.json
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a run of no episodes")
+
+    monkeypatch.setattr("hivemem.cli.run_variant", no_work)
+    argv = ["--tasks", tasks, *bad] if bad[0] == "--episodes" else [
+        "--tasks", _tasks_file(tmp_path, count=0)]
+    capsys.readouterr()
+    assert main(["run", "--policy", "add-all", *argv, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--backend", "llm", "--query", "q", "--tasks", "TASKS"], "--tasks"),
+    (["--tasks", "TASKS", "--query", "q"], "--query"),
+    (["--tasks", "TASKS", "--cap", "5"], "--cap"),
+], ids=["tasks-with-llm", "query-with-sim", "cap-with-sim"])
+def test_a_flag_the_backend_does_not_read_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, flag
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr("hivemem.cli.run_variant", no_work)
+    monkeypatch.setattr("hivemem.endpoint.EndpointConfig.from_env", no_work)
+    argv = [_tasks_file(tmp_path) if a == "TASKS" else a for a in argv]
+    out = tmp_path / "run"
+    assert main(["run", *argv, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert flag in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["top-level", "tasks"])
+def test_train_rejects_an_unknown_config_key(tmp_path, capsys, where):
+    cfg = json.loads((PINNED / "train_config.json").read_text())
+    cfg["train"]["epochs"] = 1
+    if where == "top-level":
+        cfg["trian"] = {"epochs": 3}
+    else:
+        cfg["tasks"]["sede0"] = 7
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert ("trian" if where == "top-level" else "sede0") in record["message"]
+    assert not out.exists()
+
+
+def _readme_block(readme: str, heading: str, language: str) -> str:
+    return re.search(heading + r"\s*```" + language + r"\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_cli_commands_parse_and_its_tasks_file_builds():
+    import shlex
+
+    from hivemem.cli import build_parser, task_family
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = _readme_block(readme, "## CLI", "bash").replace("\\\n", " ").splitlines()
+    commands = {}
+    for line in lines:
+        if line.startswith("hivemem "):
+            argv = shlex.split(line)[1:]
+            build_parser().parse_args(argv)  # an out-of-date flag exits here
+            commands[argv[0]] = argv
+    assert sorted(commands) == ["eval", "report", "run", "train"]
+
+    name = re.search(r"Example tasks file, `([^`]+)`:", readme).group(1)
+    block = json.loads(_readme_block(readme, "Example tasks file, `[^`]+`:", "json"))
+    tasks = task_family(block)
+    assert len(tasks) == block["count"]
+    eval_argv = commands["eval"]
+    assert eval_argv[eval_argv.index("--tasks") + 1] == name
+    # held out from the example training config's tasks, of the family it trains on
+    cfg = json.loads(_readme_block(readme, "Example training config:", "json"))
+    train_tasks = task_family(cfg["tasks"])
+    assert block["family"] == cfg["tasks"]["family"]
+    assert not {t.seed for t in tasks} & {t.seed for t in train_tasks}
