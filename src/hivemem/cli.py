@@ -66,6 +66,8 @@ def _load_policy(args):
             raise ValidationError("--policy learned requires --checkpoint")
         policy, _ = AdmissionPolicy.load(args.checkpoint)
         return variant_policy("learned", policy), HashingEmbedder(policy.embed_dim)
+    if args.checkpoint is not None:
+        raise ValidationError(f"--policy {args.policy} does not read --checkpoint")
     return variant_policy(args.policy), HashingEmbedder()
 
 
@@ -153,8 +155,10 @@ def _run_llm(args, provider, rule) -> int:
 def cmd_run(args) -> int:
     """``run`` and ``eval``: episodes under one admission rule, written to
     ``--out`` as trace files and a ``metrics.json`` nothing reads back."""
-    if args.episodes < 1:
-        raise ValidationError(f"--episodes must be >= 1, not {args.episodes}")
+    for flag, value, least in (("--episodes", args.episodes, 1), ("--k", args.k, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValidationError(f"{flag} must be >= {least}, not {value}")
     if args.backend == "llm":
         unread = {"--tasks": args.tasks}
     else:

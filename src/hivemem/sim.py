@@ -17,10 +17,9 @@ deterministic given the per-team generator the runtime hands it.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -99,13 +98,14 @@ class SimScorer:
 class SimTask:
     """A sim task, fixed by its parameters: seed, shape and economics.
 
-    The fields are those parameters, all a task file holds, and
-    ``__post_init__`` checks them and derives the rest once:
-    ``shared_chains`` lays shared subtasks ``s0, s1, ...`` out in chains
-    of length ``depth`` (the last may be shorter), ``values`` gives each a
-    seeded value and ``corrupt_values`` the value a polluted team derives
-    instead, ``answer_key`` asks for all (``status=ok`` without any) and
-    ``distractor_targets`` holds each lure's seeded shared subtask.
+    The fields are those parameters (a tasks block's ``family`` holds all
+    but ``seed``), and ``__post_init__`` checks them and derives the rest
+    once: ``shared_chains`` lays shared subtasks ``s0, s1, ...`` out in
+    chains of length ``depth`` (the last may be shorter), ``values`` gives
+    each a seeded value and ``corrupt_values`` the value a polluted team
+    derives instead, ``answer_key`` asks for all (``status=ok`` without
+    any) and ``distractor_targets`` holds each lure's seeded shared
+    subtask.
 
     ``derived`` starts empty and holds what episodes of the task derive
     from it, each built once, on first use (see ``derive``), and shared by
@@ -116,7 +116,8 @@ class SimTask:
     takes.  All are immutable but the scorer's memo, and the task bounds
     their number: a move per node, team, lure, recovery round and step
     cost (a cost per pollution level), a layout per team and k.  None of
-    it is a field, so none is in ``to_json``, equality or the hash.
+    it is a field, so none is in ``dataclasses.asdict``, equality or the
+    hash.
     """
 
     seed: int
@@ -207,13 +208,6 @@ class SimTask:
         if not self.values:
             return "status=ok"
         return ";".join(f"{n}={known_shared[n]}" for n in sorted(known_shared))
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimTask":
-        return cls(**json.loads(text))
 
 
 generate_task = SimTask

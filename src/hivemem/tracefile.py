@@ -39,14 +39,14 @@ file's bytes from that offset on, where truncation left a prefix of the
 new lines; nothing is fsynced either way.  Such a file fails to read when
 the old bytes start inside a line, and fails ``metrics_from_event_streams``
 when they bring a second ``aggregate`` or ``score``.  A file is read as
-bytes.  When it has the written shape (every line one ``{...}`` ending in
-``\\n``, no other brace, no ``\\r``, fewer than 500 ``[`` on a line and
-no run of 19 digits but after a point), orjson parses its lines joined
-into one JSON array, which gives each line's own object.  Any other file,
-or one orjson rejects (NaN or Infinity, a lone surrogate, a float that
-overflows, invalid UTF-8), is read line by line with ``json.loads``.  Its
-first bad line, invalid UTF-8 and arrays nested too deep included, raises a
-``SchemaError`` naming that line.
+bytes, one line at a time: orjson parses each line, and ``json.loads``
+reads the lines orjson rejects (NaN or Infinity, a lone surrogate, a float
+that overflows, invalid UTF-8, bad JSON) or parses to no object.  Two
+whole-file guards send every line to ``json.loads``: a line holding 500 or
+more ``[`` and ``{``, and a run of 19 digits not after a point.  So each
+line gives what ``json.loads`` gives it, and the first bad line, invalid
+UTF-8 and values nested too deep included, raises a ``SchemaError`` naming
+that line.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import os
 import stat
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import orjson
 
@@ -190,34 +190,14 @@ def write_events(path: str | Path, events: Iterable[dict]) -> None:
         os.close(fd)
 
 
-def _one_object_per_line(data: bytes) -> bool:
-    """Whether every line of ``data`` starts with ``{``, ends with ``}\\n``
-    and holds no other brace, and ``data`` holds no ``\\r``.
-
-    Then a successful parse of the lines joined by ``,\\n`` into an array
-    gives exactly the objects each line parses to alone: a string cannot
-    run past its line (JSON strings hold no raw newline), so each line's
-    final brace closes its first, and no value can span two lines.  A
-    ``\\r`` would end a line in text mode, as the line-by-line read sees it.
-    """
-    lines = data.count(b"\n")
-    return (
-        data.count(b"{") == data.count(b"}") == lines
-        and data.count(b"}\n{") == lines - 1
-        and data[:1] == b"{"
-        and data[-2:] == b"}\n"
-        and b"\r" not in data
-    )
-
-
 # orjson reads an integer outside [-2**63, 2**64) as a float; such an
 # integer is a run of 19 or more digits.  A float as repr writes it holds
 # such a run only after its point (1/7000 is 0.00014285714285714287).
 _ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 _LONG_RUN = b"0" * 19
-# json.loads raises RecursionError on arrays nested about 1000 deep, and
-# orjson has crashed the process on millions; fewer "[" on a line bound
-# its nesting.
+# json.loads raises RecursionError on values nested about 1000 deep, which
+# orjson 3.8.3 accepts; it crashed the process on 100,000 nested objects and
+# 2,000,000 nested arrays.  Fewer "[" and "{" on a line bound its nesting.
 _MAX_BRACKETS = 500
 
 
@@ -234,16 +214,10 @@ def _no_long_integer(data: bytes) -> bool:
 
 
 def _shallow(data: bytes) -> bool:
-    """Whether every line of ``data`` holds fewer than ``_MAX_BRACKETS`` ``[``."""
-    return data.count(b"[") < _MAX_BRACKETS or all(
-        line.count(b"[") < _MAX_BRACKETS for line in data.split(b"\n"))
-
-
-def _lines(text: str) -> Iterator[tuple[int, str]]:
-    """Numbered, stripped lines of ``text``; a line ends at ``\\n``,
-    ``\\r\\n`` or ``\\r``, and a text ending in one has an empty last line."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return enumerate(map(str.strip, text.split("\n")), start=1)
+    """Whether every line of ``data`` holds fewer than ``_MAX_BRACKETS``
+    ``[`` and ``{`` together."""
+    return data.count(b"[") + data.count(b"{") < _MAX_BRACKETS or all(
+        line.count(b"[") + line.count(b"{") < _MAX_BRACKETS for line in data.split(b"\n"))
 
 
 def _parse_line(line: str, line_number: int) -> dict:
@@ -261,27 +235,32 @@ def _parse_line(line: str, line_number: int) -> dict:
 def read_events(path: str | Path) -> list[dict]:
     """Validated events of a trace file; raises SchemaError naming the bad line.
 
-    A file of the written shape is parsed once by orjson; any other, or one
-    orjson rejects, is parsed line by line by ``json.loads``, so both give
-    what ``json.loads`` gives each line.  Lines end at ``\\n``, ``\\r\\n``
-    or ``\\r``; blank lines are skipped, and line numbers count them.
+    orjson parses each line; a line it rejects or that parses to no object,
+    or every line of a file the guards refuse, is stripped and parsed by
+    ``json.loads``, so each gives what ``json.loads`` gives it.  Lines end
+    at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped, and line
+    numbers count them.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if _one_object_per_line(data) and _shallow(data) and _no_long_integer(data):
+    use_orjson = _shallow(data) and _no_long_integer(data)
+    events = []
+    # keepends: a bad byte before a line end is reported as a whole-file
+    # decode reports it ("invalid continuation byte", not "end of data")
+    for i, raw in enumerate(data.splitlines(keepends=True), start=1):
+        if use_orjson:
+            try:
+                event = orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                pass  # json.loads reads what orjson rejects, or names the error
+            else:
+                if isinstance(event, dict):
+                    events.append(validate_event(event, i))
+                    continue
         try:
-            events = orjson.loads(b"[" + data[:-1].replace(b"\n", b",\n") + b"]")
-        except orjson.JSONDecodeError:
-            pass  # json.loads reads what orjson rejects, or names the bad line
-        else:
-            return [validate_event(e, i) for i, e in enumerate(events, start=1)]
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the lines before the one holding the bad byte keep their errors
-        *before, (bad, _) = _lines(data[:exc.start].decode("utf-8"))
-        for i, line in before:
-            if line:
-                _parse_line(line, i)
-        raise SchemaError(f"invalid UTF-8 ({exc.reason})", bad) from exc
-    return [_parse_line(line, i) for i, line in _lines(text) if line]
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"invalid UTF-8 ({exc.reason})", i) from exc
+        if line:
+            events.append(_parse_line(line, i))
+    return events

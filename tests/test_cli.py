@@ -590,7 +590,9 @@ def test_a_run_of_no_episodes_fails_before_out_is_touched(tmp_path, monkeypatch,
     (["--backend", "llm", "--query", "q", "--tasks", "TASKS"], "--tasks"),
     (["--tasks", "TASKS", "--query", "q"], "--query"),
     (["--tasks", "TASKS", "--cap", "5"], "--cap"),
-], ids=["tasks-with-llm", "query-with-sim", "cap-with-sim"])
+    (["--tasks", "TASKS", "--policy", "add-all", "--checkpoint", "/nonexistent.npz"],
+     "--checkpoint"),
+], ids=["tasks-with-llm", "query-with-sim", "cap-with-sim", "checkpoint-without-learned"])
 def test_a_flag_the_backend_does_not_read_fails_before_any_work(
     tmp_path, monkeypatch, capsys, argv, flag
 ):
@@ -656,3 +658,21 @@ def test_readme_cli_commands_parse_and_its_tasks_file_builds():
     train_tasks = task_family(cfg["tasks"])
     assert block["family"] == cfg["tasks"]["family"]
     assert not {t.seed for t in tasks} & {t.seed for t in train_tasks}
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "run-llm"])
+@pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "-1"), ("--seed", "-5")])
+def test_a_bad_k_or_seed_fails_before_out_is_touched(
+    tmp_path, monkeypatch, capsys, command, flag, value
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --k and --seed were checked")
+
+    monkeypatch.setattr("hivemem.cli.run_variant", no_work)
+    monkeypatch.setattr("hivemem.endpoint.EndpointConfig.from_env", no_work)
+    out = tmp_path / "run"
+    assert main([*_argv(command, tmp_path, None), flag, value, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert flag in record["message"] and value in record["message"]
+    assert not out.exists()

@@ -1,5 +1,5 @@
 import hashlib
-import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ def test_generation_deterministic():
     reference = generate_task(seed=42, depth=3, width=2, overlap_count=4, distractor_count=2)
     for _ in range(100):
         again = generate_task(seed=42, depth=3, width=2, overlap_count=4, distractor_count=2)
-        assert again.to_json() == reference.to_json()
+        assert asdict(again) == asdict(reference)
 
 
 _HEAVY = dict(depth=2, width=1, overlap_count=6, distractor_count=6, step_cap=14, p_fail=0.08,
@@ -74,9 +74,9 @@ def test_generation_validation():
 def test_task_rejects_p_fail_outside_unit_interval(p_fail):
     with pytest.raises(ValidationError, match="p_fail"):
         generate_task(seed=1, depth=1, width=1, overlap_count=2, p_fail=p_fail)
-    fields = json.loads(generate_task(seed=1, depth=1, width=1, overlap_count=2).to_json())
+    fields = asdict(generate_task(seed=1, depth=1, width=1, overlap_count=2))
     with pytest.raises(ValidationError, match="p_fail"):  # every construction checks it
-        SimTask.from_json(json.dumps({**fields, "p_fail": p_fail}))
+        SimTask(**{**fields, "p_fail": p_fail})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -102,12 +102,6 @@ def test_overlap_nodes_on_all_solution_paths():
         plan = backend.plan(team)
         path = set(plan.own_nodes) | set(plan.foreign_nodes)
         assert set(shared) <= path
-
-
-def test_task_roundtrip_json():
-    task = generate_task(seed=3, depth=2, width=1, overlap_count=4, distractor_count=2)
-    again = SimTask.from_json(task.to_json())
-    assert again.to_json() == task.to_json()
 
 
 def test_scorer_properties():
@@ -155,7 +149,7 @@ def test_a_task_derives_on_first_use_and_its_derived_data_is_no_parameter(provid
     run_variant([task], variant_policy("add-all"), 3, [0, 1], provider)
     fresh = generate_task(**params)
     assert len(task.derived) > 2 and fresh.derived == {}
-    assert task == fresh and hash(task) == hash(fresh) and task.to_json() == fresh.to_json()
+    assert task == fresh and hash(task) == hash(fresh) and asdict(task) == asdict(fresh)
 
 
 def test_zero_overlap_yields_zero_savings(provider):

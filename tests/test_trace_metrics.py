@@ -4,6 +4,7 @@ import os
 import stat
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -298,44 +299,75 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
     assert sorted(encoded) == sorted(generic * 2)
 
 
-def test_json_loads_reads_only_files_orjson_does_not(tmp_path, provider, monkeypatch):
+def _with_step_outputs(events, *outputs):
+    """A copy of ``events`` whose first step events output ``outputs``."""
+    events = [dict(e) for e in events]
+    for event, output in zip([e for e in events if e["kind"] == "step"], outputs):
+        event["agent_output"] = output
+    return events
+
+
+def test_json_loads_reads_only_the_lines_orjson_rejects(tmp_path, provider, monkeypatch):
     streams = _variant_streams(_variant_tasks(), provider)
     # A confident policy writes fraction digits in runs of 19 and more.
     confident = [dict(e) for e in streams[-1]]  # a learned episode
     decision = next(e for e in confident if e["kind"] == "decision")
     decision.update(prob_yes=1 / 7000, log_prob=math.log(1 - 1 / 7000))
-    # Brackets in strings, 300 on each of two lines.
-    bracketed = [dict(e) for e in streams[-1]]
-    for event in [e for e in bracketed if e["kind"] == "step"][:2]:
-        event["agent_output"] = "[" * 300
-    streams += [confident, bracketed]
+    # Brackets in strings, 300 on each of two lines; braces in strings.
+    bracketed = _with_step_outputs(streams[-1], "[" * 300, "[" * 300)
+    braced = _with_step_outputs(streams[0], 'a}, {"kind": "score"}', "{", "}\n{")
+    streams += [confident, bracketed, braced]
     paths = [tmp_path / f"ep{n}.jsonl" for n in range(len(streams))]
     for path, events in zip(paths, streams):
         write_events(path, events)
-    nan_path = tmp_path / "nan.jsonl"
-    write_events(nan_path, [{"kind": "score", "agg_score": float("nan"), "first_score": 1.0}])
-    crlf_path = tmp_path / "crlf.jsonl"
-    crlf_path.write_bytes(paths[0].read_bytes().replace(b"\n", b"\r\n"))
+    lines = paths[0].read_bytes().splitlines()
+    reformatted = {
+        "crlf": b"".join(line + b"\r\n" for line in lines),
+        "padded": b"".join(b" \t" + line + b"  \n" for line in lines),
+        "blank_line": b"\n".join(lines[:1] + [b""] + lines[1:]) + b"\n\n",
+    }
+    copies = []
+    for name, data in reformatted.items():
+        copies.append(tmp_path / f"{name}.jsonl")
+        copies[-1].write_bytes(data)
     loads = json.loads
     parsed = []
 
     def refuse(text, *args, **kwargs):
-        raise AssertionError("json.loads parsed a file of the written shape")
+        raise AssertionError("json.loads parsed a line orjson reads")
 
     monkeypatch.setattr(tracefile.json, "loads", refuse)
     for path, events in zip(paths, streams):
         assert read_events(path) == events
+    for path in copies:
+        assert read_events(path) == streams[0]
 
     def spy(text, *args, **kwargs):
         parsed.append(text)
         return loads(text, *args, **kwargs)
 
     monkeypatch.setattr(tracefile.json, "loads", spy)
+    nan_path = tmp_path / "nan.jsonl"
+    write_events(nan_path, [{"kind": "score", "agg_score": float("nan"), "first_score": 1.0}])
     [score] = read_events(nan_path)
     assert score["agg_score"] != score["agg_score"]  # NaN
     assert len(parsed) == 1
-    assert read_events(crlf_path) == streams[0]
-    assert len(parsed) == 1 + len(streams[0])  # one call per line
+    surrogate = [dict(e) for e in streams[0]]
+    team_end = next(e for e in surrogate if e["kind"] == "team_end")
+    team_end["answer"] = "\ud800"
+    write_events(paths[0], surrogate)
+    parsed.clear()
+    assert read_events(paths[0]) == surrogate
+    assert parsed == [json.dumps(team_end, sort_keys=True)]  # that line alone
+    # A whole-file guard sends every line to json.loads; blank lines are skipped.
+    long_integer = [{**streams[0][0], "seed": 10**19}, *streams[0][1:]]
+    deep = _with_step_outputs(streams[0], "[" * 600)
+    for events in (long_integer, deep):
+        write_events(paths[0], events)
+        paths[0].write_bytes(paths[0].read_bytes().replace(b"\n", b"\n\n", 1))
+        parsed.clear()
+        assert read_events(paths[0]) == events
+        assert len(parsed) == len(events)  # one call per non-blank line
 
 
 def read_events_line_by_line(path):
@@ -356,8 +388,7 @@ def read_events_line_by_line(path):
     return events
 
 
-# Strings holding braces send a file to the line-by-line read; plain strings
-# keep it on the one-parse read.
+# Plain strings, and strings of JSON punctuation, escapes and U+2028.
 _PLAIN = st.text(alphabet="ab :\u00e9", max_size=4)
 _JSONISH = st.text(alphabet='ab{}[],:" \\\u00e9\u2028', max_size=6)
 
@@ -558,7 +589,7 @@ def _typed(value):
 
 
 # Integers at orjson's 64-bit edges, floats with NaN and infinities, and
-# strings with lone surrogates, beside values of the written shape.
+# strings with lone surrogates, beside values the runtime writes.
 _EDGE_INTS = st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**18])
 _ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=4)
 
@@ -625,6 +656,21 @@ def test_arrays_nested_too_deep_for_json_loads_name_their_line(tmp_path):
                     + ', "kind": "score"}\n')
     with pytest.raises(RecursionError):
         json.loads(path.read_text().splitlines()[1])
+    with pytest.raises(SchemaError) as exc:
+        read_events(path)
+    assert exc.value.line_number == 2
+    assert "invalid JSON (nested too deep)" in str(exc.value)
+
+
+def test_objects_nested_too_deep_for_json_loads_name_their_line(tmp_path):
+    # orjson reads objects nested this deep; the "{" guard keeps them from it
+    path = tmp_path / "deep.jsonl"
+    path.write_text(_SCORE + '\n{"agg_score": 1, "first_score": ' + '{"a": ' * 1200 + "1"
+                    + "}" * 1200 + ', "kind": "score"}\n')
+    line = path.read_bytes().splitlines()[1]
+    assert isinstance(orjson.loads(line), dict)
+    with pytest.raises(RecursionError):
+        json.loads(line)
     with pytest.raises(SchemaError) as exc:
         read_events(path)
     assert exc.value.line_number == 2
