@@ -2,7 +2,9 @@
 difference sharing makes on a task with overlapping subtasks.
 
 Three teams race the same derivation task under a deterministic
-virtual-time scheduler, so runtimes are exact and reproducible.
+virtual-time scheduler, so runtimes are exact and reproducible.  The
+episode runs the ``SimTask`` itself: its ``query`` and ``step_cap`` are
+what every team works to.
 """
 
 from hivemem import HashingEmbedder, MajorityAggregator, run_episode
@@ -14,9 +16,7 @@ print(f"task {task.task_id}: shared chains {task.shared_chains}")
 
 for name, rule in [("no memory", None), ("admit everything", variant_policy("add-all"))]:
     backend = ScriptedBackend(task, k=3)
-    trace = run_episode(
-        task.task_spec(), 3, backend, rule, provider, MajorityAggregator(), seed=5
-    )
+    trace = run_episode(task, 3, backend, rule, provider, MajorityAggregator(), seed=5)
     score = task.scorer().score(trace.aggregate_answer)
     computations = sum(solve_counts(trace.events).values())
     kinds = [e["kind"] for e in trace.events]

@@ -17,8 +17,6 @@ from .controller import (
     StepTriplet,
     build_context,
     decide,
-    embed,
-    log_prob,
 )
 from .embeddings import EmbeddingProvider, HashingEmbedder
 from .errors import (

@@ -42,7 +42,7 @@ def task_family(block) -> list[SimTask]:
     The block holds exactly ``seed0``, an int >= 0, ``count``, an int >= 1,
     and ``family``, an object of ``SimTask``'s fields but ``seed``; those it
     leaves out keep their defaults.  Anything else, or a family ``SimTask``
-    rejects, is a ValidationError.
+    rejects (it checks every field's type and range), is a ValidationError.
     """
     _exact_keys("tasks", block, ("seed0", "count", "family"))
     seed0, count, family = block["seed0"], block["count"], block["family"]
@@ -156,8 +156,8 @@ def cmd_run(args) -> int:
     """``run`` and ``eval``: episodes under one admission rule, written to
     ``--out`` as trace files and a ``metrics.json`` nothing reads back."""
     for flag, value, least in (("--episodes", args.episodes, 1), ("--k", args.k, 1),
-                               ("--seed", args.seed, 0)):
-        if value < least:
+                               ("--seed", args.seed, 0), ("--cap", args.cap, 1)):
+        if value is not None and value < least:
             raise ValidationError(f"{flag} must be >= {least}, not {value}")
     if args.backend == "llm":
         unread = {"--tasks": args.tasks}

@@ -319,19 +319,12 @@ class AdmissionPolicy:
         return policy, meta
 
 
-def embed(provider: EmbeddingProvider, text: str) -> np.ndarray:
-    """Embed text with the frozen provider (validates non-empty input)."""
-    if not text:
-        raise ValidationError("cannot embed empty text")
-    return provider.embed(text)
-
-
 def step_mean(provider: EmbeddingProvider, triplet: StepTriplet) -> np.ndarray:
     """Mean of the triplet's embeddings: (input + summary) + output, over 3."""
     return (
-        embed(provider, triplet.agent_input)
-        + embed(provider, triplet.step_summary)
-        + embed(provider, triplet.agent_output)
+        provider.embed(triplet.agent_input)
+        + provider.embed(triplet.step_summary)
+        + provider.embed(triplet.agent_output)
     ) / 3
 
 
@@ -359,7 +352,7 @@ def build_context(
     keys, key_sum = bank.context_snapshot() if snapshot is None else snapshot
     size = len(keys)
     return ControllerContext(
-        queries=embed(provider, query)[None],
+        queries=provider.embed(query)[None],
         memory_means=(key_sum / max(size, 1))[None],
         memory_sizes=np.array([size]),
         step_means=step_mean(provider, triplet)[None],

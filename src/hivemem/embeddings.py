@@ -24,7 +24,8 @@ MAX_INPUT_LENGTH = 4096
 
 @runtime_checkable
 class EmbeddingProvider(Protocol):
-    """Frozen text embedder: same text in, same vector out."""
+    """Frozen text embedder: same text in, same vector out.  ``embed``
+    rejects empty text with a ``ValidationError``."""
 
     dimension: int
     name: str

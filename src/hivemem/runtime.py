@@ -35,7 +35,6 @@ from .controller import (
     Decision,
     StepTriplet,
     build_context,
-    embed,
     sample_binary_decision,
 )
 from .embeddings import EmbeddingProvider
@@ -52,8 +51,18 @@ NO_ANSWER = ""
 MOVE_LIMIT_FACTOR = 10
 
 
+class EpisodeTask(Protocol):
+    """What ``run_episode`` reads of a task: a ``TaskSpec`` or a ``sim.SimTask``."""
+
+    task_id: str
+    query: str
+    step_cap: int
+
+
 @dataclass(frozen=True)
 class TaskSpec:
+    """A task given by its query alone, as a live endpoint-backed run takes it."""
+
     task_id: str
     query: str
     step_cap: int = 30
@@ -392,7 +401,7 @@ class _TeamState:
 
 
 def run_episode(
-    task: TaskSpec,
+    task: EpisodeTask,
     k: int,
     backend: AgentBackend,
     rule: AdmissionRule | None,
@@ -404,6 +413,8 @@ def run_episode(
     """Run one parallel episode; returns ``EpisodeTrace.from_events`` of its events.
 
     The events are the only record the run keeps (see ``tracefile``).
+    ``task`` is read for its ``task_id``, ``query`` and ``step_cap`` alone:
+    a ``TaskSpec`` for a live run, the ``SimTask`` itself for the sim.
 
     ``rule`` decides every step (see ``AdmissionRule``); a
     ``LearnedAdmission`` keeps its memo across the episodes it is given.
@@ -521,7 +532,7 @@ def run_episode(
                     bank.admit(
                         triplet.step_summary,
                         triplet.agent_output,
-                        embed(provider, triplet.step_summary),
+                        provider.embed(triplet.step_summary),
                         source_team=team,
                         source_step=state.steps,
                     )

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -38,7 +39,6 @@ from .runtime import (
     Move,
     RetrieveMove,
     StepMove,
-    TaskSpec,
     decision_events,
     run_episode,
 )
@@ -57,6 +57,9 @@ def _digest(*parts) -> str:
     text = ":".join(str(p) for p in parts)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:6]
 
+
+# The kind of number each ``SimTask`` field annotation admits; no bool is either.
+_FIELD_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a real number")}
 
 # Most answers one SimScorer remembers the score of; answers past the cap
 # are scored but not stored.
@@ -99,25 +102,28 @@ class SimTask:
     """A sim task, fixed by its parameters: seed, shape and economics.
 
     The fields are those parameters (a tasks block's ``family`` holds all
-    but ``seed``), and ``__post_init__`` checks them and derives the rest
-    once: ``shared_chains`` lays shared subtasks ``s0, s1, ...`` out in
-    chains of length ``depth`` (the last may be shorter), ``values`` gives
-    each a seeded value and ``corrupt_values`` the value a polluted team
-    derives instead, ``answer_key`` asks for all (``status=ok`` without
-    any) and ``distractor_targets`` holds each lure's seeded shared
-    subtask.
+    but ``seed``).  ``__post_init__`` is their one check: an ``int`` field
+    holds an int (numpy's too), a ``float`` field a real number, never a
+    bool, each in range.  It then derives the rest once: ``task_id`` and
+    ``query``, which ``run_episode`` reads with ``step_cap`` (an episode
+    runs the task itself); ``shared_chains`` lays shared subtasks ``s0, s1,
+    ...`` out in chains of length ``depth`` (the last may be shorter),
+    ``values`` gives each a seeded value and ``corrupt_values`` the value a
+    polluted team derives instead, ``answer_key`` asks for all
+    (``status=ok`` without any) and ``distractor_targets`` holds each
+    lure's seeded shared subtask.
 
     ``derived`` starts empty and holds what episodes of the task derive
     from it, each built once, on first use (see ``derive``), and shared by
-    every episode and team that needs it: its ``TaskSpec`` and its
-    ``scorer`` (which keeps a bounded memo of scored answers), each team's
-    plan layout for a team count k (its own and foreign shared nodes, its
-    private nodes and its lures), and the step moves ``ScriptedBackend``
-    takes.  All are immutable but the scorer's memo, and the task bounds
-    their number: a move per node, team, lure, recovery round and step
-    cost (a cost per pollution level), a layout per team and k.  None of
-    it is a field, so none is in ``dataclasses.asdict``, equality or the
-    hash.
+    every episode and team that needs it: its ``scorer`` (which keeps a
+    bounded memo of scored answers), each team's plan layout for a team
+    count k (its own and foreign shared nodes, its private nodes and its
+    lures), and the step moves ``ScriptedBackend`` takes.  All are
+    immutable but the scorer's memo, and the task bounds their number: a
+    move per node, team, lure, recovery round and step cost (a cost per
+    pollution level), a layout per team and k.  None of it, nor
+    ``task_id`` or ``query``, is a field, so none is in
+    ``dataclasses.asdict``, equality or the hash.
     """
 
     seed: int
@@ -135,10 +141,15 @@ class SimTask:
     pollution_corrupt_rate: float = 0.35
 
     def __post_init__(self) -> None:
-        if self.depth < 1 or self.width < 1:
-            raise ValidationError("depth and width must be >= 1")
-        if self.overlap_count < 0 or self.distractor_count < 0:
-            raise ValidationError("counts must be >= 0")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind, noun = _FIELD_KINDS[field.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{field.name} must be {noun}, not {value!r}")
+        for name, least in (("seed", 0), ("step_cap", 1), ("depth", 1), ("width", 1),
+                            ("overlap_count", 0), ("distractor_count", 0)):
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be >= {least}")
         if self.distractor_count > 0 and self.overlap_count == 0:
             raise ValidationError("distractors need at least one shared subtask to mimic")
         if not 0.0 <= self.p_fail < 1.0:
@@ -157,7 +168,11 @@ class SimTask:
         values = {node: _digest(self.seed, node) for node in shared}
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xD15C]))
         targets = [shared[int(rng.integers(len(shared)))] for _ in range(self.distractor_count)]
+        shape = f"d{self.depth}w{self.width}o{self.overlap_count}x{self.distractor_count}"
         self.__dict__.update(  # set once, here: the task is frozen
+            task_id=f"sim-{self.seed}-{shape}",
+            query=(f"determine values of shared subtasks {' '.join(shared)}" if shared
+                   else "complete the local calibration work"),
             shared_chains=[shared[i : i + self.depth] for i in range(0, len(shared), self.depth)],
             values=values,
             corrupt_values={node: _digest(self.seed, node, "corrupt") for node in shared},
@@ -176,26 +191,6 @@ class SimTask:
             value = self.derived[key] = build(self, *args)
         return value
 
-    @property
-    def task_id(self) -> str:
-        return (
-            f"sim-{self.seed}-d{self.depth}w{self.width}"
-            f"o{self.overlap_count}x{self.distractor_count}"
-        )
-
-    def shared_nodes(self) -> list[str]:
-        return [node for chain in self.shared_chains for node in chain]
-
-    @property
-    def query(self) -> str:
-        nodes = self.shared_nodes()
-        if nodes:
-            return f"determine values of shared subtasks {' '.join(nodes)}"
-        return "complete the local calibration work"
-
-    def task_spec(self) -> TaskSpec:
-        return self.derive(_task_spec)
-
     def scorer(self) -> SimScorer:
         return self.derive(_scorer)
 
@@ -211,10 +206,6 @@ class SimTask:
 
 
 generate_task = SimTask
-
-
-def _task_spec(task: SimTask) -> TaskSpec:
-    return TaskSpec(task_id=task.task_id, query=task.query, step_cap=task.step_cap)
 
 
 def _scorer(task: SimTask) -> SimScorer:
@@ -543,15 +534,7 @@ def run_variant(
         scorer = task.scorer()
         for seed in seeds:
             backend = ScriptedBackend(task, k)
-            trace = run_episode(
-                task.task_spec(),
-                k,
-                backend,
-                rule,
-                provider,
-                MajorityAggregator(),
-                seed=seed,
-            )
+            trace = run_episode(task, k, backend, rule, provider, MajorityAggregator(), seed=seed)
             trace.events.append(score_event(trace, scorer.score))
             streams.append(trace.events)
             if keep_traces:

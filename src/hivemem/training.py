@@ -38,7 +38,6 @@ from .controller import (
     ControllerContext,
     StepTriplet,
     action_index,
-    embed,
     step_loss_grads,
     step_mean,
 )
@@ -225,7 +224,7 @@ def _store_group(
         present = sizes > 0
         # The bank's key rows: each admitted summary's embedding, in entry order.
         keys = np.array([
-            embed(provider, steps[e["team"], e["step"]]["step_summary"])
+            provider.embed(steps[e["team"], e["step"]]["step_summary"])
             for e in events
             if e["kind"] == "admit"
         ])
@@ -235,7 +234,7 @@ def _store_group(
             np.cumsum(keys.reshape(-1, d_e), axis=0)[sizes[present] - 1] / sizes[present, None]
         )
         queries.append(
-            np.repeat(embed(provider, events[0]["query"])[None], len(episode_kept), axis=0)
+            np.repeat(provider.embed(events[0]["query"])[None], len(episode_kept), axis=0)
         )
         memory_means.append(means)
         kept.extend((d, steps[d["team"], d["step"]], adv) for d, adv in episode_kept)
@@ -275,7 +274,7 @@ def _rollout_group(
         )
         backend = ScriptedBackend(task, config.k)
         trace = run_episode(
-            task.task_spec(), config.k, backend, rule, provider, MajorityAggregator(), seed=seed
+            task, config.k, backend, rule, provider, MajorityAggregator(), seed=seed
         )
         trace.events.append(score_event(trace, scorer.score))
         streams.append(trace.events)

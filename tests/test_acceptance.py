@@ -88,7 +88,7 @@ def test_c01_math_oracles():
     # shaped advantages take values only in {a_base, a_base + beta}
     task = generate_task(seed=51, depth=2, width=1, overlap_count=6,
                          distractor_count=0, p_fail=0.0)
-    trace = run_episode(task.task_spec(), K, ScriptedBackend(task, K),
+    trace = run_episode(task, K, ScriptedBackend(task, K),
                         variant_policy("add-all"), PROVIDER, MajorityAggregator(), seed=1)
     a_base, beta = -0.31, 0.25
     values = shaped_advantages(trace.events, a_base, beta, r_total=1.2)
@@ -153,9 +153,9 @@ def test_c03_baseline_equivalence():
     for i in range(100):
         task = generate_task(seed=3000 + i, depth=2, width=1, overlap_count=6,
                              distractor_count=2, p_fail=0.15)
-        disabled = run_episode(task.task_spec(), K, ScriptedBackend(task, K), None,
+        disabled = run_episode(task, K, ScriptedBackend(task, K), None,
                                PROVIDER, MajorityAggregator(), seed=i)
-        always_no = run_episode(task.task_spec(), K, ScriptedBackend(task, K),
+        always_no = run_episode(task, K, ScriptedBackend(task, K),
                                 HeuristicAdmission(lambda t: False), PROVIDER, MajorityAggregator(), seed=i)
         assert json.dumps(strip(disabled.events), sort_keys=True) == json.dumps(
             strip(always_no.events), sort_keys=True

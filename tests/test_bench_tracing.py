@@ -32,7 +32,7 @@ def test_tracer_spans_a_learned_greedy_episode():
         task = generate_task(seed=9, depth=2, width=1, overlap_count=4,
                              distractor_count=0, p_fail=0.1)
         provider = HashingEmbedder(64)
-        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
+        run_episode(task, 3, ScriptedBackend(task, 3),
                     variant_policy("learned", AdmissionPolicy(64, 8)), provider,
                     MajorityAggregator(), seed=0)
     finally:
@@ -168,7 +168,7 @@ def test_tracer_sees_every_trace_file_write_and_read(tmp_path):
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4,
                          distractor_count=0, p_fail=0.1)
     traces = [
-        run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), variant_policy("add-all"),
+        run_episode(task, 3, ScriptedBackend(task, 3), variant_policy("add-all"),
                     HashingEmbedder(64), MajorityAggregator(), seed=seed)
         for seed in (0, 1)
     ]

@@ -453,11 +453,19 @@ def _tasks_body(family=(), **block) -> str:
     json.dumps({"seed0": 1, "family": _FAMILY}),
     json.dumps({"seed0": 1, "count": 1, "family": [1]}),
     "[1]",
+    _tasks_body({"step_cap": 0}),
+    _tasks_body({"step_cap": True}),
+    _tasks_body({"step_cap": 2.5}),
+    _tasks_body({"width": 2.0}),
+    _tasks_body({"overlap_count": True}),
+    _tasks_body({"pollution_recovery_steps": 0.5}),
 ], ids=["malformed-json", "unknown-key", "p_fail-out-of-range", "negative-solve-cost",
         "zero-width", "zero-depth", "corrupt-rate-above-one", "chain-of-an-unknown-node",
         "stale-values", "missing-file", "seed-in-family", "count-zero", "seed0-a-bool",
         "negative-seed0", "count-a-float", "misspelt-block-key", "missing-count",
-        "family-not-an-object", "not-an-object"])
+        "family-not-an-object", "not-an-object", "zero-step-cap", "step-cap-a-bool",
+        "step-cap-a-float", "width-a-float", "overlap-count-a-bool",
+        "recovery-steps-a-float"])
 def test_run_rejects_a_bad_task_file(tmp_path, capsys, body):
     task_file = tmp_path / "tasks.json"
     if body is not None:
@@ -555,14 +563,6 @@ def test_a_directory_named_like_an_episode_fails_before_any_work(
     assert offending.is_dir() and (run_dir / "episode_00000.jsonl").read_text() == ""
 
 
-def test_run_refuses_a_negative_seed(tmp_path, capsys):
-    assert main(["run", "--tasks", _tasks_file(tmp_path), "--episodes", "1", "--seed", "-5",
-                 "--out", str(tmp_path / "x")]) == 1
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ValidationError"
-    assert "-5" in record["message"]
-
-
 @pytest.mark.parametrize("bad", [["--episodes", "0"], ["--episodes", "-2"], ["count", "0"]],
                          ids=["no-episodes", "negative-episodes", "no-tasks"])
 def test_a_run_of_no_episodes_fails_before_out_is_touched(tmp_path, monkeypatch, capsys, bad):
@@ -607,6 +607,21 @@ def test_a_flag_the_backend_does_not_read_fails_before_any_work(
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
     assert flag in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", [{"step_cap": 0}, {"width": 2.0}],
+                         ids=["zero-step-cap", "width-a-float"])
+def test_train_rejects_a_bad_task_field_before_out_is_touched(tmp_path, capsys, family):
+    cfg = json.loads((PINNED / "train_config.json").read_text())
+    cfg["tasks"]["family"].update(family)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert str(cfg_path) in record["message"] and next(iter(family)) in record["message"]
     assert not out.exists()
 
 
@@ -660,13 +675,20 @@ def test_readme_cli_commands_parse_and_its_tasks_file_builds():
     assert not {t.seed for t in tasks} & {t.seed for t in train_tasks}
 
 
-@pytest.mark.parametrize("command", ["run", "eval", "run-llm"])
-@pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "-1"), ("--seed", "-5")])
+_BAD_FLAGS = [
+    *((command, flag, value) for flag, value in (("--k", "0"), ("--k", "-1"), ("--seed", "-5"))
+      for command in ("run", "eval", "run-llm")),
+    ("run-llm", "--cap", "0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _BAD_FLAGS,
+                         ids=[f"{flag}-{value}-{command}" for command, flag, value in _BAD_FLAGS])
 def test_a_bad_k_or_seed_fails_before_out_is_touched(
     tmp_path, monkeypatch, capsys, command, flag, value
 ):
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before --k and --seed were checked")
+        raise AssertionError("work started before --k, --seed and --cap were checked")
 
     monkeypatch.setattr("hivemem.cli.run_variant", no_work)
     monkeypatch.setattr("hivemem.endpoint.EndpointConfig.from_env", no_work)

@@ -1,5 +1,6 @@
 """Every module the package imports is in the standard library, the package
-itself, or a declared dependency in ``pyproject.toml``."""
+itself, or a declared dependency in ``pyproject.toml``; every private
+module-level name the package defines is used in it."""
 
 import ast
 import re
@@ -45,6 +46,54 @@ def test_an_undeclared_import_is_found(tmp_path):
     assert undeclared_imports(package, pyproject) == {"orjson"}
     pyproject.write_text('[project]\ndependencies = ["numpy>=1.24", "orjson>=3.8"]\n')
     assert undeclared_imports(package, pyproject) == set()
+
+
+def unused_private_names(package: Path) -> set[str]:
+    """``module:name`` of each module-level ``_name`` (a function, class or
+    assignment, dunders aside) in ``package/*.py`` that no line of the
+    package reads, as a name, an attribute or an import."""
+    defined, used = set(), set()
+    for source in package.glob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            defined.update((source.stem, name) for name in targets
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return {f"{module}:{name}" for module, name in defined if name not in used}
+
+
+def test_every_private_module_name_is_used():
+    assert unused_private_names(ROOT / "src" / "hivemem") == set()
+
+
+def test_an_unused_private_name_is_found(tmp_path):
+    package = tmp_path / "hivemem"
+    package.mkdir()
+    (package / "sim.py").write_text(
+        "import re\n_RE = re.compile('x')\n_LIMIT: int = 3\n__version__ = '0'\n"
+        "def _task_spec(task):\n    return task\n"
+        "def _scorer(task):\n    return _RE.match(task)\n"
+        "class _TeamPlan:\n    pass\n"
+        "def run(task):\n    return _scorer(task)\n"
+    )
+    (package / "cli.py").write_text("from .sim import _TeamPlan\n")
+    assert unused_private_names(package) == {"sim:_task_spec", "sim:_LIMIT"}
+    (package / "cli.py").write_text("from . import sim\nLIMIT = sim._LIMIT\n")
+    assert unused_private_names(package) == {"sim:_task_spec", "sim:_TeamPlan"}
 
 
 def test_no_package_line_is_longer_than_100_columns():

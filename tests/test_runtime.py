@@ -25,7 +25,7 @@ from hivemem.tracefile import read_events
 
 def run_sim(task, policy, seed=0, k=3, mode="deterministic"):
     return run_episode(
-        task.task_spec(), k, ScriptedBackend(task, k), policy, _PROVIDER,
+        task, k, ScriptedBackend(task, k), policy, _PROVIDER,
         MajorityAggregator(), seed=seed, mode=mode,
     )
 
@@ -76,7 +76,7 @@ def test_always_yes_exactly_once_noise_free():
     task = generate_task(seed=4, depth=2, width=2, overlap_count=4, distractor_count=0, p_fail=0.0)
     trace = run_sim(task, variant_policy("add-all"), seed=1)
     counts = solve_counts(trace.events)
-    assert sorted(counts) == sorted(task.shared_nodes())
+    assert sorted(counts) == sorted(task.values)
     assert set(counts.values()) == {1}
 
 
@@ -199,7 +199,7 @@ def test_monotone_key_availability():
                 seen.append({eid for eid, _ in visible_keys})
             return super().next_move(team, query, history, visible_keys, rng)
 
-    run_episode(task.task_spec(), 3, Spy(task, 3), variant_policy("add-all"), _PROVIDER,
+    run_episode(task, 3, Spy(task, 3), variant_policy("add-all"), _PROVIDER,
                 MajorityAggregator(), seed=5)
     for earlier, later in zip(seen, seen[1:]):
         assert earlier <= later
@@ -235,7 +235,7 @@ def test_team_error_raises_in_both_modes(mode):
 
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
     with pytest.raises(ValidationError, match="unknown move"):
-        run_episode(task.task_spec(), 3, UnknownMoveOnTeam2(task, 3), variant_policy("add-all"),
+        run_episode(task, 3, UnknownMoveOnTeam2(task, 3), variant_policy("add-all"),
                     _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
 
 
@@ -250,7 +250,7 @@ def test_a_backend_system_exit_propagates_in_both_modes(mode):
 
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
     with pytest.raises(SystemExit):
-        run_episode(task.task_spec(), 3, ExitOnTeam2(task, 3), variant_policy("add-all"),
+        run_episode(task, 3, ExitOnTeam2(task, 3), variant_policy("add-all"),
                     _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
 
 
@@ -272,7 +272,7 @@ def test_a_team_error_stops_every_team_at_its_next_move(mode):
 
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
     with pytest.raises(ValidationError, match="unknown move"):
-        run_episode(task.task_spec(), 2, SlowTeamOneBadTeamTwo(task, 2), variant_policy("add-all"),
+        run_episode(task, 2, SlowTeamOneBadTeamTwo(task, 2), variant_policy("add-all"),
                     _PROVIDER, MajorityAggregator(), seed=3, mode=mode)
     assert calls[2] == 1
     assert 1 <= calls[1] <= 3
@@ -291,7 +291,7 @@ def test_run_episode_rejects_a_bare_policy_before_any_move():
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
     for mode in ("deterministic", "live"):
         with pytest.raises(ValidationError, match="admission rule"):
-            run_episode(task.task_spec(), 3, CountingBackend(task, 3), AdmissionPolicy(64, 8),
+            run_episode(task, 3, CountingBackend(task, 3), AdmissionPolicy(64, 8),
                         _PROVIDER, MajorityAggregator(), seed=0, mode=mode)
     assert CountingBackend.calls == 0
 
@@ -398,7 +398,7 @@ def test_aggregator_failure_surfaced_with_trace():
     task = generate_task(seed=10, depth=1, width=1, overlap_count=2,
                          distractor_count=0, p_fail=0.0)
     with pytest.raises(AggregationError) as exc:
-        run_episode(task.task_spec(), 2, ScriptedBackend(task, 2), None, _PROVIDER,
+        run_episode(task, 2, ScriptedBackend(task, 2), None, _PROVIDER,
                     Broken(), seed=0)
     trace = exc.value.trace  # completed trace rides along for persistence
     assert trace.candidates
@@ -813,14 +813,14 @@ def test_a_trace_file_rebuilds_its_trace(
     task = generate_task(seed=task_seed, **_HEAVY)
     rule = variant_policy(variant, _mixed_policy())
     spy = _Spy(ScriptedBackend(task, k), rule, fault, fault_after)
-    trace = run_episode(task.task_spec(), k, spy, None if rule is None else spy, _PROVIDER,
+    trace = run_episode(task, k, spy, None if rule is None else spy, _PROVIDER,
                         MajorityAggregator(), seed=seed)
     path = tmp_path_factory.getbasetemp() / "episode.jsonl"
     trace.write(path)
     rebuilt = EpisodeTrace.from_events(read_events(path))
 
     assert rebuilt == trace
-    assert (rebuilt.query, rebuilt.seed, rebuilt.k) == (task.task_spec().query, seed, k)
+    assert (rebuilt.query, rebuilt.seed, rebuilt.k) == (task.query, seed, k)
     assert len(rebuilt.team_status) == k
     if fault is not None and fault_after < spy.moves:
         ending = {"raise": "failed", "step": "cap_exhausted", "retrieve": "move_limit"}[fault]

@@ -92,9 +92,27 @@ def test_task_rejects_bad_economics(field, value):
         generate_task(seed=1, depth=1, width=1, overlap_count=2, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step_cap", 0), ("step_cap", True), ("step_cap", 2.5), ("width", 2.0),
+    ("overlap_count", True), ("pollution_recovery_steps", 0.5), ("seed", -1),
+    ("seed", np.float64(1.0)), ("p_fail", False), ("solve_cost", "10"),
+    ("retrieve_cost", np.bool_(True)), ("distractor_count", None),
+])
+def test_task_rejects_a_mistyped_or_out_of_range_field(field, value):
+    with pytest.raises(ValidationError, match=field):
+        SimTask(**{"seed": 1, "depth": 1, "width": 1, "overlap_count": 2, field: value})
+
+
+def test_task_takes_numpy_ints_and_ints_for_real_fields():
+    plain = SimTask(seed=1, depth=2, width=1, overlap_count=2, step_cap=9, solve_cost=10)
+    numpy = SimTask(seed=np.int64(1), depth=np.int32(2), width=np.uint8(1),
+                    overlap_count=np.int64(2), step_cap=np.int16(9), solve_cost=np.int64(10))
+    assert numpy == plain and numpy.task_id == plain.task_id
+
+
 def test_overlap_nodes_on_all_solution_paths():
     task = generate_task(seed=2, depth=3, width=2, overlap_count=4, distractor_count=0)
-    shared = task.shared_nodes()
+    shared = [node for chain in task.shared_chains for node in chain]
     assert len(shared) == 4
     # oracle: enumerate each team's required path from the plan structure
     backend = ScriptedBackend(task, 3)
@@ -144,20 +162,25 @@ def test_a_task_derives_on_first_use_and_its_derived_data_is_no_parameter(provid
     params = dict(seed=6, depth=2, width=1, overlap_count=4, distractor_count=2)
     task = generate_task(**params)
     assert task.derived == {}
-    assert task.task_spec() is task.task_spec()
     assert task.scorer() is task.scorer()
     run_variant([task], variant_policy("add-all"), 3, [0, 1], provider)
     fresh = generate_task(**params)
     assert len(task.derived) > 2 and fresh.derived == {}
     assert task == fresh and hash(task) == hash(fresh) and asdict(task) == asdict(fresh)
+    # the attributes run_episode reads are set once, from the fields, and are no field
+    assert (task.task_id, task.query) == ("sim-6-d2w1o4x2",
+                                          "determine values of shared subtasks s0 s1 s2 s3")
+    assert not {"task_id", "query", "derived"} & set(asdict(task))
+    renamed = generate_task(**params)
+    renamed.__dict__.update(task_id="another", query="another query")
+    assert renamed == task and hash(renamed) == hash(task)
 
 
 def test_zero_overlap_yields_zero_savings(provider):
     task = generate_task(seed=5, depth=2, width=2, overlap_count=0, distractor_count=0, p_fail=0.0)
-    spec = task.task_spec()
-    none_trace = run_episode(spec, 3, ScriptedBackend(task, 3), None, provider,
+    none_trace = run_episode(task, 3, ScriptedBackend(task, 3), None, provider,
                              MajorityAggregator(), seed=1)
-    yes_trace = run_episode(spec, 3, ScriptedBackend(task, 3), variant_policy("add-all"), provider,
+    yes_trace = run_episode(task, 3, ScriptedBackend(task, 3), variant_policy("add-all"), provider,
                             MajorityAggregator(), seed=1)
     assert none_trace.end_time == yes_trace.end_time
     assert not any(e["kind"] == "retrieve" for e in yes_trace.events)
@@ -166,7 +189,7 @@ def test_zero_overlap_yields_zero_savings(provider):
 
 def test_memory_disabled_computations_scale_with_k(provider):
     task = generate_task(seed=6, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.2)
-    trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), None, provider,
+    trace = run_episode(task, 3, ScriptedBackend(task, 3), None, provider,
                         MajorityAggregator(), seed=2)
     per_team = {t: 0 for t in (1, 2, 3)}
     for e in trace.events:
@@ -179,10 +202,9 @@ def test_memory_disabled_computations_scale_with_k(provider):
 
 def test_retrieval_cheaper_than_solve(provider):
     task = generate_task(seed=7, depth=2, width=1, overlap_count=6, distractor_count=0, p_fail=0.0)
-    spec = task.task_spec()
-    t_none = run_episode(spec, 3, ScriptedBackend(task, 3), None, provider,
+    t_none = run_episode(task, 3, ScriptedBackend(task, 3), None, provider,
                          MajorityAggregator(), seed=1)
-    t_yes = run_episode(spec, 3, ScriptedBackend(task, 3), variant_policy("add-all"), provider,
+    t_yes = run_episode(task, 3, ScriptedBackend(task, 3), variant_policy("add-all"), provider,
                         MajorityAggregator(), seed=1)
     assert t_yes.end_time < t_none.end_time
 
@@ -192,7 +214,7 @@ def test_score_invariant_without_distractors(provider):
     scorer = task.scorer()
     scores = []
     for policy in (None, variant_policy("add-all"), llm_proxy_rule()):
-        trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), policy, provider,
+        trace = run_episode(task, 3, ScriptedBackend(task, 3), policy, provider,
                             MajorityAggregator(), seed=3)
         scores.append(scorer.score(trace.aggregate_answer))
     assert len(set(scores)) == 1 and scores[0] == 1.0
@@ -202,11 +224,11 @@ def test_lure_pollution_spreads_only_when_admitted(provider):
     task = generate_task(seed=9, depth=2, width=1, overlap_count=6, distractor_count=4,
                          p_fail=0.0, pollution_recovery_steps=2)
     none_backend = ScriptedBackend(task, 3)
-    run_episode(task.task_spec(), 3, none_backend, None, provider, MajorityAggregator(), seed=4)
+    run_episode(task, 3, none_backend, None, provider, MajorityAggregator(), seed=4)
     assert all(none_backend.plan(t).pollution == 0 for t in (1, 2, 3))
 
     yes_backend = ScriptedBackend(task, 3)
-    run_episode(task.task_spec(), 3, yes_backend, variant_policy("add-all"), provider,
+    run_episode(task, 3, yes_backend, variant_policy("add-all"), provider,
                 MajorityAggregator(), seed=4)
     assert sum(yes_backend.plan(t).pollution for t in (1, 2, 3)) > 0
 
@@ -215,7 +237,7 @@ def test_own_lure_is_recognized(provider):
     task = generate_task(seed=10, depth=1, width=1, overlap_count=3, distractor_count=3,
                          p_fail=0.0)
     backend = ScriptedBackend(task, 1)
-    run_episode(task.task_spec(), 1, backend, variant_policy("add-all"), provider,
+    run_episode(task, 1, backend, variant_policy("add-all"), provider,
                 MajorityAggregator(), seed=0)
     assert backend.plan(1).pollution == 0
 
@@ -262,7 +284,7 @@ def test_canonical_key_format():
 
 def test_solve_counts_oracle(provider):
     task = generate_task(seed=11, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.0)
-    trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), None, provider,
+    trace = run_episode(task, 3, ScriptedBackend(task, 3), None, provider,
                         MajorityAggregator(), seed=0)
     counts = solve_counts(trace.events)
     assert sum(counts.values()) == 12  # 4 shared nodes x 3 teams, no sharing
@@ -289,7 +311,7 @@ def test_the_move_cache_never_shows_in_a_trace(provider):
 
     def episode(task, seed):
         backend = _MoveRecorder(task, 3)
-        trace = run_episode(task.task_spec(), 3, backend, rule, provider, MajorityAggregator(),
+        trace = run_episode(task, 3, backend, rule, provider, MajorityAggregator(),
                             seed=seed)
         return trace.events, backend.moves
 

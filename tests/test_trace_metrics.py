@@ -161,7 +161,7 @@ def test_metrics_idempotent_through_files(tmp_path, provider):
     for i in range(4):
         task = generate_task(seed=80 + i, depth=2, width=1, overlap_count=4,
                              distractor_count=1, p_fail=0.1)
-        trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
+        trace = run_episode(task, 3, ScriptedBackend(task, 3),
                             variant_policy("add-all"), provider, MajorityAggregator(), seed=i)
         trace.events.append({"kind": "score", "agg_score": 1.0, "first_score": 1.0})
         streams.append(trace.events)
@@ -267,7 +267,7 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
 
     tasks = _variant_tasks()
     streams = _variant_streams(tasks, provider)
-    stale = run_episode(tasks[0].task_spec(), 3, StaleFirstRetrieve(tasks[0], 3),
+    stale = run_episode(tasks[0], 3, StaleFirstRetrieve(tasks[0], 3),
                         variant_policy("add-all"), provider, MajorityAggregator(), seed=0)
     streams.append(stale.events)
     streams.append([{"kind": "team_end", "team": 1, "step": 2, "status": "final", "vt": 0.1,
@@ -531,7 +531,7 @@ def _written_episode(tmp_path, provider):
     from hivemem.sim import ScriptedBackend, generate_task, variant_policy
 
     task = generate_task(seed=90, depth=2, width=1, overlap_count=4, distractor_count=1)
-    trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), variant_policy("add-all"),
+    trace = run_episode(task, 3, ScriptedBackend(task, 3), variant_policy("add-all"),
                         provider, MajorityAggregator(), seed=0)
     path = tmp_path / "episode.jsonl"
     write_events(path, trace.events)

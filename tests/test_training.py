@@ -76,7 +76,7 @@ HEAVY_PROVIDER = HashingEmbedder(64)
 def sim_trace(policy=None, seed=0, distractors=0, p_fail=0.1):
     task = generate_task(seed=50, depth=2, width=1, overlap_count=4,
                          distractor_count=distractors, p_fail=p_fail)
-    trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3), policy, PROVIDER,
+    trace = run_episode(task, 3, ScriptedBackend(task, 3), policy, PROVIDER,
                         MajorityAggregator(), seed=seed)
     return task, trace
 
@@ -161,7 +161,7 @@ def test_group_advantage_normalization_identity(rewards):
 def _trace_with_usage():
     task = generate_task(seed=51, depth=2, width=1, overlap_count=6,
                          distractor_count=0, p_fail=0.0)
-    trace = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
+    trace = run_episode(task, 3, ScriptedBackend(task, 3),
                         variant_policy("add-all"), PROVIDER, MajorityAggregator(), seed=1)
     assert any(e["kind"] == "retrieve" for e in trace.events)
     return trace
@@ -200,7 +200,7 @@ def test_shaped_advantage_values_restricted():
 def test_shaped_advantage_unretrieved_entry_gets_base():
     task = generate_task(seed=52, depth=1, width=1, overlap_count=1,
                          distractor_count=0, p_fail=0.0)
-    trace = run_episode(task.task_spec(), 1, ScriptedBackend(task, 1),
+    trace = run_episode(task, 1, ScriptedBackend(task, 1),
                         variant_policy("add-all"), PROVIDER, MajorityAggregator(), seed=0)
     assert any(e["kind"] == "admit" for e in trace.events)
     assert not any(e["kind"] == "retrieve" for e in trace.events)
@@ -211,7 +211,7 @@ def test_shaped_advantage_unretrieved_entry_gets_base():
 def test_shaped_advantage_pays_own_team_retrievals():
     # k=1, so every retrieval is by the admitting team: the bonus still applies
     task = generate_task(seed=1005, **HEAVY)
-    trace = run_episode(task.task_spec(), 1, ScriptedBackend(task, 1),
+    trace = run_episode(task, 1, ScriptedBackend(task, 1),
                         variant_policy("add-all"), HEAVY_PROVIDER, MajorityAggregator(), seed=0)
     admits = [e for e in trace.events if e["kind"] == "admit"]
     own_used = {
@@ -451,7 +451,7 @@ def test_nonfinite_logits_fail_closed_in_rollout():
     policy.params["w_out"][:] = np.nan
     task = generate_task(seed=71, depth=1, width=1, overlap_count=2,
                          distractor_count=0, p_fail=0.0)
-    trace = run_episode(task.task_spec(), 2, ScriptedBackend(task, 2), LearnedAdmission(policy),
+    trace = run_episode(task, 2, ScriptedBackend(task, 2), LearnedAdmission(policy),
                         PROVIDER, MajorityAggregator(), seed=0)
     assert not any(e["kind"] == "admit" for e in trace.events)
     assert all(d["fail_closed"] for d in decision_events(trace.events))
@@ -524,7 +524,7 @@ def test_rollout_group_shares_a_rule_without_changing_a_trace(monkeypatch):
     forwards.clear()
     for g, events in enumerate(streams):
         seed = int(np.random.SeedSequence([config.seed, 0, 0, g]).generate_state(1)[0])
-        alone = run_episode(task.task_spec(), 3, ScriptedBackend(task, 3),
+        alone = run_episode(task, 3, ScriptedBackend(task, 3),
                             LearnedAdmission(policy, "sampled", config.sample_temperature),
                             HEAVY_PROVIDER, MajorityAggregator(), seed=seed)
         # prob_yes and log_prob bit for bit, and the score event the rollout appends
