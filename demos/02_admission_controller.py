@@ -14,8 +14,8 @@ from hivemem import (
     MemoryBank,
     StepTriplet,
     build_context,
-    decide,
 )
+from hivemem.controller import sample_binary_decision
 
 provider = HashingEmbedder(dimension=32)
 bank = MemoryBank(embedding_dim=32)
@@ -34,15 +34,16 @@ triplet = StepTriplet(
 context = build_context("reconcile the two data files", bank, triplet, provider)
 print(f"context: query, step and the mean of {context.memory_sizes[0]} memory keys")
 
-greedy = decide(policy, context, mode="greedy")
+logits = policy.forward(context)[0][0]
+greedy = sample_binary_decision(logits, "greedy")
 print(f"greedy decision: {greedy.action} (prob_yes={greedy.prob_yes:.3f})")
 
 rng = np.random.default_rng(7)
-draws = [decide(policy, context, mode="sampled", rng=rng, temperature=1.2) for _ in range(2000)]
+draws = [sample_binary_decision(logits, "sampled", rng, 1.2) for _ in range(2000)]
 rate = sum(d.action == "YES" for d in draws) / len(draws)
 print(f"sampled at T=1.2: empirical admit rate {rate:.3f} (untrained policy: ~0.5)")
 
 # Decisions are pure functions of (parameters, context): rerunning greedy
 # always reproduces the same answer.
-assert decide(policy, context, mode="greedy") == greedy
+assert sample_binary_decision(policy.forward(context)[0][0], "greedy") == greedy
 print("greedy decisions are deterministic and order-invariant over memory keys")

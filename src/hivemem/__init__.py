@@ -16,7 +16,6 @@ from .controller import (
     Decision,
     StepTriplet,
     build_context,
-    decide,
 )
 from .embeddings import EmbeddingProvider, HashingEmbedder
 from .errors import (

@@ -119,8 +119,10 @@ def _run_llm(args, provider, rule) -> int:
 
     if not args.query:
         raise ValidationError("--backend llm requires --query")
-    out = _output_dir(args.out)
+    _output_dir(args.out, make=False)  # checked before any work
     config = EndpointConfig.from_env()
+    config.credential()  # a missing credential fails before ``--out`` is made
+    out = _output_dir(args.out)
     backend = LLMBackend(config)
     aggregator = LLMAggregator(config)
     cap = {} if args.cap is None else {"step_cap": args.cap}
@@ -189,17 +191,13 @@ def training_setup(cfg: dict, out: Path):
 
     The config holds exactly ``tasks``, a block ``task_family`` reads,
     ``policy``, ``AdmissionPolicy``'s keywords, and ``train``,
-    ``TrainConfig``'s; checkpoints and the report go under ``out``.
+    ``TrainConfig``'s; checkpoints go under ``out``.
     """
     _exact_keys("training config", cfg, ("tasks", "policy", "train"))
     tasks = task_family(cfg["tasks"])
     try:
         policy = AdmissionPolicy(**cfg["policy"])
-        config = TrainConfig(
-            **cfg["train"],
-            checkpoint_dir=str(out / "checkpoints"),
-            report_path=str(out / "report.jsonl"),
-        )
+        config = TrainConfig(**cfg["train"], checkpoint_dir=str(out / "checkpoints"))
     except TypeError as exc:  # an unknown or missing keyword
         raise ValidationError(str(exc)) from exc
     return tasks, policy, HashingEmbedder(policy.embed_dim), config
@@ -219,7 +217,7 @@ def cmd_train(args) -> int:
         Path(args.config), "training config", lambda cfg: training_setup(cfg, Path(args.out))
     )
     out = _output_dir(args.out)
-    train(policy, tasks, provider, config)
+    train(policy, tasks, provider, config).write(out / "report.jsonl")
     policy.save(str(out / "policy.npz"), provider_name=provider.name)
     sys.stdout.write(f"trained policy written to {out / 'policy.npz'}\n")
     return 0

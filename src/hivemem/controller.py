@@ -148,7 +148,10 @@ def sample_binary_decision(
     if rng is None:
         raise ValidationError("sampled mode requires a random generator")
     p_yes, p_no = _two_way_softmax(yes / temperature, no / temperature)
-    take_yes = rng.random() < p_yes
+    return _decision(p_yes, p_no, rng.random() < p_yes)
+
+
+def _decision(p_yes: float, p_no: float, take_yes: bool) -> Decision:
     return Decision(
         action=YES if take_yes else NO,
         prob_yes=p_yes,
@@ -176,12 +179,7 @@ def _greedy_decision(yes: float, no: float) -> Decision:
     sign of a zero, and ``exp`` maps both zeros to 1.
     """
     p_yes, p_no = _two_way_softmax(yes, no)
-    take_yes = yes >= no
-    return Decision(
-        action=YES if take_yes else NO,
-        prob_yes=p_yes,
-        log_prob_action=float(np.log(p_yes if take_yes else p_no)),
-    )
+    return _decision(p_yes, p_no, yes >= no)
 
 
 _FAIL_CLOSED = Decision(
@@ -357,18 +355,6 @@ def build_context(
         memory_sizes=np.array([size]),
         step_means=step_mean(provider, triplet)[None],
     )
-
-
-def decide(
-    policy: AdmissionPolicy,
-    context: ControllerContext,
-    mode: str = "greedy",
-    rng: np.random.Generator | None = None,
-    temperature: float = 1.0,
-) -> Decision:
-    """Evaluate the policy on a one-row context and emit a YES/NO decision."""
-    logits, _ = policy.forward(context)
-    return sample_binary_decision(logits[0], mode, rng=rng, temperature=temperature)
 
 
 def action_index(action: str) -> int:

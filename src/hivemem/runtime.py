@@ -260,14 +260,10 @@ class EpisodeTrace:
 
     ``candidates`` and ``team_status`` follow team order, from the
     ``team_end`` events; the answers and ``end_time`` come from the
-    ``aggregate`` event.
+    ``aggregate`` event.  The task, k, mode, query and seed are the
+    header's, ``events[0]``.
     """
 
-    task_id: str
-    k: int
-    mode: str
-    query: str
-    seed: int
     candidates: list[Candidate]
     team_status: list[str]
     first_team: int | None
@@ -289,10 +285,9 @@ class EpisodeTrace:
                 aggregate.append(e)
         if not events or events[0]["kind"] != "header" or len(aggregate) != 1:
             raise SchemaError("an episode is a header first and exactly one aggregate event")
-        header, agg = events[0], aggregate[0]
+        agg = aggregate[0]
         ends.sort(key=_team)
         return cls(
-            header["task_id"], header["k"], header["mode"], header["query"], header["seed"],
             candidates=_candidates(ends),
             team_status=[e["status"] for e in ends],
             first_team=agg["first_team"],
@@ -431,8 +426,9 @@ def run_episode(
     these, but the four seed words a generator starts from are derived once
     per (seed, spawn key) and kept (up to ``SEED_WORDS_LIMIT`` pairs), so
     the episodes of one seed on many tasks derive them once.  ``seed``
-    must be a non-negative integer, numpy's included; anything else is a
-    ``ValidationError`` before the first move.
+    must be a non-negative integer, numpy's included but no bool; anything
+    else is a ``ValidationError`` before the first move.  The header holds
+    ``k``, the step cap and ``seed`` as plain ints.
 
     In deterministic mode all timing is virtual: move costs advance
     per-team clocks and the interleaving is fixed by the seed, so two
@@ -459,7 +455,7 @@ def run_episode(
         raise ValidationError(f"unknown mode {mode!r}")
     if rule is not None and not callable(getattr(rule, "decide_step", None)):
         raise ValidationError(f"rule must be an admission rule or None, not {type(rule).__name__}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
 
     events: list[dict] = []  # list.append is atomic: live teams and the bank share it
@@ -475,8 +471,9 @@ def run_episode(
         clock_ns = lambda: int(now_vt[0] * 1_000_000)  # noqa: E731
     bank = MemoryBank(provider.dimension, event_sink=sink, clock_ns=clock_ns)
 
-    sink({"kind": "header", "schema": SCHEMA_VERSION, "task_id": task.task_id, "k": k,
-          "mode": mode, "cap": task.step_cap, "query": task.query, "seed": seed})
+    # numpy integers are welcome, but the trace file holds plain ints
+    sink({"kind": "header", "schema": SCHEMA_VERSION, "task_id": task.task_id, "k": int(k),
+          "mode": mode, "cap": int(task.step_cap), "query": task.query, "seed": int(seed)})
 
     team_rngs = [_generator(seed, (0, j)) for j in range(k)]
     decision_rngs = [_LazyGenerator(seed, (1, j)) for j in range(k)]

@@ -61,33 +61,15 @@ def _digest(*parts) -> str:
 # The kind of number each ``SimTask`` field annotation admits; no bool is either.
 _FIELD_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a real number")}
 
-# Most answers one SimScorer remembers the score of; answers past the cap
-# are scored but not stored.
-SCORE_MEMO_LIMIT = 256
-
-
 class SimScorer:
-    """Weighted fraction of correct ``field=value`` pairs, in [0, 1].
-
-    The scorer remembers the score of each answer it has scored, up to
-    ``SCORE_MEMO_LIMIT`` answers: the episodes of one task mostly give the
-    same few answers."""
+    """Weighted fraction of correct ``field=value`` pairs, in [0, 1]."""
 
     def __init__(self, answer_key: dict[str, str]):
         if not answer_key:
             raise ValidationError("answer key must have at least one field")
         self.answer_key = dict(answer_key)
-        self._memo: dict[str, float] = {}
 
     def score(self, answer: str) -> float:
-        value = self._memo.get(answer)
-        if value is None:
-            value = self._score(answer)
-            if len(self._memo) < SCORE_MEMO_LIMIT:
-                self._memo[answer] = value
-        return value
-
-    def _score(self, answer: str) -> float:
         got: dict[str, str] = {}
         for part in answer.split(";"):
             if "=" in part:
@@ -115,15 +97,14 @@ class SimTask:
 
     ``derived`` starts empty and holds what episodes of the task derive
     from it, each built once, on first use (see ``derive``), and shared by
-    every episode and team that needs it: its ``scorer`` (which keeps a
-    bounded memo of scored answers), each team's plan layout for a team
-    count k (its own and foreign shared nodes, its private nodes and its
-    lures), and the step moves ``ScriptedBackend`` takes.  All are
-    immutable but the scorer's memo, and the task bounds their number: a
-    move per node, team, lure, recovery round and step cost (a cost per
-    pollution level), a layout per team and k.  None of it, nor
-    ``task_id`` or ``query``, is a field, so none is in
-    ``dataclasses.asdict``, equality or the hash.
+    every episode and team that needs it: each team's plan layout for a
+    team count k (its own and foreign shared nodes, its private nodes and
+    its lures), and the step moves ``ScriptedBackend`` takes.  All are
+    immutable, and the task bounds their number: a move per node, team,
+    lure, recovery round and step cost (a cost per pollution level), a
+    layout per team and k.  None of it, nor ``task_id`` or ``query``, is a
+    field, so none is in ``dataclasses.asdict``, equality or the hash.
+    ``scorer()`` builds a fresh ``SimScorer``; a score costs microseconds.
     """
 
     seed: int
@@ -192,7 +173,7 @@ class SimTask:
         return value
 
     def scorer(self) -> SimScorer:
-        return self.derive(_scorer)
+        return SimScorer(self.answer_key)
 
     def private_nodes(self, team: int) -> list[str]:
         return [
@@ -206,10 +187,6 @@ class SimTask:
 
 
 generate_task = SimTask
-
-
-def _scorer(task: SimTask) -> SimScorer:
-    return SimScorer(task.answer_key)
 
 
 def _plan_layout(task: SimTask, team: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
@@ -311,7 +288,6 @@ class _TeamPlan:
         self.recovery_count = 0
         self.steps = 0
         self.cursor = 0
-        self.finished = False
 
 
 class ScriptedBackend:
@@ -366,7 +342,6 @@ class ScriptedBackend:
         return self.task.solve_cost + st.pollution * self.task.pollution_step_surcharge
 
     def _final(self, st: _TeamPlan) -> FinalMove:
-        st.finished = True
         return FinalMove(self.task.render_answer(st.known_shared))
 
     def _budget_left(self, st: _TeamPlan) -> bool:
@@ -413,9 +388,6 @@ class ScriptedBackend:
         task = self.task
         st = self.plan(team)
         self._absorb_history(st, history)
-
-        if st.finished:
-            return self._final(st)
 
         if st.recovery_pending > 0:
             if not self._budget_left(st):

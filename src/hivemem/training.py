@@ -146,7 +146,6 @@ class TrainConfig:
     seed: int = 0
     k: int = 3
     checkpoint_dir: str | None = None
-    report_path: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("group_size", "epochs", "replay_factor", "seed", "k"):
@@ -307,7 +306,9 @@ def train(
     provider: EmbeddingProvider,
     config: TrainConfig,
 ) -> TrainReport:
-    """Run the full epoch/replay loop; returns the training report.
+    """Run the full epoch/replay loop; returns the training report, which
+    the caller writes if it wants it (``hivemem train`` writes
+    ``report.jsonl``).
 
     Per epoch: G sampled rollouts per task, advantages frozen, then
     ``replay_factor`` optimization passes over the stored groups (one
@@ -374,6 +375,4 @@ def train(
         )
         checkpoint(f"epoch_{epoch:03d}")
 
-    if config.report_path:
-        report.write(config.report_path)
     return report

@@ -126,7 +126,7 @@ def test_readme_training_config_builds(tmp_path):
     assert policy.controller_dim == cfg["policy"]["controller_dim"]
     for key, value in cfg["train"].items():
         assert getattr(config, key) == value, key
-    assert config.report_path == str(tmp_path / "report.jsonl")
+    assert config.checkpoint_dir == str(tmp_path / "checkpoints")
 
 
 def test_train_rejects_a_config_in_another_schema(tmp_path, capsys):
@@ -413,6 +413,16 @@ def test_run_llm_requires_query(tmp_path, capsys):
     assert code != 0
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
+
+
+def test_run_llm_without_a_credential_fails_before_out_is_touched(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HIVEMEM_API_KEY", raising=False)
+    out = tmp_path / "llm"
+    assert main(["run", "--backend", "llm", "--query", "q", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigurationError"
+    assert "HIVEMEM_API_KEY" in record["message"]
+    assert not out.exists()
 
 
 def test_error_record_on_failure(tmp_path, capsys):

@@ -15,7 +15,6 @@ from hivemem.controller import (
     StepTriplet,
     _greedy_decision,
     build_context,
-    decide,
     log_prob,
     prob_yes_with_grad,
     sample_binary_decision,
@@ -51,7 +50,8 @@ def randomized_policy(d_e, d_c, seed):
 
 def test_initial_probability_is_half():
     policy = AdmissionPolicy(8, 4, seed=1)
-    d = decide(policy, random_context(8, 3, np.random.default_rng(0)))
+    context = random_context(8, 3, np.random.default_rng(0))
+    d = sample_binary_decision(policy.forward(context)[0][0], "greedy")
     assert d.prob_yes == pytest.approx(0.5, abs=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_probability_normalization():
     policy = randomized_policy(6, 4, 3)
     for _ in range(20):
         c = random_context(6, int(rng.integers(0, 5)), rng)
-        d = decide(policy, c)
+        d = sample_binary_decision(policy.forward(c)[0][0], "greedy")
         lp_yes, _ = log_prob(policy, c, YES)
         lp_no, _ = log_prob(policy, c, NO)
         assert math.exp(lp_yes) + math.exp(lp_no) == pytest.approx(1.0, abs=1e-12)
@@ -107,10 +107,11 @@ def test_low_temperature_matches_greedy():
     agree = total = 0
     for _ in range(20):
         c = random_context(6, 2, rng)
-        g = decide(policy, c, "greedy").action
+        logits = policy.forward(c)[0][0]
+        g = sample_binary_decision(logits, "greedy").action
         for _ in range(500):
             total += 1
-            agree += decide(policy, c, "sampled", rng, temperature=0.01).action == g
+            agree += sample_binary_decision(logits, "sampled", rng, 0.01).action == g
     assert agree / total >= 0.99
 
 
@@ -297,7 +298,8 @@ def test_memory_permutation_invariance(provider):
         bank = MemoryBank(provider.dimension)
         for step, i in enumerate(order, 1):
             bank.admit(summaries[i], "out", provider.embed(summaries[i]), 1, step)
-        decisions.append(decide(policy, build_context("the query", bank, triplet, provider)))
+        context = build_context("the query", bank, triplet, provider)
+        decisions.append(sample_binary_decision(policy.forward(context)[0][0], "greedy"))
     d1, d2 = decisions
     assert d1.prob_yes == pytest.approx(d2.prob_yes, abs=1e-12)
     assert d1.action == d2.action

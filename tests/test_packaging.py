@@ -1,9 +1,12 @@
 """Every module the package imports is in the standard library, the package
 itself, or a declared dependency in ``pyproject.toml``; every private
-module-level name the package defines is used in it."""
+module-level name the package defines is used in it; ``import hivemem``
+leaves the HTTP client unloaded."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -104,3 +107,15 @@ def test_no_package_line_is_longer_than_100_columns():
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+def test_importing_the_package_leaves_the_http_client_unloaded():
+    # ``requests`` costs about as much to import as the rest of the package
+    # with numpy; only the CLI's live backend and the endpoint adapter need it
+    code = ("import sys, hivemem; "
+            "print(sorted({'hivemem.cli', 'hivemem.endpoint', 'requests'} & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "[]"

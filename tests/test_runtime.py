@@ -410,7 +410,7 @@ def test_live_mode_smoke():
     task = generate_task(seed=9, depth=2, width=1, overlap_count=4, distractor_count=0, p_fail=0.1)
     trace = run_sim(task, variant_policy("add-all"), seed=3, mode="live")
     assert task.scorer().score(trace.aggregate_answer) == 1.0
-    assert trace.mode == "live"
+    assert trace.events[0]["mode"] == "live"
     step_events = [e for e in trace.events if e["kind"] == "step"]
     decision_events = [e for e in trace.events if e["kind"] == "decision"]
     assert len(step_events) == len(decision_events)
@@ -726,7 +726,7 @@ def test_the_generator_caches_never_show_in_a_trace():
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "live"])
-@pytest.mark.parametrize("seed", [-1, -5, 1.0, "3", None, [1, 2], -(2**70)])
+@pytest.mark.parametrize("seed", [-1, -5, 1.0, "3", None, [1, 2], -(2**70), True])
 def test_run_episode_refuses_a_seed_that_is_no_non_negative_integer(mode, seed):
     spy = _DrawSpy()
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
@@ -735,13 +735,21 @@ def test_run_episode_refuses_a_seed_that_is_no_non_negative_integer(mode, seed):
     assert spy.team_draws == spy.decision_draws == {}
 
 
-def test_run_episode_takes_numpy_integer_seeds():
+def test_run_episode_takes_numpy_integer_seeds(tmp_path):
     import numpy as np
 
+    def trace_file(task, seed, k=3):
+        path = tmp_path / "episode.jsonl"
+        run_sim(task, variant_policy("add-all"), seed=seed, k=k).write(path)
+        return path.read_bytes()
+
     task = generate_task(seed=1, **_HEAVY)
-    reference = run_sim(task, variant_policy("add-all"), seed=9).events
+    reference = trace_file(task, 9)
     for seed in (np.int64(9), np.uint32(9), np.uint64(9)):
-        assert run_sim(task, variant_policy("add-all"), seed=seed).events == reference
+        assert trace_file(task, seed) == reference
+    # a numpy k or step cap is written as the plain int it equals
+    assert trace_file(task, 9, k=np.int64(3)) == reference
+    assert trace_file(generate_task(seed=1, **{**_HEAVY, "step_cap": np.int64(14)}), 9) == reference
     with pytest.raises(ValidationError):
         run_sim(task, variant_policy("add-all"), seed=np.int64(-9))
 
@@ -820,7 +828,8 @@ def test_a_trace_file_rebuilds_its_trace(
     rebuilt = EpisodeTrace.from_events(read_events(path))
 
     assert rebuilt == trace
-    assert (rebuilt.query, rebuilt.seed, rebuilt.k) == (task.query, seed, k)
+    header = rebuilt.events[0]
+    assert (header["query"], header["seed"], header["k"]) == (task.query, seed, k)
     assert len(rebuilt.team_status) == k
     if fault is not None and fault_after < spy.moves:
         ending = {"raise": "failed", "step": "cap_exhausted", "retrieve": "move_limit"}[fault]
@@ -847,7 +856,7 @@ def test_a_trace_file_rebuilds_its_trace(
         recorded.append((*key, triplet, e["label"], decision, size, entries.get(key)))
     assert recorded == taken
     assert len(decisions) == sum(row[4] is not None for row in taken)
-    answer = MajorityAggregator().aggregate(rebuilt.query, rebuilt.candidates)
+    answer = MajorityAggregator().aggregate(header["query"], rebuilt.candidates)
     assert answer == rebuilt.aggregate_answer == trace.aggregate_answer
 
 

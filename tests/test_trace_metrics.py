@@ -627,7 +627,7 @@ def test_header_seed_outside_64_bits_reads_back_as_an_int(tmp_path, provider, se
     events = read_events(path)
     assert type(events[0]["seed"]) is int and events[0]["seed"] == seed
     assert _typed(events) == _typed(read_events_line_by_line(path))
-    assert EpisodeTrace.from_events(events).seed == seed
+    assert EpisodeTrace.from_events(events).events[0]["seed"] == seed
 
 
 @pytest.mark.parametrize("event", [
@@ -739,7 +739,7 @@ def test_validate_event_accepts_known_kinds():
     validate_event({"kind": "score", "agg_score": 1.0, "first_score": 0.5})
 
 
-def test_trace_sink_thread_safe_append():
+def test_bank_events_from_many_threads_arrive_in_seq_order():
     import sys
     import threading
 

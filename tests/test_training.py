@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hivemem.controller import (
     AdmissionPolicy,
     ControllerContext,
     action_index,
-    decide,
     log_prob,
     prob_yes_with_grad,
+    sample_binary_decision,
     softmax,
     step_loss_grads,
 )
@@ -401,22 +403,23 @@ def test_zero_advantage_no_learning():
     context = pooled_context(
         PROVIDER.embed("q"), np.zeros((0, 32)), np.stack([PROVIDER.embed(t) for t in "abc"])
     )
-    assert decide(policy, context).prob_yes == pytest.approx(0.5, abs=1e-9)
+    decision = sample_binary_decision(policy.forward(context)[0][0], "greedy")
+    assert decision.prob_yes == pytest.approx(0.5, abs=1e-9)
 
 
 def test_training_report_structure(tmp_path):
     policy = AdmissionPolicy(32, 8, seed=0)
     cfg = TrainConfig(group_size=2, epochs=2, replay_factor=2, lr=1e-3, seed=3, k=2,
-                      checkpoint_dir=str(tmp_path / "ckpts"),
-                      report_path=str(tmp_path / "report.jsonl"))
+                      checkpoint_dir=str(tmp_path / "ckpts"))
     report = train(policy, small_tasks(2), PROVIDER, cfg)
+    report.write(tmp_path / "report.jsonl")
     assert len(report.epochs) == 2
     for row in report.epochs:
         assert {"epoch", "mean_reward", "admission_rate", "mean_total_loss"} <= set(row)
     assert (tmp_path / "ckpts" / "epoch_001.npz").exists()
-    assert (tmp_path / "report.jsonl").exists()
     lines = (tmp_path / "report.jsonl").read_text().strip().splitlines()
     assert len(lines) == 3  # config + two epochs
+    assert json.loads(lines[0]) == {"kind": "config", **asdict(cfg)}
 
 
 def test_training_does_not_mutate_traces():
