@@ -425,10 +425,10 @@ def run_episode(
     fixed rule builds k generators, not 2k.  The streams are exactly
     these, but the four seed words a generator starts from are derived once
     per (seed, spawn key) and kept (up to ``SEED_WORDS_LIMIT`` pairs), so
-    the episodes of one seed on many tasks derive them once.  ``seed``
-    must be a non-negative integer, numpy's included but no bool; anything
-    else is a ``ValidationError`` before the first move.  The header holds
-    ``k``, the step cap and ``seed`` as plain ints.
+    the episodes of one seed on many tasks derive them once.  ``k`` must
+    be a positive integer and ``seed`` a non-negative one, numpy's included
+    but no bool; anything else is a ``ValidationError`` before the first
+    move.  The header holds ``k``, the step cap and ``seed`` as plain ints.
 
     In deterministic mode all timing is virtual: move costs advance
     per-team clocks and the interleaving is fixed by the seed, so two
@@ -449,8 +449,8 @@ def run_episode(
     mode lets each other team finish its move in flight, then re-raises
     the first error once every team thread has stopped.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"k must be an integer >= 1, not {k!r}")
     if mode not in ("deterministic", "live"):
         raise ValidationError(f"unknown mode {mode!r}")
     if rule is not None and not callable(getattr(rule, "decide_step", None)):

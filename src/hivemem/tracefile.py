@@ -26,11 +26,11 @@ null when the team leaves no candidate.  A file fails on a header whose
 carry only the six fields above, so external tools can recompute memory
 statistics bit-exactly from the file alone.
 
-A file is written one line per event, each equal to
-``json.dumps(event, sort_keys=True)``.  ``step``, ``decision``, ``admit``
-and ``retrieve`` lines, about 96% of a trace, are formatted directly when
-the event holds exactly its kind's fields with the types the runtime
-writes; any other event is encoded by the JSON encoder.  An existing file
+A file is written one line per event, each equal to ``orjson.dumps(event,
+option=OPT_SORT_KEYS)``: keys sorted, compact separators, strings as raw
+UTF-8.  An event orjson refuses (an int outside 64 bits, a lone surrogate,
+a non-str key) or whose line holds ``null`` (orjson's NaN and Infinity) is
+written as ``json.dumps(event, sort_keys=True)`` instead.  An existing file
 is overwritten in place and then cut to the new length, since truncating
 it first makes the filesystem free its blocks and allocate them again (a
 temporary file renamed over it costs as much: the old blocks are still
@@ -54,7 +54,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Iterable
 
@@ -80,60 +79,10 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
 }
 _REQUIRED_SETS = {kind: frozenset(fields) for kind, fields in _REQUIRED_FIELDS.items()}
 
-# json.dumps(event, sort_keys=True) builds a new encoder on every call.
+# The writer's fallback: json.dumps(event, sort_keys=True) without building
+# a new encoder on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
-_INF = float("inf")
-_STEP_KEYS = frozenset(("kind", *_REQUIRED_FIELDS["step"]))
-_DECISION_KEYS = frozenset(("kind", *_REQUIRED_FIELDS["decision"]))
-_BANK_KEYS = frozenset(("kind", *_REQUIRED_FIELDS["admit"]))
-
-
-# Each returns the event's json.dumps(event, sort_keys=True) line, or None
-# when the event is not exactly its kind's fields with the runtime's types
-# (exact int, float, str or bool; -_INF < x < _INF keeps floats finite).
-def _step_line(e: dict) -> str | None:
-    if e.keys() != _STEP_KEYS:
-        return None
-    team, step, start, end = e["team"], e["step"], e["vt_start"], e["vt_end"]
-    label, given = e["label"], e["agent_input"]
-    summary, output = e["step_summary"], e["agent_output"]
-    if not (type(team) is type(step) is int and type(start) is type(end) is float
-            and -_INF < start < _INF and -_INF < end < _INF
-            and type(label) is type(given) is type(summary) is type(output) is str):
-        return None
-    return (f'{{"agent_input": {_string(given)}, "agent_output": {_string(output)}, '
-            f'"kind": "step", "label": {_string(label)}, "step": {step}, '
-            f'"step_summary": {_string(summary)}, "team": {team}, "vt_end": {end!r}, '
-            f'"vt_start": {start!r}}}')
-
-
-def _decision_line(e: dict) -> str | None:
-    if e.keys() != _DECISION_KEYS:
-        return None
-    team, step, size, action = e["team"], e["step"], e["mem_size"], e["action"]
-    p_yes, log_prob, closed = e["prob_yes"], e["log_prob"], e["fail_closed"]
-    if not (type(team) is type(step) is type(size) is int and type(action) is str
-            and type(p_yes) is type(log_prob) is float
-            and -_INF < p_yes < _INF and -_INF < log_prob < _INF and type(closed) is bool):
-        return None
-    return (f'{{"action": {_string(action)}, "fail_closed": {"true" if closed else "false"}, '
-            f'"kind": "decision", "log_prob": {log_prob!r}, "mem_size": {size}, '
-            f'"prob_yes": {p_yes!r}, "step": {step}, "team": {team}}}')
-
-
-def _bank_line(e: dict) -> str | None:
-    if e.keys() != _BANK_KEYS:
-        return None
-    kind, seq, entry_id = e["kind"], e["seq"], e["entry_id"]
-    team, step, t_ns = e["team"], e["step"], e["t_ns"]
-    if not type(seq) is type(entry_id) is type(team) is type(step) is type(t_ns) is int:
-        return None
-    return (f'{{"entry_id": {entry_id}, "kind": "{kind}", "seq": {seq}, "step": {step}, '
-            f'"t_ns": {t_ns}, "team": {team}}}')
-
-
-_DIRECT_LINES = {"step": _step_line, "decision": _decision_line, "admit": _bank_line,
-                 "retrieve": _bank_line}
+_ORJSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
 
 
 def validate_event(event: dict, line_number: int | None = None) -> dict:
@@ -150,16 +99,20 @@ def validate_event(event: dict, line_number: int | None = None) -> dict:
 
 
 def write_events(path: str | Path, events: Iterable[dict]) -> None:
-    """Write one ``json.dumps(event, sort_keys=True)`` line per event.
+    """Write one ``orjson.dumps(event, option=OPT_SORT_KEYS)`` line per event.
 
-    ``step``, ``decision``, ``admit`` and ``retrieve`` events whose key set
-    is exactly ``kind`` plus their required fields are formatted directly:
-    keys sorted, strings through ``encode_basestring_ascii``, finite floats
-    through ``float.__repr__``, ints and bools as JSON prints them.  Any
-    other event, or one whose values are not of exactly those types (an int
-    ``vt_start``, a NaN ``log_prob``, a str subclass), is encoded by the
-    module's sort-keys encoder alone, so every line is byte-identical to
-    ``json.dumps``.
+    That is the event with its keys sorted, compact separators and strings
+    as raw UTF-8.  The module's sort-keys JSON encoder, which writes
+    ``json.dumps(event, sort_keys=True)``, encodes two kinds of event
+    instead: one orjson refuses with a ``TypeError`` (an int outside 64
+    bits, a lone surrogate, a non-str key, a numpy scalar or a float
+    subclass), and one whose orjson line holds ``null``, since orjson
+    writes NaN and ±Infinity as ``null`` where the JSON encoder keeps them.
+    A ``None`` or a string holding ``null`` takes that path too.  So every
+    event reads back as ``json.loads`` reads its line, and an event the
+    JSON encoder cannot write raises as it does, before the file is opened.
+    orjson also writes dataclasses, datetimes, enums and UUIDs, which the
+    JSON encoder refuses; the runtime writes none of them.
 
     The file is created with mode ``0o666`` less the umask, as ``open(path,
     "w")`` creates it.  An existing one is overwritten in place and then
@@ -171,11 +124,14 @@ def write_events(path: str | Path, events: Iterable[dict]) -> None:
     """
     lines = []
     for event in events:
-        kind = event.get("kind")
-        direct = _DIRECT_LINES.get(kind) if type(kind) is str else None
-        line = direct(event) if direct is not None else None
-        lines.append(_ENCODER.encode(event) if line is None else line)
-    data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+        try:
+            line = orjson.dumps(event, option=_ORJSON_OPTIONS)
+        except TypeError:
+            line = None
+        if line is None or b"null" in line:
+            line = (_ENCODER.encode(event) + "\n").encode("utf-8")
+        lines.append(line)
+    data = b"".join(lines)
     # Truncating to zero first makes the filesystem free the old blocks and
     # allocate new ones, an order of magnitude more than the write itself.
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)

@@ -735,6 +735,16 @@ def test_run_episode_refuses_a_seed_that_is_no_non_negative_integer(mode, seed):
     assert spy.team_draws == spy.decision_draws == {}
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "live"])
+@pytest.mark.parametrize("k", [2.0, True, 0, -1, "3", None])
+def test_run_episode_refuses_a_k_that_is_no_positive_integer(mode, k):
+    # 2.0 failed in range(k) and True ran one team
+    spy = _DrawSpy()
+    with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+        run_episode(TaskSpec("t", "q"), k, spy, spy, _PROVIDER, MajorityAggregator(), mode=mode)
+    assert spy.team_draws == spy.decision_draws == {}
+
+
 def test_run_episode_takes_numpy_integer_seeds(tmp_path):
     import numpy as np
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import asdict
 from pathlib import Path
 
@@ -335,6 +336,16 @@ def test_the_move_cache_never_shows_in_a_trace(provider):
     assert first[0] is second[0]
 
 
+def _event_digest(events_lists) -> str:
+    """SHA-256 of each event's ``json.dumps(event, sort_keys=True)`` line,
+    which no choice of trace-file encoder moves."""
+    digest = hashlib.sha256()
+    for events in events_lists:
+        for event in events:
+            digest.update((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
+    return digest.hexdigest()
+
+
 def _trace_file_digest(events_lists, tmp_path) -> str:
     digest = hashlib.sha256()
     for events in events_lists:
@@ -344,21 +355,28 @@ def _trace_file_digest(events_lists, tmp_path) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("variant, expected", [
-    ("no-memory", "03129e309f970957d9d5f9133b42de0e7de10043185da73f770025ff3e438881"),
-    ("add-all", "3cca1bdce1770061ecc155cbdf5ddcce1a58b866a29fb2ec01dc9a5bc6b8b203"),
-    ("llm-proxy", "ff983dc7cbd7c8d81f306c74eb52b383f02ed0a1d8b3d0cc9cdfddb177b32ce3"),
-    ("learned", "88e0075cf3fa4970dc3f089925aab8e081cf486a9630d2241c620fbe3f4e0eac"),
-])
-def test_eval_trace_files_are_byte_identical_to_the_recorded_ones(
-    provider, tmp_path, variant, expected
+@pytest.mark.parametrize("variant, events_digest, file_digest", [
+    ("no-memory", "03129e309f970957d9d5f9133b42de0e7de10043185da73f770025ff3e438881",
+     "d9410149685a5a6611547706dc00acad035050cbe171333a9a21a7c4b80f723b"),
+    ("add-all", "3cca1bdce1770061ecc155cbdf5ddcce1a58b866a29fb2ec01dc9a5bc6b8b203",
+     "5e0429e053652beee6eaae6edda2e8818afb7fb7374eb14ccfeba8d64c1e00e2"),
+    ("llm-proxy", "ff983dc7cbd7c8d81f306c74eb52b383f02ed0a1d8b3d0cc9cdfddb177b32ce3",
+     "b45e6ac3a2645314df7e708b0632011d96a589b771a513cd78c02bdd8b3b6813"),
+    ("learned", "88e0075cf3fa4970dc3f089925aab8e081cf486a9630d2241c620fbe3f4e0eac",
+     "191bd51ba039ff569f8fd242622d9ea60298c78ba2f769f83504b3cd4b45cf4a"),
+], ids=["no-memory", "add-all", "llm-proxy", "learned"])
+def test_eval_events_and_trace_file_bytes_match_the_recorded_digests(
+    provider, tmp_path, variant, events_digest, file_digest
 ):
-    # recorded literals: a speed-up of the episode loop must not move a byte
-    # of what evaluation writes, under a fixed rule or the pinned checkpoint
+    # recorded literals, under a fixed rule or the pinned checkpoint: the
+    # events digest moves when a speed-up of the episode loop changes any
+    # event, the file digest when the writer changes a byte of the files
     if variant == "learned":
         rule, _ = AdmissionPolicy.load(str(PINNED_POLICY), expected_embed_dim=64)
     else:
         rule = variant_policy(variant)
     tasks = [generate_task(seed=s, **_HEAVY) for s in (1000, 1001)]
     _, traces = run_variant(tasks, rule, 3, [0, 1, 2, 3], provider, keep_traces=True)
-    assert _trace_file_digest([t.events for t in traces], tmp_path) == expected
+    streams = [t.events for t in traces]
+    assert _event_digest(streams) == events_digest
+    assert _trace_file_digest(streams, tmp_path) == file_digest

@@ -273,9 +273,9 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
     streams.append([{"kind": "team_end", "team": 1, "step": 2, "status": "final", "vt": 0.1,
                      "answer": 'na\u00efve {"x": [1]}\n\\ \u2713'}])
     assert {e["kind"] for events in streams for e in events} == set(KINDS)
-    # A renamed or retyped runtime field would send step, decision, admit or
-    # retrieve lines, about 96% of a trace, back to the generic encoder with
-    # the bytes unchanged; events read back, in sorted key order, too.
+    # These streams hold no None, NaN or Infinity, so orjson writes every
+    # line and the JSON encoder none; events read back, and read back in
+    # sorted key order they write the same bytes again.
     encoded = []
     encoder = tracefile._ENCODER
 
@@ -288,15 +288,12 @@ def test_writer_bytes_match_per_event_dumps(tmp_path, provider, monkeypatch):
     for n, events in enumerate(streams):
         path = tmp_path / f"ep{n}.jsonl"
         write_events(path, events)
-        expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
-        assert path.read_bytes() == expected.encode("utf-8")
+        expected = b"".join(orjson.dumps(e, option=orjson.OPT_SORT_KEYS) + b"\n" for e in events)
+        assert path.read_bytes() == expected
         assert read_events(path) == events
         write_events(tmp_path / f"again{n}.jsonl", read_events(path))
-        assert (tmp_path / f"again{n}.jsonl").read_bytes() == expected.encode("utf-8")
-    generic = [e["kind"] for events in streams for e in events
-               if e["kind"] not in ("step", "decision", "admit", "retrieve")]
-    assert set(generic) == {"header", "failed_retrieve", "team_end", "aggregate", "score"}
-    assert sorted(encoded) == sorted(generic * 2)
+        assert (tmp_path / f"again{n}.jsonl").read_bytes() == expected
+    assert encoded == []
 
 
 def _with_step_outputs(events, *outputs):
@@ -481,12 +478,22 @@ def test_read_events_names_first_bad_line_of_files_that_parse_joined(tmp_path, t
     assert message in str(exc.value)
 
 
-def _assert_written_as_dumps(path, events, read_back=True):
+def _stated_line(event) -> bytes:
+    """The writer's line for ``event``: orjson's, or the JSON encoder's when
+    orjson refuses the event or writes ``null`` in its line."""
+    try:
+        line = orjson.dumps(event, option=orjson.OPT_SORT_KEYS) + b"\n"
+        if b"null" not in line:
+            return line
+    except TypeError:
+        pass
+    return (tracefile._ENCODER.encode(event) + "\n").encode("utf-8")
+
+
+def _assert_written_as_stated(path, events):
     write_events(path, events)
-    expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
-    assert path.read_bytes() == expected.encode("utf-8")
-    if read_back:
-        assert read_events(path) == events
+    assert path.read_bytes() == b"".join(_stated_line(e) for e in events)
+    assert _typed(read_events(path)) == _typed(events)
 
 
 _SEPARATOR_EVENTS = [
@@ -503,27 +510,57 @@ _DECISION = {"kind": "decision", "team": 1, "step": 2, "action": "YES", "prob_ye
 _ADMIT = {"kind": "admit", "seq": 4, "entry_id": 2, "team": 1, "step": 2, "t_ns": 3250000}
 
 
-@pytest.mark.parametrize("events", [
-    [],
-    [{"kind": "score", "agg_score": 1.0, "first_score": 0.5}],
-    _SEPARATOR_EVENTS,  # "}, {" inside events
-    _SEPARATOR_EVENTS[:1],
-    [{**_STEP, "vt_start": 0}],
-    [{**_DECISION, "team": True}],
-    [{**_DECISION, "prob_yes": p} for p in (float("inf"), float("-inf"), -0.0)],
-    [{**_DECISION, "log_prob": float("nan")}],
-    [{**_ADMIT, "extra": 1}, {**_ADMIT, "kind": "retrieve", "extra": 1}],
-    [{**_STEP, "label": 'x}, {"kind": "step"', "agent_input": "na\u00efve \u2713",
-      "step_summary": 'say "hi"', "agent_output": "a\\b\u2028c"},
-     {**_DECISION, "action": "\u00e9}, {"}],
-    [dict(sorted(e.items())) for e in (_STEP, _DECISION, _ADMIT, {**_ADMIT, "kind": "retrieve"})],
+_TEAM_END = {"kind": "team_end", "team": 1, "step": 2, "status": "final", "answer": "a",
+             "vt": 0.5}
+
+
+# Each case with the events the JSON encoder writes: those orjson refuses
+# or writes null in, and no other.
+@pytest.mark.parametrize("events, fallback", [
+    ([], ()),
+    ([{"kind": "score", "agg_score": 1.0, "first_score": 0.5}], ()),
+    (_SEPARATOR_EVENTS, ()),  # "}, {" inside events
+    (_SEPARATOR_EVENTS[:1], ()),
+    ([{**_STEP, "vt_start": 0}], ()),
+    ([{**_DECISION, "team": True}], ()),
+    ([{**_DECISION, "prob_yes": p} for p in (float("inf"), float("-inf"), -0.0)], (0, 1)),
+    ([{**_DECISION, "log_prob": float("nan")}], (0,)),
+    ([{**_ADMIT, "extra": 1}, {**_ADMIT, "kind": "retrieve", "extra": 1}], ()),
+    ([{**_STEP, "label": 'x}, {"kind": "step"', "agent_input": "na\u00efve \u2713",
+       "step_summary": 'say "hi"', "agent_output": "a\\b\u2028c"},
+      {**_DECISION, "action": "\u00e9}, {"}], ()),
+    ([dict(sorted(e.items())) for e in (_STEP, _DECISION, _ADMIT, {**_ADMIT, "kind": "retrieve"})],
+     ()),
+    ([{**_TEAM_END, "answer": None}, {**_DECISION, "prob_yes": float("nan")}, _ADMIT], (0, 1)),
+    ([{**_ADMIT, "t_ns": t} for t in (2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1)], (2, 4)),
+    ([{**_TEAM_END, "answer": "\ud800"}, _ADMIT], (0,)),
+    ([{**_STEP, "agent_output": "null"}, _STEP], (0,)),
 ], ids=["empty", "single", "separator_inside", "separator_inside_single", "step_int_vt_start",
         "decision_bool_team", "decision_nonfinite_and_negative_zero", "decision_nan_log_prob",
-        "bank_extra_key", "strings_to_escape", "sorted_key_order"])
-def test_writer_edge_cases_match_per_event_dumps(tmp_path, events):
-    # NaN never equals itself read back, so it gets the bytes check alone
-    has_nan = any(v != v for e in events for v in e.values())
-    _assert_written_as_dumps(tmp_path / "edge.jsonl", events, read_back=not has_nan)
+        "bank_extra_key", "strings_to_escape", "sorted_key_order",
+        "none_and_nan_in_one_file", "ints_at_64_bit_edges", "lone_surrogate",
+        "null_agent_output"])
+def test_writer_edge_cases_match_per_event_dumps(tmp_path, events, fallback):
+    path = tmp_path / "edge.jsonl"
+    write_events(path, events)
+    assert path.read_bytes() == b"".join(
+        (tracefile._ENCODER.encode(e) + "\n").encode("utf-8") if i in fallback
+        else orjson.dumps(e, option=orjson.OPT_SORT_KEYS) + b"\n"
+        for i, e in enumerate(events))
+    # -0.0 keeps its sign, and NaN and ±Infinity stay what they were
+    assert _typed(read_events(path)) == _typed(events)
+
+
+def test_writer_raises_on_a_non_str_key_as_the_json_encoder_does(tmp_path):
+    path = tmp_path / "written.jsonl"
+    path.write_bytes(b"old")
+    event = {**_ADMIT, 1: 2}
+    with pytest.raises(TypeError) as expected:
+        tracefile._ENCODER.encode(event)
+    with pytest.raises(TypeError) as got:
+        write_events(path, [_ADMIT, event])
+    assert str(got.value) == str(expected.value)
+    assert path.read_bytes() == b"old"  # raised before the file was opened
 
 
 def _written_episode(tmp_path, provider):
@@ -703,7 +740,7 @@ _BRACES = st.lists(st.sampled_from(["{", "}", ",", " ", "}, {", '"', "\\", "\n"]
 def test_writer_matches_per_event_dumps_on_brace_heavy_strings(tmp_path_factory, events, junk):
     path = tmp_path_factory.getbasetemp() / "braces.jsonl"
     path.write_bytes(junk)  # written over, longer or shorter than the events
-    _assert_written_as_dumps(path, events)
+    _assert_written_as_stated(path, events)
 
 
 def test_writer_overwrites_in_place_and_leaves_no_stale_tail(tmp_path, provider):
@@ -713,7 +750,7 @@ def test_writer_overwrites_in_place_and_leaves_no_stale_tail(tmp_path, provider)
     path.chmod(0o640)
     inode = path.stat().st_ino
     for events in (short, long, [], short):
-        _assert_written_as_dumps(path, events)
+        _assert_written_as_stated(path, events)
         assert (path.stat().st_ino, stat.S_IMODE(path.stat().st_mode)) == (inode, 0o640)
 
 
