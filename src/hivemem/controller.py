@@ -68,13 +68,17 @@ class ControllerContext:
     """Pooled inputs of N admission decisions, one row each; a decision is N=1.
 
     A row's memory mean is zero where its memory size is 0; the policy
-    ignores it there.
+    ignores it there.  ``projected``, when set, holds each row's three
+    source projections (query, memory, step) as ``forward`` would compute
+    them, so ``forward`` runs only the head: ``LearnedAdmission`` fills it
+    from its memo of rows, and every other caller leaves it None.
     """
 
     queries: np.ndarray        # (N, d_e)
     memory_means: np.ndarray   # (N, d_e), mean of the keys visible at decision time
     memory_sizes: np.ndarray   # (N,) number of keys that mean covers
     step_means: np.ndarray     # (N, d_e), mean of the step triplet's embeddings
+    projected: np.ndarray | None = None  # (N, 3 * d_c), the first layer's input rows
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,8 @@ def sample_binary_decision(
     pairs, least recently used first out (``_greedy_decision``).  Every
     decision is still one call here; sampled decisions are never cached.
     """
-    if temperature <= 0:
-        raise ValidationError("temperature must be > 0")
+    if not 0 < temperature < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"temperature must be finite and > 0, not {temperature!r}")
     logits = np.asarray(logits, dtype=np.float64)
     if logits.shape != (2,):
         raise ValidationError("expected exactly two logits (YES, NO)")
@@ -229,22 +233,31 @@ class AdmissionPolicy:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
+    def project(self, source: str, rows: np.ndarray) -> np.ndarray:
+        """Rows (N, d_e) of one source ("query", "memory" or "step")
+        projected into the controller width, each by its own gemv."""
+        return _rowwise(self.params[f"w_{source}"], rows) + self.params[f"b_{source}"]
+
     def forward(self, context: ControllerContext) -> tuple[np.ndarray, dict]:
         """Logits (N, 2) over (YES, NO) of N decisions; returns (logits, cache).
 
         Each matrix-vector product runs row by row as its own gemv, so a
         row's logits are the same bit for bit whatever rows share its batch.
+        A context whose ``projected`` rows are set skips the three source
+        projections; those rows must be what ``project`` gives, with the
+        memory part +0.0 where the memory is empty.
         """
         if context.queries.shape[1] != self.embed_dim:
             raise ConfigurationError(
                 f"context dimension {context.queries.shape[1]} != policy embed_dim {self.embed_dim}"
             )
         p = self.params
-        pooled_q = _rowwise(p["w_query"], context.queries) + p["b_query"]
-        pooled_m = _rowwise(p["w_memory"], context.memory_means) + p["b_memory"]
-        pooled_m[context.memory_sizes == 0] = 0.0
-        pooled_s = _rowwise(p["w_step"], context.step_means) + p["b_step"]
-        h0 = np.concatenate([pooled_q, pooled_m, pooled_s], axis=1)
+        h0 = context.projected
+        if h0 is None:
+            pooled_m = self.project("memory", context.memory_means)
+            pooled_m[context.memory_sizes == 0] = 0.0
+            h0 = np.concatenate([self.project("query", context.queries), pooled_m,
+                                 self.project("step", context.step_means)], axis=1)
         h1 = np.tanh(_rowwise(p["w_hidden"], h0) + p["b_hidden"])
         logits = _rowwise(p["w_out"], h1) + p["b_out"]
         return logits, {"context": context, "h0": h0, "h1": h1}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import heapq
 import logging
+import math
 import threading
 import time
 from collections import Counter
@@ -174,7 +175,8 @@ class AdmissionRule(Protocol):
 
 
 # Most logits rows one LearnedAdmission remembers (about 0.8 KB each at
-# d_e=64); decisions past the cap are computed but not stored.
+# d_e=64), and most projected source rows; entries past the cap are
+# computed but not stored.
 DECISION_MEMO_LIMIT = 50_000
 
 
@@ -190,13 +192,24 @@ class LearnedAdmission:
     ``sample_binary_decision`` call on the row, which in greedy mode
     returns a Decision shared through the controller's bounded cache and
     in sampled mode draws anew, so rng draws, ``fail_closed`` and the
-    trace are as without the memo.  The memo lives as long as the rule,
-    so the policy's parameters must not change while a rule is in use.
-    ``run_variant`` given an ``AdmissionPolicy`` builds one greedy rule per
-    call, and training one sampled rule per rollout group, before the
-    group's updates.  A call with another provider empties the memo.
-    Live mode's team threads share it: a race can only recompute a row,
-    never pair an input with another input's row.
+    trace are as without the memo.
+
+    A new input still runs ``build_context`` and ``policy.forward``, but
+    its three source projections come from a second memo, keyed by the
+    query, by the triplet's strings and by (memory size, key sum bytes):
+    the tasks of one family share a query, and steps and bank states recur
+    across them.  The rule hands the rows to ``forward`` as the context's
+    ``projected`` rows, each what ``policy.project`` gave when first met,
+    so the logits are the same bit for bit; an empty memory's row is the
+    +0.0 row ``forward`` masks it to.
+
+    Both memos live as long as the rule, so the policy's parameters must
+    not change while a rule is in use.  ``run_variant`` given an
+    ``AdmissionPolicy`` builds one greedy rule per call, and training one
+    sampled rule per rollout group, before the group's updates.  A call
+    with another provider empties both memos.  Live mode's team threads
+    share them: a race can only recompute a row, never pair an input with
+    another input's row.
     """
 
     def __init__(
@@ -207,13 +220,14 @@ class LearnedAdmission:
     ):
         if mode not in DECISION_MODES:
             raise ValidationError(f"unknown decision mode {mode!r}")
-        if temperature <= 0:
-            raise ValidationError("temperature must be > 0")
+        if not 0 < temperature < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"temperature must be finite and > 0, not {temperature!r}")
         self.policy = policy
         self.mode = mode
         self.temperature = temperature
         self._provider: EmbeddingProvider | None = None
         self._logits: dict[tuple, np.ndarray] = {}
+        self._rows: dict[str | tuple, np.ndarray] = {}
 
     def decide_step(self, query, bank, triplet, provider, rng):
         snapshot = bank.context_snapshot()
@@ -221,16 +235,33 @@ class LearnedAdmission:
         if provider is not self._provider:
             self._provider = provider
             self._logits.clear()
+            self._rows.clear()
         key = (query, triplet.agent_input, triplet.step_summary, triplet.agent_output, size,
                snapshot[1].tobytes())
         logits = self._logits.get(key)
         if logits is None:
             context = build_context(query, bank, triplet, provider, snapshot)
+            memory = (self._row(key[4:], "memory", context.memory_means) if size
+                      else np.zeros(self.policy.controller_dim))
+            context.projected = np.concatenate([
+                self._row(query, "query", context.queries),
+                memory,
+                self._row(key[1:4], "step", context.step_means),
+            ])[None]
             logits = self.policy.forward(context)[0][0]
             if len(self._logits) < DECISION_MEMO_LIMIT:
                 self._logits[key] = logits
         decision = sample_binary_decision(logits, self.mode, rng=rng, temperature=self.temperature)
         return decision, size
+
+    def _row(self, key, source: str, rows: np.ndarray) -> np.ndarray:
+        """The projected row of ``source`` for ``key``, from the memo or ``rows``."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self.policy.project(source, rows)[0]
+            if len(self._rows) < DECISION_MEMO_LIMIT:
+                self._rows[key] = row
+        return row
 
 
 class HeuristicAdmission:

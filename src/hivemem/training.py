@@ -17,8 +17,9 @@ and is not used by the loss.  Each group's decisions are packed
 into row matrices once per epoch, from the ``decision``, ``step`` and
 ``admit`` events, so a replay update is one batched forward and
 backward pass over its stored rows.  A group's rollouts share one
-sampled admission rule, whose memo of logits rows is valid because the
-parameters do not change until the group is replayed.
+sampled admission rule, whose memos of logits rows and of projected
+source rows are valid because the parameters do not change until the
+group is replayed.
 """
 
 from __future__ import annotations

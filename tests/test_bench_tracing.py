@@ -46,7 +46,7 @@ def test_tracer_spans_a_learned_greedy_episode():
 def test_tracer_counts_every_decision_but_fewer_forward_passes():
     # A learned run_variant reuses the logits of repeated decision inputs:
     # every decision still snapshots the bank and draws its action, while
-    # build_context and the forward pass run only for new inputs.
+    # build_context and the forward pass run only for new inputs, once each.
     import numpy as np
 
     tasks = [
@@ -69,6 +69,7 @@ def test_tracer_counts_every_decision_but_fewer_forward_passes():
     assert metrics["bank.context_snapshot.calls"] == decisions
     for name in ("controller.forward", "controller.build_context"):
         assert 0 < metrics[f"{name}.calls"] < decisions, name
+    assert metrics["controller.forward.calls"] == metrics["controller.build_context.calls"]
 
 
 def test_tracer_yes_ratio_is_the_yes_share_of_a_greedy_run_variant():

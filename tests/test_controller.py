@@ -115,6 +115,17 @@ def test_low_temperature_matches_greedy():
     assert agree / total >= 0.99
 
 
+@pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+@pytest.mark.parametrize("mode", ["greedy", "sampled"])
+def test_a_temperature_that_is_not_finite_and_positive_is_rejected(mode, temperature):
+    # a NaN temperature used to give a NO with prob_yes NaN, not failed closed
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="temperature must be finite and > 0"):
+        sample_binary_decision(np.array([0.3, -0.2]), mode, rng, temperature)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_fail_closed_on_nonfinite():
     d = sample_binary_decision(np.array([np.nan, 1.0]), "sampled", np.random.default_rng(0))
     assert d.action == NO and d.fail_closed
@@ -335,6 +346,32 @@ def test_build_context_cached_embeddings_match_recompute(provider):
     c = build_context("q", bank, StepTriplet("a", "b", "c"), provider)
     recomputed = np.stack([provider.embed(summary) for _, summary in bank.list_keys()])
     assert np.allclose(c.memory_means[0], recomputed.mean(axis=0))
+
+
+def test_forward_on_projected_rows_runs_only_the_head(monkeypatch):
+    # Rows ``project`` gives, the empty memory's part +0.0, leave every
+    # logit and the cache as the full pass makes them, and no projection runs.
+    rng = np.random.default_rng(4)
+    policy = randomized_policy(6, 4, 4)
+    rows = [random_context(6, m, rng) for m in (2, 0, 3)]
+    context = ControllerContext(*(np.concatenate(parts) for parts in zip(
+        *((c.queries, c.memory_means, c.memory_sizes, c.step_means) for c in rows))))
+    logits, cache = policy.forward(context)
+    memory = policy.project("memory", context.memory_means)
+    memory[1] = np.zeros(4)
+    projected = np.concatenate([policy.project("query", context.queries), memory,
+                                policy.project("step", context.step_means)], axis=1)
+    assert projected.tobytes() == cache["h0"].tobytes()
+
+    def refuse(self, source, rows):
+        raise AssertionError("projected rows must skip the source projections")
+
+    monkeypatch.setattr(AdmissionPolicy, "project", refuse)
+    context.projected = projected
+    again, again_cache = policy.forward(context)
+    assert again.tobytes() == logits.tobytes()
+    assert again_cache["h1"].tobytes() == cache["h1"].tobytes()
+    assert again_cache["context"] is context
 
 
 def test_dimension_mismatch_rejected(tiny_provider):

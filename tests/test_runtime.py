@@ -566,6 +566,144 @@ def test_a_triplet_that_differs_gets_its_own_memo_row(monkeypatch, other):
     assert _memo_forwards(monkeypatch, [StepTriplet("in", "sum", "out"), other]) == 2
 
 
+class _FreshlyChecked(LearnedAdmission):
+    """A learned rule that notes, before each decision, the logits a fresh
+    ``build_context`` and forward pass give for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fresh = []
+
+    def decide_step(self, query, bank, triplet, provider, rng):
+        from hivemem.controller import build_context
+
+        context = build_context(query, bank, triplet, provider)
+        self.fresh.append(self.policy.forward(context)[0][0].tobytes())
+        return super().decide_step(query, bank, triplet, provider, rng)
+
+
+def _used_logits(monkeypatch):
+    """The logits every decision is drawn from, as bytes, in decision order."""
+    from hivemem import runtime
+
+    draw, used = runtime.sample_binary_decision, []
+
+    def noted(logits, *args, **kwargs):
+        used.append(logits.tobytes())
+        return draw(logits, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "sample_binary_decision", noted)
+    return used
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sampled"])
+def test_memoized_source_rows_give_the_fresh_logits_bit_for_bit(monkeypatch, mode):
+    import numpy as np
+
+    from hivemem.sim import run_variant
+
+    policy = _mixed_policy()
+    policy.params["b_memory"] = np.full(8, 0.1)  # an empty memory's row is 0, not b_memory
+    used = _used_logits(monkeypatch)
+    rule = _FreshlyChecked(policy, mode=mode)
+    tasks = [generate_task(seed=s, **_HEAVY) for s in (1, 2, 3, 4)]
+    _, traces = run_variant(tasks, rule, 3, [0, 1, 2, 5], _PROVIDER, keep_traces=True)
+    actions = [e["action"] for t in traces for e in t.events if e["kind"] == "decision"]
+    assert {YES, NO} <= set(actions) and len(used) == len(actions)
+    assert used == rule.fresh
+    # the family's tasks share one query, and source rows recur across new
+    # inputs: without the memo each new input would project three rows
+    assert len({t.query for t in tasks}) == 1
+    assert sum(isinstance(key, str) for key in rule._rows) == 1
+    assert len(rule._rows) < 2 * len(rule._logits)
+
+
+class _Negated:
+    """A provider whose vectors are the hashing embedder's, negated."""
+
+    dimension = _PROVIDER.dimension
+    name = "negated"
+
+    def embed(self, text):
+        return -_PROVIDER.embed(text)
+
+
+def test_another_provider_empties_both_memos(monkeypatch):
+    from hivemem.bank import MemoryBank
+
+    used = _used_logits(monkeypatch)
+    rule, bank = _FreshlyChecked(_mixed_policy()), MemoryBank(_PROVIDER.dimension)
+    bank.admit("known", "value", _PROVIDER.embed("known"), source_team=1, source_step=1)
+    first, second = StepTriplet("in", "sum", "out"), StepTriplet("in", "sum2", "out")
+    for triplet in (first, second):
+        rule.decide_step("q", bank, triplet, _PROVIDER, None)
+    assert (len(rule._logits), len(rule._rows)) == (2, 4)  # query, memory, two steps
+    rule.decide_step("q", bank, first, _Negated(), None)
+    assert (len(rule._logits), len(rule._rows)) == (1, 3)
+    assert used == rule.fresh and used[2] != used[0]
+    rule.decide_step("q", bank, first, _PROVIDER, None)
+    assert used[3] == used[0]
+
+
+def test_threads_sharing_a_rule_decide_as_a_fresh_forward_pass_does():
+    # Live mode's team threads share one rule and its two memos; a race may
+    # recompute a row but must never hand an input another input's row.
+    import sys
+    import threading
+
+    import numpy as np
+
+    from hivemem.bank import MemoryBank
+    from hivemem.controller import build_context, sample_binary_decision
+
+    rule = LearnedAdmission(_mixed_policy())
+    triplets = [StepTriplet(f"in {i}", f"sum {i % 7}", f"out {i % 5}") for i in range(60)]
+    wrong, done = [], []
+
+    def team(seed):
+        bank, rng = MemoryBank(_PROVIDER.dimension), np.random.default_rng(seed)
+        for step in range(200):
+            if step % 20 == 19:  # every team's bank passes through the same states
+                text = f"key {step}"
+                bank.admit(text, "value", _PROVIDER.embed(text), source_team=1, source_step=step)
+            query, triplet = f"query {step % 2}", triplets[rng.integers(len(triplets))]
+            decision, _ = rule.decide_step(query, bank, triplet, _PROVIDER, None)
+            fresh = rule.policy.forward(build_context(query, bank, triplet, _PROVIDER))[0][0]
+            if decision != sample_binary_decision(fresh, "greedy"):
+                wrong.append((seed, step))
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=team, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(6)) and wrong == []
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sampled"])
+def test_the_memo_limit_bounds_the_source_rows_too(monkeypatch, mode):
+    from hivemem import runtime
+    from hivemem.sim import run_variant
+
+    tasks = [generate_task(seed=s, **_HEAVY) for s in (1, 2)]
+    policy = _mixed_policy()
+    unbounded = [t.events for t in run_variant(tasks, LearnedAdmission(policy, mode=mode), 3,
+                                               [0, 1, 2], _PROVIDER, keep_traces=True)[1]]
+    monkeypatch.setattr(runtime, "DECISION_MEMO_LIMIT", 5)
+    rule = LearnedAdmission(policy, mode=mode)
+    bounded = [t.events for t in run_variant(tasks, rule, 3, [0, 1, 2], _PROVIDER,
+                                             keep_traces=True)[1]]
+    assert len(rule._logits) == len(rule._rows) == 5
+    assert bounded == unbounded
+
+
 def test_decision_memo_does_not_outlive_a_run_variant_call():
     import copy
 
@@ -767,8 +905,9 @@ def test_run_episode_takes_numpy_integer_seeds(tmp_path):
 def test_learned_admission_rejects_a_bad_mode_or_temperature_up_front():
     with pytest.raises(ValidationError, match="decision mode"):
         LearnedAdmission(_mixed_policy(), mode="argmax")
-    with pytest.raises(ValidationError, match="temperature"):
-        LearnedAdmission(_mixed_policy(), mode="sampled", temperature=0.0)
+    for temperature in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="temperature must be finite and > 0"):
+            LearnedAdmission(_mixed_policy(), mode="sampled", temperature=temperature)
 
 
 # -- the event stream is the episode ----------------------------------------
