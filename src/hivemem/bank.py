@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, EntryNotFoundError, ValidationError
+from .errors import ConfigurationError, EntryNotFoundError, ValidationError, require_int
 
 
 class MemoryBank:
@@ -42,9 +42,7 @@ class MemoryBank:
         event_sink: Callable[[dict], None] | None = None,
         clock_ns: Callable[[], int] = time.time_ns,
     ):
-        if embedding_dim < 1:
-            raise ConfigurationError("embedding_dim must be >= 1")
-        self.embedding_dim = embedding_dim
+        self.embedding_dim = embedding_dim = require_int("embedding_dim", embedding_dim, 1)
         self._keys: list[tuple[int, str]] = []  # (entry_id, summary) per entry
         self._outputs: list[str] = []  # parallel to _keys
         # Sum of the key embeddings in admission order; replaced, never

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .controller import AdmissionPolicy
 from .embeddings import HashingEmbedder
-from .errors import HivememError, ValidationError
+from .errors import HivememError, ValidationError, require_int
 from .metrics import RunMetrics, compute_metrics, render_table, report as emit_report
 from .sim import VARIANT_NAMES, SimTask, generate_task, run_variant, variant_policy
 from .training import TrainConfig, train
@@ -45,10 +45,9 @@ def task_family(block) -> list[SimTask]:
     rejects (it checks every field's type and range), is a ValidationError.
     """
     _exact_keys("tasks", block, ("seed0", "count", "family"))
-    seed0, count, family = block["seed0"], block["count"], block["family"]
-    for name, value, least in (("seed0", seed0, 0), ("count", count, 1)):
-        if type(value) is not int or value < least:  # a bool is no int here
-            raise ValidationError(f"tasks.{name} must be an int >= {least}, not {value!r}")
+    seed0 = require_int("tasks.seed0", block["seed0"], 0)
+    count = require_int("tasks.count", block["count"], 1)
+    family = block["family"]
     if not isinstance(family, dict):
         raise ValidationError(f"tasks.family is {type(family).__name__}, not an object")
     try:
@@ -159,8 +158,8 @@ def cmd_run(args) -> int:
     ``--out`` as trace files and a ``metrics.json`` nothing reads back."""
     for flag, value, least in (("--episodes", args.episodes, 1), ("--k", args.k, 1),
                                ("--seed", args.seed, 0), ("--cap", args.cap, 1)):
-        if value is not None and value < least:
-            raise ValidationError(f"{flag} must be >= {least}, not {value}")
+        if value is not None:
+            require_int(flag, value, least)
     if args.backend == "llm":
         unread = {"--tasks": args.tasks}
     else:
@@ -302,16 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HivememError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 1
-    except Exception as exc:  # unexpected; still machine-readable
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 2
+    except Exception as exc:  # an unexpected one (exit code 2) is still machine-readable
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 1 if isinstance(exc, HivememError) else 2
 
 
 if __name__ == "__main__":

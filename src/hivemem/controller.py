@@ -30,7 +30,7 @@ import numpy as np
 
 from .bank import MemoryBank
 from .embeddings import EmbeddingProvider
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, require_int
 
 logger = logging.getLogger(__name__)
 
@@ -202,16 +202,14 @@ class AdmissionPolicy:
 
     Memory keys are mean-pooled before projection, so decisions are
     invariant to the order of the keys by construction.  An empty memory
-    pools to the zero vector.
+    pools to the zero vector.  ``embed_dim`` and ``controller_dim`` are
+    integers >= 1 and ``seed`` one >= 0 (``require_int``).
     """
 
     def __init__(self, embed_dim: int, controller_dim: int = 32, seed: int = 0):
-        if embed_dim < 1 or controller_dim < 1:
-            raise ConfigurationError("embed_dim and controller_dim must be >= 1")
-        self.embed_dim = embed_dim
-        self.controller_dim = controller_dim
-        rng = np.random.default_rng(seed)
-        d_e, d_c = embed_dim, controller_dim
+        self.embed_dim = d_e = require_int("embed_dim", embed_dim, 1)
+        self.controller_dim = d_c = require_int("controller_dim", controller_dim, 1)
+        rng = np.random.default_rng(require_int("seed", seed, 0))
         hidden = 4 * d_c
         self.params: dict[str, np.ndarray] = {
             "w_query": rng.normal(0.0, d_e**-0.5, (d_c, d_e)),
@@ -314,18 +312,17 @@ class AdmissionPolicy:
                 version = meta.get("format_version") if isinstance(meta, dict) else None
                 if version != CHECKPOINT_FORMAT_VERSION:
                     raise ValueError(f"unsupported checkpoint format {version!r}")
-                dims = (meta.get("embed_dim"), meta.get("controller_dim"))
-                if not all(type(d) is int and d >= 1 for d in dims):  # bool is no dimension
-                    raise ValueError(f"embed_dim, controller_dim {dims} are not integers >= 1")
-                if expected_embed_dim is not None and dims[0] != expected_embed_dim:
-                    raise ValueError(f"embed_dim {dims[0]} != expected {expected_embed_dim}")
-                policy = cls(*dims)
+                policy = cls(meta.get("embed_dim"), meta.get("controller_dim"))
+                dim = policy.embed_dim
+                if expected_embed_dim not in (None, dim):
+                    raise ValueError(f"embed_dim {dim} != expected {expected_embed_dim}")
                 for key in PARAM_KEYS:
                     value = data[key]
                     if value.shape != policy.params[key].shape:
                         raise ValueError(f"parameter {key!r} has wrong shape")
                     policy.params[key] = np.asarray(value, dtype=np.float64)
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        except (OSError, EOFError, KeyError, ValueError, ValidationError,
+                zipfile.BadZipFile) as exc:
             raise ConfigurationError(f"bad checkpoint {path}: {type(exc).__name__}: {exc}") from exc
         return policy, meta
 

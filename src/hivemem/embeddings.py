@@ -15,7 +15,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Characters of input text that reach the tokenizer; part of the frozen scheme.
@@ -50,9 +50,7 @@ class HashingEmbedder:
     """
 
     def __init__(self, dimension: int = 64):
-        if dimension < 1:
-            raise ValidationError("embedding dimension must be >= 1")
-        self.dimension = dimension
+        self.dimension = dimension = require_int("dimension", dimension, 1)
         self.name = f"hashing-v1:d={dimension}"
         self._cache: dict[str, np.ndarray] = {}
 

@@ -30,7 +30,7 @@ import numpy as np
 import requests
 
 from .controller import StepTriplet
-from .errors import BackendFailure, ConfigurationError, ValidationError
+from .errors import BackendFailure, ConfigurationError, ValidationError, require_int, require_real
 from .runtime import (
     Candidate,
     FinalMove,
@@ -60,10 +60,10 @@ class EndpointConfig:
     temperature: float = 0.7
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValidationError("timeout must be > 0")
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must be >= 0")
+        self.timeout = require_real("timeout", self.timeout, 0, above=True)
+        self.max_retries = require_int("max_retries", self.max_retries, 0)
+        self.backoff_base = require_real("backoff_base", self.backoff_base, 0)
+        self.temperature = require_real("temperature", self.temperature, 0)
 
     def credential(self) -> str:
         value = os.environ.get(self.credential_env, "")

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of every
+count, size, seed and rate an entry point takes: ``require_int`` and
+``require_real``.  Checks on the per-step path stay inline."""
+
+import math
+import numbers
 
 
 class HivememError(Exception):
@@ -35,3 +40,27 @@ class BackendFailure(HivememError):
 class TrainingDiverged(HivememError):
     """Training hit a non-finite loss; a checkpoint of the last finite
     state was written before raising."""
+
+
+def require_int(name: str, value, least: int) -> int:
+    """``value`` as a plain int: an integer (numpy's too, never a bool)
+    ``>= least``, or a ValidationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)
+
+
+def require_real(name: str, value, least: float, above: bool = False) -> float:
+    """``value`` as a plain float: a finite real number (never a bool)
+    ``>= least``, or ``> least`` when ``above``; else a ValidationError
+    naming ``name``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float's range
+            number = math.inf
+        if math.isfinite(number) and (number > least if above else number >= least):
+            return number
+    raise ValidationError(
+        f"{name} must be finite and {'>' if above else '>='} {least}, not {value!r}"
+    )

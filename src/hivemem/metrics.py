@@ -150,7 +150,9 @@ def compute_metrics(trace_paths: Sequence[str | Path]) -> RunMetrics:
 
 
 def fd_bin_count(samples: Sequence[float]) -> int:
-    """Freedman-Diaconis bin count: width 2*IQR*n^(-1/3); at least 1 bin."""
+    """Freedman-Diaconis bin count: width 2*IQR*n^(-1/3); at least 1 bin
+    and at most one per sample, since one outlier far from a tight IQR
+    would otherwise ask for millions."""
     x = np.asarray(sorted(samples), dtype=np.float64)
     n = len(x)
     if n < 2 or x[-1] == x[0]:
@@ -159,7 +161,7 @@ def fd_bin_count(samples: Sequence[float]) -> int:
     if iqr == 0.0:
         return max(1, int(math.ceil(math.sqrt(n))))
     width = 2.0 * iqr * n ** (-1.0 / 3.0)
-    return max(1, int(math.ceil((x[-1] - x[0]) / width)))
+    return min(n, max(1, int(math.ceil((x[-1] - x[0]) / width))))
 
 
 def cdf_points(samples: Sequence[float]) -> list[tuple[float, float]]:

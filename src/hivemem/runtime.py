@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import heapq
 import logging
-import math
 import threading
 import time
 from collections import Counter
@@ -39,7 +38,9 @@ from .controller import (
     sample_binary_decision,
 )
 from .embeddings import EmbeddingProvider
-from .errors import EntryNotFoundError, HivememError, SchemaError, ValidationError
+from .errors import (
+    EntryNotFoundError, HivememError, SchemaError, ValidationError, require_int, require_real,
+)
 from .tracefile import SCHEMA_VERSION, write_events
 
 logger = logging.getLogger(__name__)
@@ -62,15 +63,15 @@ class EpisodeTask(Protocol):
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task given by its query alone, as a live endpoint-backed run takes it."""
+    """A task given by its query alone, as a live endpoint-backed run takes
+    it; ``step_cap`` is an integer >= 1, kept as a plain int."""
 
     task_id: str
     query: str
     step_cap: int = 30
 
     def __post_init__(self) -> None:
-        if self.step_cap < 1:
-            raise ValidationError("step_cap must be >= 1")
+        object.__setattr__(self, "step_cap", require_int("step_cap", self.step_cap, 1))
         if not self.query:
             raise ValidationError("query must be non-empty")
 
@@ -220,11 +221,9 @@ class LearnedAdmission:
     ):
         if mode not in DECISION_MODES:
             raise ValidationError(f"unknown decision mode {mode!r}")
-        if not 0 < temperature < math.inf:  # NaN fails both comparisons
-            raise ValidationError(f"temperature must be finite and > 0, not {temperature!r}")
         self.policy = policy
         self.mode = mode
-        self.temperature = temperature
+        self.temperature = require_real("temperature", temperature, 0, above=True)
         self._provider: EmbeddingProvider | None = None
         self._logits: dict[tuple, np.ndarray] = {}
         self._rows: dict[str | tuple, np.ndarray] = {}
@@ -456,10 +455,11 @@ def run_episode(
     fixed rule builds k generators, not 2k.  The streams are exactly
     these, but the four seed words a generator starts from are derived once
     per (seed, spawn key) and kept (up to ``SEED_WORDS_LIMIT`` pairs), so
-    the episodes of one seed on many tasks derive them once.  ``k`` must
-    be a positive integer and ``seed`` a non-negative one, numpy's included
-    but no bool; anything else is a ``ValidationError`` before the first
-    move.  The header holds ``k``, the step cap and ``seed`` as plain ints.
+    the episodes of one seed on many tasks derive them once.  ``k`` and
+    the task's ``step_cap`` must be integers >= 1 and ``seed`` one >= 0,
+    numpy's included but no bool (``errors.require_int``); anything else
+    is a ``ValidationError`` before the first move.  The header and the
+    run use the plain ints the check returns.
 
     In deterministic mode all timing is virtual: move costs advance
     per-team clocks and the interleaving is fixed by the seed, so two
@@ -480,14 +480,13 @@ def run_episode(
     mode lets each other team finish its move in flight, then re-raises
     the first error once every team thread has stopped.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, not {k!r}")
+    k = require_int("k", k, 1)
     if mode not in ("deterministic", "live"):
         raise ValidationError(f"unknown mode {mode!r}")
     if rule is not None and not callable(getattr(rule, "decide_step", None)):
         raise ValidationError(f"rule must be an admission rule or None, not {type(rule).__name__}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
+    seed = require_int("seed", seed, 0)
+    step_cap = require_int("step_cap", task.step_cap, 1)
 
     events: list[dict] = []  # list.append is atomic: live teams and the bank share it
     sink = events.append
@@ -502,14 +501,13 @@ def run_episode(
         clock_ns = lambda: int(now_vt[0] * 1_000_000)  # noqa: E731
     bank = MemoryBank(provider.dimension, event_sink=sink, clock_ns=clock_ns)
 
-    # numpy integers are welcome, but the trace file holds plain ints
-    sink({"kind": "header", "schema": SCHEMA_VERSION, "task_id": task.task_id, "k": int(k),
-          "mode": mode, "cap": int(task.step_cap), "query": task.query, "seed": int(seed)})
+    sink({"kind": "header", "schema": SCHEMA_VERSION, "task_id": task.task_id, "k": k,
+          "mode": mode, "cap": step_cap, "query": task.query, "seed": seed})
 
     team_rngs = [_generator(seed, (0, j)) for j in range(k)]
     decision_rngs = [_LazyGenerator(seed, (1, j)) for j in range(k)]
     states = [_TeamState(i + 1) for i in range(k)]
-    move_limit = task.step_cap * MOVE_LIMIT_FACTOR
+    move_limit = step_cap * MOVE_LIMIT_FACTOR
     team_ends: list[dict] = []
 
     def end_team(state: _TeamState, status: str, answer: str | None, vt: float) -> float:
@@ -543,7 +541,7 @@ def run_episode(
         end = elapsed() if live else now + move.cost
 
         if isinstance(move, StepMove):
-            if state.steps >= task.step_cap:  # not taken, so it costs nothing
+            if state.steps >= step_cap:  # not taken, so it costs nothing
                 return end_team(state, "cap_exhausted", None, end if live else now)
             state.steps += 1
             triplet = move.triplet

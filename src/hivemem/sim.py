@@ -17,8 +17,6 @@ deterministic given the per-team generator the runtime hands it.
 from __future__ import annotations
 
 import hashlib
-import math
-import numbers
 import re
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -26,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .controller import AdmissionPolicy, StepTriplet
-from .errors import ValidationError
+from .errors import ValidationError, require_int, require_real
 from .metrics import RunMetrics, metrics_from_event_streams
 from .runtime import (
     AdmissionRule,
@@ -58,9 +56,6 @@ def _digest(*parts) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:6]
 
 
-# The kind of number each ``SimTask`` field annotation admits; no bool is either.
-_FIELD_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a real number")}
-
 class SimScorer:
     """Weighted fraction of correct ``field=value`` pairs, in [0, 1]."""
 
@@ -84,9 +79,11 @@ class SimTask:
     """A sim task, fixed by its parameters: seed, shape and economics.
 
     The fields are those parameters (a tasks block's ``family`` holds all
-    but ``seed``).  ``__post_init__`` is their one check: an ``int`` field
-    holds an int (numpy's too), a ``float`` field a real number, never a
-    bool, each in range.  It then derives the rest once: ``task_id`` and
+    but ``seed``).  ``__post_init__`` is their one check: each ``int``
+    field passes ``require_int`` and each ``float`` field ``require_real``
+    (never a bool; ``depth``, ``width`` and ``step_cap`` at least 1, the
+    rest at least 0), which keeps the plain value, then the few upper
+    bounds.  It then derives the rest once: ``task_id`` and
     ``query``, which ``run_episode`` reads with ``step_cap`` (an episode
     runs the task itself); ``shared_chains`` lays shared subtasks ``s0, s1,
     ...`` out in chains of length ``depth`` (the last may be shorter),
@@ -123,25 +120,13 @@ class SimTask:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            kind, noun = _FIELD_KINDS[field.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValidationError(f"{field.name} must be {noun}, not {value!r}")
-        for name, least in (("seed", 0), ("step_cap", 1), ("depth", 1), ("width", 1),
-                            ("overlap_count", 0), ("distractor_count", 0)):
-            if getattr(self, name) < least:
-                raise ValidationError(f"{name} must be >= {least}")
+            require = require_int if field.type == "int" else require_real
+            least = 1 if field.name in ("depth", "width", "step_cap") else 0
+            self.__dict__[field.name] = require(field.name, getattr(self, field.name), least)
         if self.distractor_count > 0 and self.overlap_count == 0:
             raise ValidationError("distractors need at least one shared subtask to mimic")
-        if not 0.0 <= self.p_fail < 1.0:
+        if self.p_fail >= 1.0:
             raise ValidationError("p_fail must be in [0, 1)")
-        costs = (
-            self.solve_cost, self.retrieve_cost, self.pollution_step_surcharge,
-            self.pollution_recovery_steps, self.pollution_fail_boost,
-            self.pollution_corrupt_rate,
-        )
-        if not all(0.0 <= c < math.inf for c in costs):
-            raise ValidationError("cost and pollution fields must be finite and >= 0")
         if self.pollution_corrupt_rate > 1.0:
             raise ValidationError("pollution_corrupt_rate must be <= 1")
 

@@ -45,7 +45,7 @@ from .controller import (
 # Not called here, but the benchmark tracer patches it under this name.
 from .controller import log_prob  # noqa: F401
 from .embeddings import EmbeddingProvider
-from .errors import TrainingDiverged, ValidationError
+from .errors import TrainingDiverged, ValidationError, require_int, require_real
 from .runtime import LearnedAdmission, MajorityAggregator, decision_events, run_episode
 from .sim import ScriptedBackend, SimTask, score_event
 
@@ -136,6 +136,11 @@ class AdamW:
 
 @dataclass
 class TrainConfig:
+    """Hyperparameters of ``train``, kept as the plain values their checks
+    return: the counts pass ``require_int`` (numpy ints too; ``group_size``
+    >= 2 for a defined reward std), the rates ``require_real`` (``beta``
+    any finite value), so ``asdict`` of a config is plain JSON."""
+
     group_size: int = 5
     epochs: int = 5
     replay_factor: int = 10
@@ -149,24 +154,13 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("group_size", "epochs", "replay_factor", "seed", "k"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is no count
-                raise ValidationError(f"{name} must be an int, not {value!r}")
-        for name in ("beta", "lambda_sparse", "sample_temperature", "lr", "weight_decay"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, not {value!r}")
-        if self.group_size < 2:
-            raise ValidationError("group_size must be >= 2 for a defined std")
-        if self.epochs < 1 or self.replay_factor < 1:
-            raise ValidationError("epochs and replay_factor must be >= 1")
-        if self.seed < 0 or self.k < 1:
-            raise ValidationError("seed must be >= 0 and k >= 1")
-        if self.sample_temperature <= 0 or self.lr <= 0:
-            raise ValidationError("sample_temperature and lr must be > 0")
-        if self.lambda_sparse < 0 or self.weight_decay < 0:
-            raise ValidationError("lambda_sparse and weight_decay must be >= 0")
+        for name, least in (("group_size", 2), ("epochs", 1), ("replay_factor", 1),
+                            ("seed", 0), ("k", 1)):
+            setattr(self, name, require_int(name, getattr(self, name), least))
+        for name, least, above in (("beta", -math.inf, False), ("lambda_sparse", 0, False),
+                                   ("sample_temperature", 0, True), ("lr", 0, True),
+                                   ("weight_decay", 0, False)):
+            setattr(self, name, require_real(name, getattr(self, name), least, above))
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Every module the package imports is in the standard library, the package
 itself, or a declared dependency in ``pyproject.toml``; every private
 module-level name the package defines is used in it; ``import hivemem``
-leaves the HTTP client unloaded."""
+leaves the HTTP client unloaded; only ``errors`` tests an argument's type."""
 
 import ast
 import os
@@ -97,6 +97,50 @@ def test_an_unused_private_name_is_found(tmp_path):
     assert unused_private_names(package) == {"sim:_task_spec", "sim:_LIMIT"}
     (package / "cli.py").write_text("from . import sim\nLIMIT = sim._LIMIT\n")
     assert unused_private_names(package) == {"sim:_task_spec", "sim:_TeamPlan"}
+
+
+def argument_type_tests(package: Path) -> set[str]:
+    """``module:line`` of each ``isinstance(..., bool)`` (a tuple holding
+    ``bool`` too) and ``type(...) is int`` (or ``is not``) in ``package/*.py``
+    outside ``errors.py``, whose ``require_int`` and ``require_real`` are the
+    one argument check."""
+    found = set()
+    for source in package.glob("*.py"):
+        if source.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                hit = any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds)
+            elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+                hit = (isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+                       and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                       and isinstance(node.comparators[0], ast.Name)
+                       and node.comparators[0].id == "int")
+            else:
+                continue
+            if hit:
+                found.add(f"{source.stem}:{node.lineno}")
+    return found
+
+
+def test_only_errors_tests_an_argument_type():
+    assert argument_type_tests(ROOT / "src" / "hivemem") == set()
+
+
+def test_an_argument_type_test_is_found(tmp_path):
+    package = tmp_path / "hivemem"
+    package.mkdir()
+    (package / "errors.py").write_text("def check(x):\n    return isinstance(x, bool)\n")
+    (package / "sim.py").write_text(
+        "def check(x, y):\n"
+        "    a = isinstance(x, (int, bool))\n"
+        "    b = type(y) is not int\n"
+        "    c = isinstance(x, float) or type(y) is str\n"
+        "    return a, b, c\n"
+    )
+    assert argument_type_tests(package) == {"sim:2", "sim:3"}
 
 
 def test_no_package_line_is_longer_than_100_columns():

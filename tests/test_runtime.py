@@ -867,7 +867,7 @@ def test_the_generator_caches_never_show_in_a_trace():
 @pytest.mark.parametrize("seed", [-1, -5, 1.0, "3", None, [1, 2], -(2**70), True])
 def test_run_episode_refuses_a_seed_that_is_no_non_negative_integer(mode, seed):
     spy = _DrawSpy()
-    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
         run_episode(TaskSpec("t", "q"), 2, spy, spy, _PROVIDER, MajorityAggregator(),
                     seed=seed, mode=mode)
     assert spy.team_draws == spy.decision_draws == {}

@@ -814,6 +814,12 @@ def test_fd_bin_count_matches_manual():
     assert fd_bin_count(samples) == max(1, manual)
 
 
+def test_fd_bin_count_gives_at_most_a_bin_per_sample():
+    # one outlier far from a tight IQR asked for 13,646,272 bins
+    samples = [30.0 + 0.001 * i / 98 for i in range(99)] + [3000.0]
+    assert fd_bin_count(samples) == 100
+
+
 def test_fd_bin_count_degenerate():
     assert fd_bin_count([5.0]) == 1
     assert fd_bin_count([5.0, 5.0, 5.0]) == 1
